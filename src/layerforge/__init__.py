@@ -13,7 +13,8 @@ from .problem import (AssumptionReport, ProblemSpec, builtin_problem,
 from .locator import (DegenerateRoot, LayerLocation, NoSignChange,
                       WrongOrientation, integral_I, locate_t0)
 from .kink import (AnchorOutOfRange, KinkProfile, PotentialNegative,
-                   build_kink, chi_derivatives, eval_V0, eval_chi)
+                   ProfileIntegrationFailed, build_kink, chi_derivatives,
+                   eval_V0, eval_chi)
 from .corrections import (CorrectionTerm, LayerAuxiliary, NonDecayingSource,
                           build_v1, build_v2, build_vstar, build_z,
                           compute_matching, make_auxiliary, phi_of,
@@ -34,8 +35,9 @@ __all__ = [
     "load_problem", "resolve_problem",
     "DegenerateRoot", "LayerLocation", "NoSignChange", "WrongOrientation",
     "integral_I", "locate_t0",
-    "AnchorOutOfRange", "KinkProfile", "PotentialNegative", "build_kink",
-    "chi_derivatives", "eval_V0", "eval_chi",
+    "AnchorOutOfRange", "KinkProfile", "PotentialNegative",
+    "ProfileIntegrationFailed", "build_kink", "chi_derivatives", "eval_V0",
+    "eval_chi",
     "CorrectionTerm", "LayerAuxiliary", "NonDecayingSource", "build_v1",
     "build_v2", "build_vstar", "build_z", "compute_matching",
     "make_auxiliary", "phi_of", "solve_jump",

@@ -25,6 +25,7 @@ SCHEMA_VERSION = 1
 _ERRORS = (ProblemError, ParseError, locator.NoSignChange,
            locator.WrongOrientation, locator.DegenerateRoot,
            kink.PotentialNegative, kink.AnchorOutOfRange,
+           kink.ProfileIntegrationFailed,
            corrections.NonDecayingSource, solver.NoConvergence,
            solver.SingularJacobian, verify.AllZeros)
 

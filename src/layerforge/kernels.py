@@ -1,11 +1,11 @@
-"""Hot numeric kernels with optional numba acceleration.
+"""Numeric kernels: expression evaluation, the potential, the kink nodes
+and the tridiagonal solve.
 
-The loop-heavy kernels (postfix expression evaluation, the adaptive
-Runge-Kutta kink integrator, and the Thomas tridiagonal solve) are written
-once in nopython-compatible Python.  When numba is available they are
-compiled with @njit; setting the environment variable LAYERFORGE_NUMBA=0
-selects the pure-Python/numpy path instead (same source, no compilation).
-benchmarks/bench_kernels.py times one path against the other.
+The potential and the kink nodes are computed in one batched numpy pass
+each.  The two scalar loops, postfix expression evaluation at a point and
+the Thomas tridiagonal solve, are written in nopython-compatible Python and
+compiled with numba's @njit when numba is importable; setting the
+environment variable LAYERFORGE_NUMBA=0 runs them as plain Python instead.
 """
 
 from __future__ import annotations
@@ -14,6 +14,8 @@ import math
 import os
 
 import numpy as np
+
+from .quadrature import gl_rule
 
 _FLAG = os.environ.get("LAYERFORGE_NUMBA", "auto").strip().lower()
 if _FLAG in ("0", "false", "off", "no"):
@@ -121,157 +123,100 @@ def eval_program_array(codes, args, x, u):
 #
 # The potential integrates the reaction term at the layer point from the
 # lower reduced root.  Panels cover [root_lo, root_hi]; prefix[j] sums the
-# panels below edge j, suffix[j] sums panels from edge j upward (accumulated
-# top-down so the upper tail keeps full relative accuracy), and `total` is
-# the whole integral (zero up to the layer-location residual).  Values above
-# the interval midpoint are assembled from the top so the potential stays
-# relatively accurate where it vanishes quadratically.  Within `taylor_dist`
+# panels below edge j and suffix[j] sums the panels from edge j upward
+# (accumulated top-down so the upper tail keeps full relative accuracy).
+# Values above the interval midpoint are assembled from the top, as minus
+# the integral up to the upper root, so the potential stays relatively
+# accurate where it vanishes quadratically.  That takes the structural zero
+# W(root_hi) = 0 as exact: the located layer point leaves an O(1e-16)
+# residual in the whole integral, far below every tolerance, which as an
+# absolute offset would swamp the quadratic vanishing.  Within `taylor_dist`
 # of either root the value switches to the quartic Taylor expansion with the
-# exact derivative coefficients `taylor` = (c1-, c2-, c3-, c1+, c2+, c3+);
-# the structural zero at the upper root is enforced exactly there, since the
-# located layer point leaves only an O(1e-16) residual in `total` that would
-# otherwise swamp the quadratic vanishing.
+# exact derivative coefficients `taylor` = (c1-, c2-, c3-, c1+, c2+, c3+).
 
 
-def _potential_impl(codes, args, t0, edges, prefix, suffix, total,
-                    taylor, taylor_dist, glx, glw, v, stack):
-    m = edges.shape[0] - 1
-    d_lo = v - edges[0]
-    if abs(d_lo) < taylor_dist:
-        return d_lo * d_lo * (0.5 * taylor[0]
-                              + d_lo * (taylor[1] / 6.0 + d_lo * taylor[2] / 24.0))
-    d_hi = edges[m] - v
-    if abs(d_hi) < taylor_dist:
-        return d_hi * d_hi * (0.5 * taylor[3]
-                              - d_hi * (taylor[4] / 6.0 - d_hi * taylor[5] / 24.0))
-    j = int(np.searchsorted(edges, v)) - 1
-    if j < 0:
-        j = 0
-    if j > m - 1:
-        j = m - 1
-    vmid = 0.5 * (edges[0] + edges[m])
-    if v <= vmid:
-        a = edges[j]
-        acc = 0.0
-        half = 0.5 * (v - a)
-        mid = 0.5 * (v + a)
-        for k in range(glx.shape[0]):
-            acc += glw[k] * _eval_program_impl(codes, args, t0,
-                                               mid + half * glx[k], stack)
-        return prefix[j] + half * acc
-    a = edges[j + 1]
-    acc = 0.0
-    half = 0.5 * (a - v)
+def eval_potential(codes, args, t0, edges, prefix, suffix, taylor,
+                   taylor_dist, glx, glw, v):
+    """W(v) at every point of v, as a 1-D array."""
+    v = np.atleast_1d(np.asarray(v, dtype=float))
+    m = edges.size - 1
+    j = np.clip(np.searchsorted(edges, v) - 1, 0, m - 1)
+    upper = v > 0.5 * (edges[0] + edges[m])
+    a = np.where(upper, edges[j + 1], edges[j])
+    half = 0.5 * np.where(upper, a - v, v - a)
     mid = 0.5 * (a + v)
-    for k in range(glx.shape[0]):
-        acc += glw[k] * _eval_program_impl(codes, args, t0,
-                                           mid + half * glx[k], stack)
-    return total - (half * acc + suffix[j + 1])
+    pts = mid[:, None] + half[:, None] * glx[None, :]
+    seg = half * (eval_program_array(codes, args, t0, pts) @ glw)
+    out = np.where(upper, -(seg + suffix[j + 1]), prefix[j] + seg)
+
+    d_lo = v - edges[0]
+    near = np.abs(d_lo) < taylor_dist
+    if near.any():
+        d = d_lo[near]
+        out[near] = d * d * (0.5 * taylor[0]
+                             + d * (taylor[1] / 6.0 + d * taylor[2] / 24.0))
+    d_hi = edges[m] - v
+    near = np.abs(d_hi) < taylor_dist
+    if near.any():
+        d = d_hi[near]
+        out[near] = d * d * (0.5 * taylor[3]
+                             - d * (taylor[4] / 6.0 - d * taylor[5] / 24.0))
+    return out
 
 
 # ---------------------------------------------------------------------------
-# Adaptive Dormand-Prince 5(4) integration of dV/ds = dir * sqrt(2 W(V)).
+# One side of the connecting profile by inverse quadrature of the first
+# integral dV/ds = sqrt(2 W(V)), s = |xi|:
 #
-# Integrates away from the anchor in the rescaled coordinate s = |xi| until
-# V comes within switch_eps of the approached root (or the slope falls
-# below chi_floor, which by the tail linearization means the same thing up
-# to quadrature noise in the potential), recording every accepted step
-# together with the slope and the reaction value (consumed later by quintic
-# Hermite interpolation onto the table grid).
-# Status: 0 ok, 1 step limit hit, 2 step size underflow.
+#     s(V) = int_anchor^V dv / sqrt(2 W(v)),
+#
+# written in tau = ln d, d the distance to the approached root, so that the
+# integrand d / sqrt(2 W) stays bounded (it tends to 1/mu) down to
+# d = switch_eps.  The nodes are uniform in tau from the anchor to
+# d = switch_eps; each interval carries a Gauss-Legendre rule and a
+# cumulative sum gives s at the nodes.  Every W value comes from one
+# batched potential call.  The node data (s, V, chi = V', b = V'') feed the
+# quintic Hermite fill of the profile table.
+# Status: 0 ok, 1 W <= 0 at a node or quadrature point, 2 a non-finite W.
+
+#: tau-intervals per side of the profile, and Gauss-Legendre points on each
+KINK_INTERVALS = 600
+KINK_GL_ORDER = 8
 
 
-def _integrate_kink_impl(codes, args, t0, edges, prefix, suffix, total,
-                         taylor, taylor_dist, glx, glw, anchor, target,
-                         direction, switch_eps, chi_floor, tol, h_max,
-                         max_steps):
-    s_out = np.empty(max_steps)
-    v_out = np.empty(max_steps)
-    c_out = np.empty(max_steps)
-    b_out = np.empty(max_steps)
-    stack = np.empty(64)
+def integrate_kink(codes, args, t0, edges, prefix, suffix, taylor,
+                   taylor_dist, glx, glw, anchor, target, switch_eps):
+    """Profile nodes from the anchor toward `target`.
 
-    s = 0.0
-    v = anchor
-    w0 = _potential_impl(codes, args, t0, edges, prefix, suffix, total,
-                         taylor, taylor_dist, glx, glw, v, stack)
-    if w0 < 0.0:
-        w0 = 0.0
-    chi = math.sqrt(2.0 * w0)
-    s_out[0] = 0.0
-    v_out[0] = v
-    c_out[0] = chi
-    b_out[0] = _eval_program_impl(codes, args, t0, v, stack)
-    count = 1
+    Returns (s, v, chi, b, count, status): `count` nodes with s strictly
+    increasing from 0 at the anchor, the last node switch_eps from target.
+    On a nonzero status the arrays are empty.
+    """
+    direction = 1.0 if target > anchor else -1.0
+    qx, qw = gl_rule(KINK_GL_ORDER)
+    tau = np.linspace(math.log(abs(target - anchor)), math.log(switch_eps),
+                      KINK_INTERVALS + 1)
+    half = 0.5 * np.diff(tau)
+    tau_q = (0.5 * (tau[1:] + tau[:-1]))[:, None] + half[:, None] * qx
+    d = np.exp(np.concatenate([tau, tau_q.ravel()]))
+    v_all = target - direction * d
+    v_all[0] = anchor
+    w = eval_potential(codes, args, t0, edges, prefix, suffix, taylor,
+                       taylor_dist, glx, glw, v_all)
+    empty = np.empty(0)
+    if not np.all(np.isfinite(w)):
+        return empty, empty, empty, empty, 0, 2
+    if np.min(w) <= 0.0:
+        return empty, empty, empty, empty, 0, 1
 
-    h = 1e-3
-    status = 0
-    while True:
-        if abs(v - target) < switch_eps or chi <= chi_floor:
-            break
-        if count >= max_steps:
-            status = 1
-            break
-        if h > h_max:
-            h = h_max
-
-        k1 = direction * chi
-        v2 = v + h * (0.2 * k1)
-        w = _potential_impl(codes, args, t0, edges, prefix, suffix, total,
-                            taylor, taylor_dist, glx, glw, v2, stack)
-        k2 = direction * math.sqrt(2.0 * w) if w > 0.0 else 0.0
-        v3 = v + h * (3.0 / 40.0 * k1 + 9.0 / 40.0 * k2)
-        w = _potential_impl(codes, args, t0, edges, prefix, suffix, total,
-                            taylor, taylor_dist, glx, glw, v3, stack)
-        k3 = direction * math.sqrt(2.0 * w) if w > 0.0 else 0.0
-        v4 = v + h * (44.0 / 45.0 * k1 - 56.0 / 15.0 * k2 + 32.0 / 9.0 * k3)
-        w = _potential_impl(codes, args, t0, edges, prefix, suffix, total,
-                            taylor, taylor_dist, glx, glw, v4, stack)
-        k4 = direction * math.sqrt(2.0 * w) if w > 0.0 else 0.0
-        v5 = v + h * (19372.0 / 6561.0 * k1 - 25360.0 / 2187.0 * k2
-                      + 64448.0 / 6561.0 * k3 - 212.0 / 729.0 * k4)
-        w = _potential_impl(codes, args, t0, edges, prefix, suffix, total,
-                            taylor, taylor_dist, glx, glw, v5, stack)
-        k5 = direction * math.sqrt(2.0 * w) if w > 0.0 else 0.0
-        v6 = v + h * (9017.0 / 3168.0 * k1 - 355.0 / 33.0 * k2
-                      + 46732.0 / 5247.0 * k3 + 49.0 / 176.0 * k4
-                      - 5103.0 / 18656.0 * k5)
-        w = _potential_impl(codes, args, t0, edges, prefix, suffix, total,
-                            taylor, taylor_dist, glx, glw, v6, stack)
-        k6 = direction * math.sqrt(2.0 * w) if w > 0.0 else 0.0
-        v_new = v + h * (35.0 / 384.0 * k1 + 500.0 / 1113.0 * k3
-                         + 125.0 / 192.0 * k4 - 2187.0 / 6784.0 * k5
-                         + 11.0 / 84.0 * k6)
-        w = _potential_impl(codes, args, t0, edges, prefix, suffix, total,
-                            taylor, taylor_dist, glx, glw, v_new, stack)
-        k7 = direction * math.sqrt(2.0 * w) if w > 0.0 else 0.0
-        v_low = v + h * (5179.0 / 57600.0 * k1 + 7571.0 / 16695.0 * k3
-                         + 393.0 / 640.0 * k4 - 92097.0 / 339200.0 * k5
-                         + 187.0 / 2100.0 * k6 + 1.0 / 40.0 * k7)
-
-        err = abs(v_new - v_low) / (tol + tol * abs(v_new))
-        if err <= 1.0:
-            s += h
-            v = v_new
-            chi = abs(k7)
-            s_out[count] = s
-            v_out[count] = v
-            c_out[count] = chi
-            b_out[count] = _eval_program_impl(codes, args, t0, v, stack)
-            count += 1
-        if err > 1e-12:
-            factor = 0.9 * err ** (-0.2)
-            if factor < 0.2:
-                factor = 0.2
-            elif factor > 5.0:
-                factor = 5.0
-            h *= factor
-        else:
-            h *= 5.0
-        if h < 1e-14:
-            status = 2
-            break
-    return s_out, v_out, c_out, b_out, count, status
+    n = tau.size
+    chi_all = np.sqrt(2.0 * w)
+    # ds = d dtau / chi, with dtau < 0 along the march
+    ds = -half * ((d[n:] / chi_all[n:]).reshape(tau_q.shape) @ qw)
+    s = np.concatenate([[0.0], np.cumsum(ds)])
+    v = v_all[:n]
+    b = eval_program_array(codes, args, t0, v)
+    return s, v, chi_all[:n], b, n, 0
 
 
 def _thomas_impl(lower, diag, upper, rhs, pivot_tol):
@@ -302,20 +247,15 @@ def _thomas_impl(lower, diag, upper, rhs, pivot_tol):
 
 
 # ---------------------------------------------------------------------------
-# Path selection.  The downstream kernels call their callees through module
-# globals, so in the numba path those globals are rebound to the compiled
-# dispatchers before the callers are (lazily) compiled.
+# Path selection: the two scalar loops are compiled with numba when it is
+# available.
 
 if USE_NUMBA:
     _jit = numba.njit(cache=True)
     _eval_program_py = _eval_program_impl
     _eval_program_impl = _jit(_eval_program_impl)
-    _potential_py = _potential_impl
-    _potential_impl = _jit(_potential_impl)
-    integrate_kink = _jit(_integrate_kink_impl)
     thomas_solve = _jit(_thomas_impl)
 else:
-    integrate_kink = _integrate_kink_impl
     thomas_solve = _thomas_impl
 
 
@@ -323,11 +263,3 @@ def eval_program_scalar(codes, args, x: float, u: float) -> float:
     """Evaluate a compiled program at a scalar point."""
     return float(_eval_program_impl(codes, args, float(x), float(u),
                                     np.empty(64)))
-
-
-def potential_scalar(codes, args, t0, edges, prefix, suffix, total,
-                     taylor, taylor_dist, glx, glw, v: float) -> float:
-    """Evaluate the panel-based potential at a scalar point."""
-    return float(_potential_impl(codes, args, t0, edges, prefix, suffix,
-                                 total, taylor, taylor_dist, glx, glw,
-                                 float(v), np.empty(64)))

@@ -2,10 +2,12 @@
 
 The autonomous layer equation conserves (V')^2/2 - W(V), so the monotone
 connecting profile satisfies dV/dxi = sqrt(2 W(V)) with W the running
-integral of the reaction term at the layer point.  Integrating this first
-integral from the anchor removes the boundary-condition-at-infinity
-difficulty of a shooting method entirely; the exponential tails are
-attached analytically once the profile is within `switch_eps` of a root.
+integral of the reaction term at the layer point.  Its inverse,
+xi(V) = int_anchor^V dv / sqrt(2 W(v)), is a plain quadrature from the
+anchor (kernels.integrate_kink), so no boundary condition at infinity has to
+be shot for.  The quadrature stops `switch_eps` from each root, the table
+between its nodes is filled by quintic Hermite interpolation, and the
+exponential tails are attached analytically.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from scipy.interpolate import CubicHermiteSpline
 
 from . import expr as ex
 from .grids import graded_half_grid
-from .kernels import eval_program_array, integrate_kink
+from .kernels import eval_potential, eval_program_array, integrate_kink
 from .locator import LayerLocation
 from .problem import ProblemSpec
 from .quadrature import gl_fixed, gl_rule
@@ -27,9 +29,6 @@ P_STAR = 0.1
 
 #: switch to the linearized tail once the profile is this close to a root
 SWITCH_EPS = 1e-8
-
-#: per-step tolerance of the adaptive profile integration
-RK_TOL = 1e-12
 
 _N_PANELS = 64
 _GL_ORDER = 16
@@ -41,6 +40,10 @@ class PotentialNegative(RuntimeError):
 
 class AnchorOutOfRange(RuntimeError):
     """The middle root does not lie strictly between the outer roots."""
+
+
+class ProfileIntegrationFailed(RuntimeError):
+    """The profile quadrature met a non-positive or non-finite potential."""
 
 
 #: within this distance of a root the potential switches to its Taylor form
@@ -68,42 +71,16 @@ class PotentialTable:
     total: float
     glx: np.ndarray
     glw: np.ndarray
-    taylor_lo: tuple   # (b_u, b_uu, b_uuu) at the lower root
-    taylor_hi: tuple   # (b_u, b_uu, b_uuu) at the upper root
+    taylor: np.ndarray  # (b_u, b_uu, b_uuu) at the lower, then upper root
+
+    def kernel_args(self) -> tuple:
+        """The table as the leading arguments of the potential kernels."""
+        return (self.codes, self.args, self.t0, self.edges, self.prefix,
+                self.suffix, self.taylor, _TAYLOR_DIST, self.glx, self.glw)
 
     def w(self, v):
-        """W(v) for scalar or array v (numpy path, mirrors the kernel)."""
-        v = np.atleast_1d(np.asarray(v, dtype=float))
-        m = self.edges.size - 1
-        j = np.clip(np.searchsorted(self.edges, v) - 1, 0, m - 1)
-        vmid = 0.5 * (self.edges[0] + self.edges[-1])
-        upper = v > vmid
-        a = np.where(upper, self.edges[j + 1], self.edges[j])
-        half = 0.5 * (np.where(upper, a - v, v - a))
-        mid = 0.5 * (a + v)
-        pts = mid[:, None] + half[:, None] * self.glx[None, :]
-        bv = eval_program_array(self.codes, self.args, self.t0, pts)
-        seg = half * (bv @ self.glw)
-        out = np.where(upper,
-                       self.total - (seg + self.suffix[j + 1]),
-                       self.prefix[j] + seg)
-
-        d_lo = v - self.edges[0]
-        near_lo = np.abs(d_lo) < _TAYLOR_DIST
-        if near_lo.any():
-            c1, c2, c3 = self.taylor_lo
-            d = d_lo[near_lo]
-            out[near_lo] = d * d * (0.5 * c1 + d * (c2 / 6.0 + d * c3 / 24.0))
-        d_hi = self.edges[-1] - v
-        near_hi = np.abs(d_hi) < _TAYLOR_DIST
-        if near_hi.any():
-            # the structural zero of the potential at the upper root is
-            # enforced exactly here; the located layer point leaves only an
-            # O(1e-16) residual in `total`, far below every tolerance, and
-            # keeping it would swamp the quadratic vanishing
-            c1, c2, c3 = self.taylor_hi
-            d = d_hi[near_hi]
-            out[near_hi] = d * d * (0.5 * c1 - d * (c2 / 6.0 - d * c3 / 24.0))
+        """W(v) for scalar or array v."""
+        out = eval_potential(*self.kernel_args(), v)
         return out if out.size > 1 else float(out[0])
 
 
@@ -183,16 +160,16 @@ def build_potential(spec: ProblemSpec, loc: LayerLocation) -> PotentialTable:
     panels = half * (bv @ glw)
     prefix = np.concatenate([[0.0], np.cumsum(panels)])
     suffix = np.concatenate([np.cumsum(panels[::-1])[::-1], [0.0]])
-    taylor_lo = tuple(float(spec.b_val(t0, lo, du=k)) for k in (1, 2, 3))
-    taylor_hi = tuple(float(spec.b_val(t0, hi, du=k)) for k in (1, 2, 3))
+    taylor = np.array([float(spec.b_val(t0, root, du=k))
+                       for root in (lo, hi) for k in (1, 2, 3)])
     return PotentialTable(codes=codes, args=args, t0=t0, edges=edges,
                           prefix=prefix, suffix=suffix,
                           total=float(prefix[-1]), glx=glx, glw=glw,
-                          taylor_lo=taylor_lo, taylor_hi=taylor_hi)
+                          taylor=taylor)
 
 
 def _hermite_quintic(s_t, s_k, v_k, d1_k, d2_k):
-    """Two-point quintic Hermite interpolation of step data onto s_t."""
+    """Two-point quintic Hermite interpolation of node data onto s_t."""
     idx = np.clip(np.searchsorted(s_k, s_t) - 1, 0, s_k.size - 2)
     h = s_k[idx + 1] - s_k[idx]
     t = (s_t - s_k[idx]) / h
@@ -213,15 +190,15 @@ def _hermite_quintic(s_t, s_k, v_k, d1_k, d2_k):
 
 def build_kink(spec: ProblemSpec, loc: LayerLocation,
                xi_max: float | None = None, n_per_side: int = 3000,
-               spacing0: float = 1e-3, rk_tol: float = RK_TOL,
+               spacing0: float = 1e-3,
                switch_eps: float = SWITCH_EPS) -> KinkProfile:
-    """Construct the profile table by integrating the first integral.
+    """Construct the profile table from the first integral.
 
-    Integrates dV/dxi = sqrt(2 W(V)) adaptively from the anchor in both
-    directions, switches to the linearized exponential tail once within
-    switch_eps of a root, and fills a graded table (clustered at 0) via
-    quintic Hermite interpolation of the accepted steps, which carry exact
-    first and second derivatives of the profile.
+    Computes xi(V) = int dv / sqrt(2 W(v)) from the anchor toward both roots
+    down to switch_eps from each, switches to the linearized exponential
+    tail, and fills a graded table (clustered at 0) via quintic Hermite
+    interpolation of the quadrature nodes, which carry exact first and
+    second derivatives of the profile.
     """
     t0 = loc.t0
     phi1_t0 = float(spec.phi(1, t0))
@@ -252,27 +229,24 @@ def build_kink(spec: ProblemSpec, loc: LayerLocation,
         raise ValueError(f"xi_max must be at least 20/gamma_bar "
                          f"= {20.0 / gamma_bar:.6g}")
 
-    taylor = np.array(pot.taylor_lo + pot.taylor_hi)
     sides = {}
-    for direction, target, mu in ((1.0, phi2_t0, mu_plus),
-                                  (-1.0, phi1_t0, mu_minus)):
-        s, v, c, b, n, status = integrate_kink(
-            pot.codes, pot.args, t0, pot.edges, pot.prefix, pot.suffix,
-            pot.total, taylor, _TAYLOR_DIST, pot.glx, pot.glw, anchor,
-            target, direction, switch_eps, 0.5 * mu * switch_eps, rk_tol,
-            0.1, 200000)
+    for direction, target in ((1.0, phi2_t0), (-1.0, phi1_t0)):
+        s, v, c, b, _, status = integrate_kink(*pot.kernel_args(), anchor,
+                                               target, switch_eps)
         if status != 0:
-            raise RuntimeError(f"profile integration failed with status {status}")
-        sides[direction] = (s[:n], v[:n], c[:n], b[:n])
+            raise ProfileIntegrationFailed(
+                f"profile quadrature toward {target:.15g} failed with "
+                f"status {status} (1: potential <= 0, 2: non-finite)")
+        sides[direction] = (s, v, c, b)
 
     half_grid = graded_half_grid(xi_max, n_per_side, spacing0)
     xi = np.concatenate([-half_grid[::-1], half_grid[1:]])
 
-    # Tail amplitudes.  The integrated profile carries ~1e-12 absolute error,
-    # which is a poor *relative* error on the root distance deep in the tail,
-    # so the amplitude is read off at moderate depth (distance ~1e-4, where
-    # the relative error is ~1e-8) and transported to infinity with the exact
-    # first-integral correction  int_0^d* (1/chi(delta) - 1/(mu delta)) d delta.
+    # Tail amplitudes.  A node's own rounding (~1e-16 in V) is a poor
+    # *relative* error on the root distance deep in the tail, so the
+    # amplitude is read off at moderate depth (distance ~1e-4) and
+    # transported to infinity with the exact first-integral correction
+    # int_0^d* (1/chi(delta) - 1/(mu delta)) d delta.
     v_table = np.empty_like(xi)
     for direction in (1.0, -1.0):
         s_k, v_k, c_k, b_k = sides[direction]
@@ -287,9 +261,13 @@ def build_kink(spec: ProblemSpec, loc: LayerLocation,
         d_star, s_star = float(dist[idx]), float(s_k[idx])
 
         def correction_integrand(delta, _mu=mu, _dir=direction):
+            # subtract at the distance the potential sees: the rounding of
+            # vv is a relative error of ~1e-16 / delta in 1/chi, which the
+            # exact delta would leave unmatched next to the root
             vv = phi2_t0 - delta if _dir > 0 else phi1_t0 + delta
+            seen = phi2_t0 - vv if _dir > 0 else vv - phi1_t0
             chi_tilde = np.sqrt(np.maximum(2.0 * pot.w(vv), 0.0))
-            return 1.0 / chi_tilde - 1.0 / (_mu * delta)
+            return 1.0 / chi_tilde - 1.0 / (_mu * seen)
 
         g_inf = gl_fixed(correction_integrand, 0.0, d_star, n=32)
         amp = d_star * float(np.exp(mu * (s_star + g_inf)))

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from layerforge import cli
+from layerforge import cli, kink
 
 
 def run(capsys, *argv):
@@ -26,6 +31,19 @@ class TestLocate:
         assert first == second
 
 
+class TestModuleEntryPoint:
+    def test_python_dash_m(self):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ,
+                   PYTHONPATH=src if not path else src + os.pathsep + path)
+        proc = subprocess.run(
+            [sys.executable, "-m", "layerforge", "locate", "--problem",
+             "cubic"], capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["command"] == "locate"
+
+
 class TestUsageErrors:
     def test_nonpositive_epsilon(self, capsys):
         code = cli.main(["phi", "--problem", "cubic", "--eps", "0"])
@@ -42,6 +60,14 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             cli.main(["frobnicate"])
         assert exc.value.code == 2
+
+    def test_profile_failure_is_reported(self, capsys, monkeypatch):
+        empty = np.empty(0)
+        monkeypatch.setattr(kink, "integrate_kink",
+                            lambda *args: (empty, empty, empty, empty, 0, 2))
+        code = cli.main(["dump-kink", "--problem", "cubic"])
+        assert code == 1
+        assert "ProfileIntegrationFailed" in capsys.readouterr().err
 
     def test_unknown_problem_is_reported(self, capsys):
         code = cli.main(["check", "--problem", "no-such"])

@@ -4,14 +4,22 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from layerforge import kink, locator, problem
+from layerforge import kernels, kink, locator, problem
 from layerforge.grids import local_poly_derivative
 
 SQ2 = math.sqrt(2.0)
 
 
-def logistic(xi):
-    return 1.0 / (1.0 + np.exp(-np.asarray(xi, dtype=float) / SQ2))
+def logistic(xi, rate=1.0 / SQ2):
+    return 1.0 / (1.0 + np.exp(-rate * np.asarray(xi, dtype=float)))
+
+
+#: a flat instance of the generated family b = (1 + a x^2) u (u - phi0) (u - 1)
+#: with phi0 = 1/2 - s (x - t0), here t0 = 0.6, s = 0.5, a = 1; its profile
+#: is the logistic of rate sqrt((1 + a t0^2) / 2) with unit tail amplitudes
+FLAT = {"name": "flat", "b": "(1+1.0*x^2)*u*(u-(0.5-0.5*(x-0.6)))*(u-1)",
+        "phi0": "(0.5-0.5*(x-0.6))", "phi1": "0", "phi2": "1",
+        "g0": 0.0, "g1": 1.0, "epsilon": 0.01}
 
 
 class TestBuild:
@@ -67,6 +75,68 @@ class TestBuild:
         spec, loc, _ = cubic
         with pytest.raises(ValueError, match="xi_max"):
             kink.build_kink(spec, loc, xi_max=5.0)
+
+
+class TestTailAmplitudes:
+    def test_cubic_amplitudes_are_one(self, cubic):
+        _, _, kk = cubic
+        assert abs(kk.A_minus - 1.0) <= 1e-10
+        assert abs(kk.A_plus - 1.0) <= 1e-10
+
+    def test_wavy_amplitudes_are_one(self, wavy):
+        # the roots 0.1 and 1.1 are not dyadic, so the points next to them
+        # round; the transport must still recover the shifted logistic's
+        _, _, kk = wavy
+        assert abs(kk.A_minus - 1.0) <= 1e-10
+        assert abs(kk.A_plus - 1.0) <= 1e-10
+
+    def test_flat_generated_problem(self):
+        spec = problem.problem_from_dict(FLAT)
+        loc = locator.locate_t0(spec)
+        kk = kink.build_kink(spec, loc)
+        rate = math.sqrt((1.0 + 0.6 ** 2) / 2.0)
+        assert abs(kk.A_plus - 1.0) <= 1e-9
+        probe = np.linspace(-10.0, 10.0, 4001)
+        assert np.max(np.abs(kk.value(probe) - logistic(probe, rate))) <= 1e-10
+
+
+def _sides(spec, loc):
+    """integrate_kink's result toward each root, with its target."""
+    pot = kink.build_potential(spec, loc)
+    anchor = float(spec.phi(0, loc.t0))
+    return [(target, kernels.integrate_kink(*pot.kernel_args(), anchor,
+                                            target, kink.SWITCH_EPS))
+            for target in (pot.edges[-1], pot.edges[0])]
+
+
+class TestIntegrateKink:
+    def test_node_contract(self, cubic, wavy):
+        for spec, loc, _ in (cubic, wavy):
+            anchor = float(spec.phi(0, loc.t0))
+            for target, (s, v, chi, b, count, status) in _sides(spec, loc):
+                assert status == 0
+                assert count == s.size == v.size == chi.size == b.size
+                assert s[0] == 0.0 and v[0] == anchor
+                assert np.all(np.diff(s) > 0.0)
+                # within switch_eps, up to the rounding of the node itself
+                assert abs(target - v[-1]) <= (kink.SWITCH_EPS
+                                               + np.spacing(abs(target)))
+
+    def test_nodes_lie_on_the_logistic(self, cubic):
+        spec, loc, _ = cubic
+        for target, (s, v, chi, b, _, _) in _sides(spec, loc):
+            xi = s if target > 0.5 else -s
+            assert np.max(np.abs(v - logistic(xi))) <= 1e-12
+            assert np.max(np.abs(b - spec.b_val(loc.t0, v))) <= 1e-15
+
+    def test_nonpositive_potential_sets_status(self):
+        data = dict(problem.BUILTIN_PROBLEMS["cubic"],
+                    b="u*(u-0.05)*(u-0.45)*(u-(0.9-0.5*x))*(u-1)",
+                    phi0="0.9-0.5*x")
+        spec = problem.problem_from_dict(data)
+        loc = locator.locate_t0(spec)
+        statuses = [result[5] for _, result in _sides(spec, loc)]
+        assert 1 in statuses
 
 
 class TestProfileODE:
