@@ -13,11 +13,10 @@ from .problem import (AssumptionReport, ProblemSpec, builtin_problem,
 from .locator import (DegenerateRoot, LayerLocation, NoSignChange,
                       WrongOrientation, integral_I, locate_t0)
 from .kink import (AnchorOutOfRange, KinkProfile, PotentialNegative,
-                   ProfileIntegrationFailed, build_kink, chi_derivatives,
-                   eval_V0, eval_chi)
+                   ProfileIntegrationFailed, build_kink)
 from .corrections import (CorrectionTerm, LayerAuxiliary, NonDecayingSource,
-                          build_v1, build_v2, build_vstar, build_z,
-                          compute_matching, make_auxiliary, phi_of,
+                          build_terms, build_v1, build_v2, build_vstar,
+                          build_z, compute_matching, make_auxiliary,
                           solve_jump)
 from .expansion import (Expansion, PerturbedExpansion, build_expansion,
                         build_perturbed, estimate_C0)
@@ -36,11 +35,10 @@ __all__ = [
     "DegenerateRoot", "LayerLocation", "NoSignChange", "WrongOrientation",
     "integral_I", "locate_t0",
     "AnchorOutOfRange", "KinkProfile", "PotentialNegative",
-    "ProfileIntegrationFailed", "build_kink", "chi_derivatives", "eval_V0",
-    "eval_chi",
-    "CorrectionTerm", "LayerAuxiliary", "NonDecayingSource", "build_v1",
-    "build_v2", "build_vstar", "build_z", "compute_matching",
-    "make_auxiliary", "phi_of", "solve_jump",
+    "ProfileIntegrationFailed", "build_kink",
+    "CorrectionTerm", "LayerAuxiliary", "NonDecayingSource", "build_terms",
+    "build_v1", "build_v2", "build_vstar", "build_z", "compute_matching",
+    "make_auxiliary", "solve_jump",
     "Expansion", "PerturbedExpansion", "build_expansion", "build_perturbed",
     "estimate_C0",
     "Mesh", "MeshSolution", "NoConvergence", "SingularJacobian", "build_mesh",

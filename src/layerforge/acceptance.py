@@ -52,11 +52,7 @@ class AcceptanceContext:
         if key not in self._cache:
             spec, loc, kk = self.pipeline(name)
             aux = corrections.make_auxiliary(spec, kk, loc, p=p)
-            v1 = corrections.build_v1(aux)
-            v2 = corrections.build_v2(aux, v1)
-            vs = corrections.build_vstar(aux)
-            zz = corrections.build_z(aux)
-            self._cache[key] = (aux, {"v1": v1, "v2": v2, "vstar": vs, "z": zz})
+            self._cache[key] = (aux, corrections.build_terms(aux))
         return self._cache[key]
 
 

@@ -2,9 +2,9 @@
 
 Every subcommand prints a deterministic report: floats are rendered with 17
 significant digits, so identical inputs give byte-identical output.  CSV
-columns are documented per subcommand in --help.  The environment variable
-LAYERFORGE_THREADS caps parallelism inside sweep operations; LAYERFORGE_NUMBA
-selects the accelerated kernels (auto/1) or the pure-numpy path (0).
+columns are documented per subcommand in --help.  Exit codes: 0 success, 1 a
+failed check or a typed problem or numerical error (one line on stderr), 2 a
+usage error.
 """
 
 from __future__ import annotations
@@ -17,12 +17,12 @@ import numpy as np
 
 from . import acceptance, corrections, kink, locator, problem, solver, verify
 from .expansion import build_expansion, build_perturbed
-from .expr import ParseError
+from .expr import DomainError, ParseError
 from .problem import ProblemError
 
 SCHEMA_VERSION = 1
 
-_ERRORS = (ProblemError, ParseError, locator.NoSignChange,
+_ERRORS = (ProblemError, ParseError, DomainError, locator.NoSignChange,
            locator.WrongOrientation, locator.DegenerateRoot,
            kink.PotentialNegative, kink.AnchorOutOfRange,
            kink.ProfileIntegrationFailed,
@@ -182,11 +182,8 @@ def cmd_dump_kink(args) -> int:
 
 def cmd_dump_corrections(args) -> int:
     spec, loc, kk = _pipeline(args)
-    aux = corrections.make_auxiliary(spec, kk, loc, p=args.p)
-    v1 = corrections.build_v1(aux)
-    terms = {"v1": v1, "v2": corrections.build_v2(aux, v1),
-             "vstar": corrections.build_vstar(aux),
-             "z": corrections.build_z(aux)}
+    terms = corrections.build_terms(
+        corrections.make_auxiliary(spec, kk, loc, p=args.p))
     rows = []
     for label, term in terms.items():
         for xi, val in zip(term.xi_neg, term.val_neg):
@@ -242,11 +239,8 @@ def cmd_phi(args) -> int:
 
 def cmd_decay(args) -> int:
     spec, loc, kk = _pipeline(args)
-    aux = corrections.make_auxiliary(spec, kk, loc, p=args.p)
-    v1 = corrections.build_v1(aux)
-    terms = {"v1": v1, "v2": corrections.build_v2(aux, v1),
-             "vstar": corrections.build_vstar(aux),
-             "z": corrections.build_z(aux)}
+    terms = corrections.build_terms(
+        corrections.make_auxiliary(spec, kk, loc, p=args.p))
     floor = kk.gamma_bar - 0.1
     rates = {"chi": verify.decay_fit(kk.xi, kk.chi_table)}
     for label, term in terms.items():
@@ -330,8 +324,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="layerforge",
         description="Interior-layer expansions for bistable reaction-"
                     "diffusion boundary value problems.",
-        epilog="Environment: LAYERFORGE_THREADS caps sweep parallelism; "
-               "LAYERFORGE_NUMBA=0 selects the pure-numpy kernels.")
+        epilog="Exit codes: 0 success, 1 failed check or problem/numerical "
+               "error, 2 usage error.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, fn, help_, **extra):

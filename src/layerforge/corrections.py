@@ -151,17 +151,15 @@ def make_auxiliary(spec: ProblemSpec, kink: KinkProfile, loc: LayerLocation,
 
 @dataclass(frozen=True)
 class CorrectionTerm:
-    """Two-branch solution of the jump problem with its derivative data."""
+    """Two-branch solution of the jump problem with its jump data."""
 
     label: str
     p: float
     tbar1: float
     xi_neg: np.ndarray = field(repr=False)   # ascending, [-Xi .. 0]
     val_neg: np.ndarray = field(repr=False)
-    inner_neg: np.ndarray = field(repr=False)  # int_{-inf}^{xi} chi psi
     xi_pos: np.ndarray = field(repr=False)   # ascending, [0 .. Xi]
     val_pos: np.ndarray = field(repr=False)
-    inner_pos: np.ndarray = field(repr=False)  # int_{xi}^{inf} chi psi
     jump_minus: float
     jump_plus: float
     phi_numerator: float
@@ -170,14 +168,9 @@ class CorrectionTerm:
     dchi0: float
     mu_minus: float
     mu_plus: float
-    chi_fn: object = field(repr=False, compare=False)
-    chi_prime_fn: object = field(repr=False, compare=False)
-    bs_fn: object = field(repr=False, compare=False)
     psi_fn: object = field(repr=False, compare=False)
     _spline_neg: CubicSpline = field(repr=False, compare=False)
     _spline_pos: CubicSpline = field(repr=False, compare=False)
-    _inner_spline_neg: CubicSpline = field(repr=False, compare=False)
-    _inner_spline_pos: CubicSpline = field(repr=False, compare=False)
 
     @property
     def xi_max(self) -> float:
@@ -208,40 +201,6 @@ class CorrectionTerm:
             neg = xi < 0.0
             out[neg] = self._branch_eval(xi[neg], False)
             out[~neg] = self._branch_eval(xi[~neg], True)
-        return out if out.size > 1 else float(out[0])
-
-    def derivative(self, xi, side: int | None = None):
-        """nu'(xi) from the closed-form integral representation."""
-        xi = np.atleast_1d(np.asarray(xi, dtype=float))
-        xi_c = np.clip(xi, -self.xi_max, self.xi_max)
-        chi = np.asarray(self.chi_fn(xi_c), dtype=float)
-        dchi = np.asarray(self.chi_prime_fn(xi_c), dtype=float)
-        nu = self.value(xi, side=side)
-        if side is not None:
-            neg = np.full(xi.shape, side < 0)
-        else:
-            neg = xi < 0.0
-        inner = np.where(neg, self._inner_spline_neg(xi_c),
-                         self._inner_spline_pos(xi_c))
-        sign = np.where(neg, -1.0, 1.0)
-        out = dchi / chi * nu + sign * inner / chi
-        return out if out.size > 1 else float(out[0])
-
-    def second_derivative(self, xi, side: int | None = None):
-        """nu'' recovered from the governing equation, no differencing."""
-        xi = np.atleast_1d(np.asarray(xi, dtype=float))
-        if side is not None:
-            sides = np.full(xi.shape, side)
-        else:
-            sides = np.where(xi < 0.0, -1, 1)
-        bs = np.asarray(self.bs_fn(xi), dtype=float)
-        nu = self.value(xi, side=side)
-        psi = np.empty_like(xi)
-        for s in (-1, 1):
-            mask = sides == s
-            if mask.any():
-                psi[mask] = self.psi_fn(xi[mask], s)
-        out = bs * nu - psi
         return out if out.size > 1 else float(out[0])
 
 
@@ -298,28 +257,24 @@ def solve_jump(chi, psi, nu0_minus: float, nu0_plus: float,
                      + (nu0_minus - nu0_plus) * dchi0)
     phi_value = phi_numerator / chi0
 
-    bs_neg = np.asarray(bs(xi_neg), dtype=float)
-    bs_pos = np.asarray(bs(xi_pos), dtype=float)
-    d2_neg = bs_neg * val_neg - psi_neg
-    d2_pos = bs_pos * val_pos - psi_pos
+    # end conditions: nu'' from the governing equation at both branch ends
+    ends = [0, -1]
+    d2_neg = (np.asarray(bs(xi_neg[ends]), dtype=float) * val_neg[ends]
+              - psi_neg[ends])
+    d2_pos = (np.asarray(bs(xi_pos[ends]), dtype=float) * val_pos[ends]
+              - psi_pos[ends])
     spline_neg = CubicSpline(xi_neg, val_neg,
-                             bc_type=((2, d2_neg[0]), (2, d2_neg[-1])))
+                             bc_type=((2, d2_neg[0]), (2, d2_neg[1])))
     spline_pos = CubicSpline(xi_pos, val_pos,
-                             bc_type=((2, d2_pos[0]), (2, d2_pos[-1])))
-    inner_spline_neg = CubicSpline(xi_neg, inner_neg)
-    inner_spline_pos = CubicSpline(xi_pos, inner_pos)
+                             bc_type=((2, d2_pos[0]), (2, d2_pos[1])))
 
     return CorrectionTerm(label=label, p=p, tbar1=tbar1, xi_neg=xi_neg,
-                          val_neg=val_neg, inner_neg=inner_neg, xi_pos=xi_pos,
-                          val_pos=val_pos, inner_pos=inner_pos,
+                          val_neg=val_neg, xi_pos=xi_pos, val_pos=val_pos,
                           jump_minus=float(nu0_minus), jump_plus=float(nu0_plus),
                           phi_numerator=float(phi_numerator),
                           phi_value=float(phi_value), chi0=chi0, dchi0=dchi0,
-                          mu_minus=mu_minus, mu_plus=mu_plus, chi_fn=chi,
-                          chi_prime_fn=chi_prime, bs_fn=bs, psi_fn=psi,
-                          _spline_neg=spline_neg, _spline_pos=spline_pos,
-                          _inner_spline_neg=inner_spline_neg,
-                          _inner_spline_pos=inner_spline_pos)
+                          mu_minus=mu_minus, mu_plus=mu_plus, psi_fn=psi,
+                          _spline_neg=spline_neg, _spline_pos=spline_pos)
 
 
 def _check_decay(xi_abs, psi, chi, label):
@@ -340,11 +295,6 @@ def _check_decay(xi_abs, psi, chi, label):
         raise NonDecayingSource(
             f"source of {label!r} grows like |xi|^{exponent:.1f} relative "
             "to the profile weight (limit is the sixth power)")
-
-
-def phi_of(term: CorrectionTerm) -> float:
-    """Derivative-jump functional of a correction, by the quadrature formula."""
-    return term.phi_value
 
 
 def phi_from_tables(term: CorrectionTerm) -> float:
@@ -441,6 +391,13 @@ def build_z(aux: LayerAuxiliary,
                       bs=aux.B_s, mu_minus=aux.kink.mu_minus,
                       mu_plus=aux.kink.mu_plus, label="z", p=aux.p,
                       tbar1=aux.tbar1)
+
+
+def build_terms(aux: LayerAuxiliary) -> dict:
+    """The four corrections of one configuration: v1, v2, vstar, z."""
+    v1 = build_v1(aux)
+    return {"v1": v1, "v2": build_v2(aux, v1), "vstar": build_vstar(aux),
+            "z": build_z(aux)}
 
 
 # ---------------------------------------------------------------------------

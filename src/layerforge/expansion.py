@@ -234,18 +234,16 @@ class PerturbedExpansion:
         x = np.atleast_1d(np.asarray(x, dtype=float))
         xi = self.base.xi_of(x)
         sides = _sides_for(x, self.base.t0, side)
-        aux = self.base.aux
-        bs = np.atleast_1d(aux.B_s(xi))
-        chi_ppp = np.atleast_1d(aux.chi_ppp(xi))
+        bs = np.atleast_1d(self.base.aux.B_s(xi))
         d2_layer = np.empty_like(x)
         val = np.atleast_1d(self.beta(x, side))
         for s in (-1, 1):
             m = sides == s
             if m.any():
                 vstar_d2 = (bs[m] * self.vstar.value(xi[m], side=s)
-                            - np.abs(aux.v0(xi[m], s)))
+                            - self.vstar.psi_fn(xi[m], s))
                 z_d2 = (bs[m] * self.z.value(xi[m], side=s)
-                        - chi_ppp[m] / 12.0)
+                        - self.z.psi_fn(xi[m], s))
                 d2_layer[m] = self.pprime * vstar_d2 + self.hhat ** 2 * z_d2
         d2_base = np.atleast_1d(self.base.u_as_second_derivative(x, side))
         out = (-self.eps ** 2 * d2_base - d2_layer

@@ -30,13 +30,6 @@ def graded_half_grid(xi_max: float, n: int, spacing0: float = 1e-3) -> np.ndarra
     return xi
 
 
-def graded_symmetric_grid(xi_max: float, n_per_side: int,
-                          spacing0: float = 1e-3) -> np.ndarray:
-    """Symmetric graded grid on [-xi_max, xi_max] including 0 once."""
-    half = graded_half_grid(xi_max, n_per_side, spacing0)
-    return np.concatenate([-half[::-1], half[1:]])
-
-
 def graded_x_grid(t0: float, eps: float, n: int, xi_max: float = 30.0) -> np.ndarray:
     """Points of (0,1) clustered around t0 on the layer scale.
 

@@ -1,89 +1,29 @@
 """Numeric kernels: expression evaluation, the potential, the kink nodes
 and the tridiagonal solve.
 
-The potential and the kink nodes are computed in one batched numpy pass
-each.  The two scalar loops, postfix expression evaluation at a point and
-the Thomas tridiagonal solve, are written in nopython-compatible Python and
-compiled with numba's @njit when numba is importable; setting the
-environment variable LAYERFORGE_NUMBA=0 runs them as plain Python instead.
+The expression evaluation, the potential and the kink nodes are computed in
+one batched numpy pass each; the Thomas tridiagonal solve is a plain Python
+loop.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
 from .quadrature import gl_rule
 
-_FLAG = os.environ.get("LAYERFORGE_NUMBA", "auto").strip().lower()
-if _FLAG in ("0", "false", "off", "no"):
-    HAS_NUMBA = False
-    USE_NUMBA = False
-else:
-    try:
-        import numba
-
-        HAS_NUMBA = True
-        USE_NUMBA = True
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        HAS_NUMBA = False
-        USE_NUMBA = False
-        if _FLAG in ("1", "true", "on", "yes"):
-            raise RuntimeError("LAYERFORGE_NUMBA=1 but numba is not importable")
+#: no kernel is compiled; perfbench/run.py records this flag with each run
+USE_NUMBA = False
 
 
 # ---------------------------------------------------------------------------
 # Postfix program evaluation (opcodes defined in expr.compile_program)
 
 
-def _eval_program_impl(codes, args, x, u, stack):
-    sp = 0
-    for i in range(codes.shape[0]):
-        op = codes[i]
-        if op == 0:
-            stack[sp] = args[i]
-            sp += 1
-        elif op == 1:
-            stack[sp] = x
-            sp += 1
-        elif op == 2:
-            stack[sp] = u
-            sp += 1
-        elif op == 3:
-            sp -= 1
-            stack[sp - 1] = stack[sp - 1] + stack[sp]
-        elif op == 4:
-            sp -= 1
-            stack[sp - 1] = stack[sp - 1] - stack[sp]
-        elif op == 5:
-            sp -= 1
-            stack[sp - 1] = stack[sp - 1] * stack[sp]
-        elif op == 6:
-            sp -= 1
-            stack[sp - 1] = stack[sp - 1] / stack[sp]
-        elif op == 7:
-            stack[sp - 1] = -stack[sp - 1]
-        elif op == 8:
-            stack[sp - 1] = stack[sp - 1] ** int(args[i])
-        elif op == 9:
-            stack[sp - 1] = math.sin(stack[sp - 1])
-        elif op == 10:
-            stack[sp - 1] = math.cos(stack[sp - 1])
-        elif op == 11:
-            stack[sp - 1] = math.exp(stack[sp - 1])
-        elif op == 12:
-            stack[sp - 1] = math.log(stack[sp - 1])
-        elif op == 13:
-            stack[sp - 1] = math.tanh(stack[sp - 1])
-        else:
-            stack[sp - 1] = math.sqrt(stack[sp - 1])
-    return stack[0]
-
-
 def eval_program_array(codes, args, x, u):
-    """Vectorized interpreter for grid work; plain numpy on both paths."""
+    """Vectorized postfix interpreter (opcodes from expr.compile_program)."""
     x = np.asarray(x, dtype=float)
     u = np.asarray(u, dtype=float)
     shape = np.broadcast_shapes(x.shape, u.shape)
@@ -219,7 +159,7 @@ def integrate_kink(codes, args, t0, edges, prefix, suffix, taylor,
     return s, v, chi_all[:n], b, n, 0
 
 
-def _thomas_impl(lower, diag, upper, rhs, pivot_tol):
+def thomas_solve(lower, diag, upper, rhs, pivot_tol):
     """Thomas solve of a tridiagonal system; returns (ok, x).
 
     lower[0] and upper[-1] are ignored.  Fails when a forward-elimination
@@ -244,22 +184,3 @@ def _thomas_impl(lower, diag, upper, rhs, pivot_tol):
     for i in range(n - 2, -1, -1):
         x[i] = dp[i] - cp[i] * x[i + 1]
     return True, x
-
-
-# ---------------------------------------------------------------------------
-# Path selection: the two scalar loops are compiled with numba when it is
-# available.
-
-if USE_NUMBA:
-    _jit = numba.njit(cache=True)
-    _eval_program_py = _eval_program_impl
-    _eval_program_impl = _jit(_eval_program_impl)
-    thomas_solve = _jit(_thomas_impl)
-else:
-    thomas_solve = _thomas_impl
-
-
-def eval_program_scalar(codes, args, x: float, u: float) -> float:
-    """Evaluate a compiled program at a scalar point."""
-    return float(_eval_program_impl(codes, args, float(x), float(u),
-                                    np.empty(64)))

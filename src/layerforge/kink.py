@@ -307,41 +307,3 @@ def build_kink(spec: ProblemSpec, loc: LayerLocation,
                        chi_table=chi_table, A_minus=float(A_minus),
                        A_plus=float(A_plus), _v_interp=v_interp,
                        _chi_interp=chi_interp)
-
-
-def _shift(loc: LayerLocation, p: float) -> float:
-    if abs(p) > P_STAR:
-        raise ValueError(f"|p| must not exceed {P_STAR}, got {p}")
-    return loc.tbar1 - p
-
-
-def eval_V0(kink: KinkProfile, loc: LayerLocation, xi, p: float):
-    """Shifted profile value at layer coordinate xi."""
-    return kink.value(np.asarray(xi, dtype=float) - _shift(loc, p))
-
-
-def eval_chi(kink: KinkProfile, loc: LayerLocation, xi, p: float):
-    """Shifted profile weight at layer coordinate xi."""
-    return kink.slope(np.asarray(xi, dtype=float) - _shift(loc, p))
-
-
-def chi_derivatives(kink: KinkProfile, loc: LayerLocation, xi, p: float,
-                    order: int):
-    """Derivatives of the shifted weight, all analytic.
-
-    order 1: reaction at the profile; order 2: du-slope times the weight;
-    order 3: second du-derivative times the weight squared plus du-slope
-    times the reaction.  No numeric differentiation anywhere.
-    """
-    spec = kink.spec
-    t0 = kink.t0
-    v = eval_V0(kink, loc, xi, p)
-    if order == 1:
-        return spec.b_val(t0, v)
-    if order == 2:
-        return spec.b_val(t0, v, du=1) * eval_chi(kink, loc, xi, p)
-    if order == 3:
-        chi = eval_chi(kink, loc, xi, p)
-        return (spec.b_val(t0, v, du=2) * chi * chi
-                + spec.b_val(t0, v, du=1) * spec.b_val(t0, v))
-    raise ValueError(f"order must be 1, 2 or 3, got {order}")

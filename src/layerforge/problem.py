@@ -100,9 +100,13 @@ class ProblemSpec:
         """Evaluate the order-th x-derivative of root k at x."""
         return ex.evaluate(self.phi_derivs[k][order], x, 0.0)
 
-    def root_span(self, x):
-        """(phi1, phi0, phi2) values at x."""
-        return self.phi(1, x), self.phi(0, x), self.phi(2, x)
+
+def _number(data: dict, key: str) -> float:
+    try:
+        return float(data[key])
+    except (TypeError, ValueError) as err:
+        raise ProblemError(
+            f"field {key!r} must be a number, got {data[key]!r}") from err
 
 
 def problem_from_dict(data: dict) -> ProblemSpec:
@@ -115,16 +119,23 @@ def problem_from_dict(data: dict) -> ProblemSpec:
         phi0=ex.parse(str(data["phi0"])),
         phi1=ex.parse(str(data["phi1"])),
         phi2=ex.parse(str(data["phi2"])),
-        g0=float(data["g0"]),
-        g1=float(data["g1"]),
-        eps=float(data["epsilon"]),
+        g0=_number(data, "g0"),
+        g1=_number(data, "g1"),
+        eps=_number(data, "epsilon"),
     )
 
 
 def load_problem(path) -> ProblemSpec:
     """Load a problem instance from a JSON file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+    except OSError as err:
+        raise ProblemError(f"{path}: cannot read ({err.strerror})") from err
+    except ValueError as err:  # JSONDecodeError, UnicodeDecodeError
+        raise ProblemError(f"{path}: not valid JSON ({err})") from err
+    if not isinstance(data, dict):
+        raise ProblemError(f"{path}: expected a JSON object")
     return problem_from_dict(data)
 
 

@@ -8,14 +8,12 @@ fitted constants, and the thresholds used.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .corrections import CorrectionTerm
-from .expansion import Expansion, build_expansion, build_perturbed
+from .expansion import build_expansion, build_perturbed
 from .grids import graded_x_grid
 from .kink import KinkProfile
 from .locator import LayerLocation
@@ -55,15 +53,6 @@ class SweepReport:
         return f"[{status}] {self.name}{extra}"
 
 
-def _map(fn, items):
-    """Ordered map honoring the LAYERFORGE_THREADS cap for sweep points."""
-    workers = int(os.environ.get("LAYERFORGE_THREADS", "1") or "1")
-    if workers <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 def loglog_fit(xs, ys):
     """(slope, intercept) of a least-squares log-log fit, >= 4 points."""
     xs = np.asarray(xs, dtype=float)
@@ -78,11 +67,6 @@ def loglog_fit(xs, ys):
 # Residual order
 
 
-def residual(e: Expansion, x) -> float:
-    """Operator defect of an expansion at a point."""
-    return e.residual(x)
-
-
 def residual_sweep(spec: ProblemSpec, loc: LayerLocation, kink: KinkProfile,
                    eps_ladder=EPS_LADDER, n_points: int = 2000,
                    min_slope: float = 2.7) -> SweepReport:
@@ -92,7 +76,7 @@ def residual_sweep(spec: ProblemSpec, loc: LayerLocation, kink: KinkProfile,
         xs = graded_x_grid(loc.t0, eps, n_points)
         return float(np.max(np.abs(e.residual(xs))))
 
-    measured = _map(worst, eps_ladder)
+    measured = [worst(eps) for eps in eps_ladder]
     slope, intercept = loglog_fit(eps_ladder, measured)
     return SweepReport(name=f"residual-order[{spec.name}]", parameter="eps",
                        values=tuple(eps_ladder), measured=tuple(measured),
@@ -117,7 +101,7 @@ def phi_sweep(spec: ProblemSpec, loc: LayerLocation, kink: KinkProfile,
         e = build_expansion(spec, p=p, eps=eps, loc=loc, kink=kink)
         return e.phi_u_as()
 
-    phis = _map(one, p_values)
+    phis = [one(p) for p in p_values]
     coeff = np.polyfit(np.asarray(p_values), np.asarray(phis), 1)
     chi0 = float(kink.slope(-(loc.t1 + eps * loc.t2)))
     target = eps * loc.C_I / chi0
@@ -363,7 +347,7 @@ def solver_convergence(spec: ProblemSpec, loc: LayerLocation,
         d_max, _, _ = solver_mod.compare(sol, lambda x: np.atleast_1d(e.u_as(x)))
         return d_max
 
-    measured = _map(one, eps_ladder)
+    measured = [one(eps) for eps in eps_ladder]
     slope, _ = loglog_fit(eps_ladder, measured)
     return SweepReport(name=f"solver-distance[{spec.name}]", parameter="eps",
                        values=tuple(eps_ladder), measured=tuple(measured),

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from layerforge import cli, kink
+from layerforge import cli, kink, problem
 
 
 def run(capsys, *argv):
@@ -73,6 +73,30 @@ class TestUsageErrors:
         code = cli.main(["check", "--problem", "no-such"])
         assert code == 1
         assert "no-such" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, error", [
+        ('{"name": "bad", "b": ', "ProblemError"),
+        (json.dumps(dict(problem.BUILTIN_PROBLEMS["cubic"], epsilon="abc")),
+         "ProblemError"),
+        (json.dumps(dict(problem.BUILTIN_PROBLEMS["cubic"],
+                         b="u*(u-(0.75-0.5*x))*(u-1)*sqrt(x-0.5)")),
+         "DomainError"),
+    ], ids=["malformed-json", "non-numeric-epsilon", "reaction-domain"])
+    def test_bad_problem_file_is_one_line(self, capsys, tmp_path, text, error):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        code = cli.main(["locate", "--problem", str(path)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(error + ": ")
+        assert err.count("\n") == 1
+
+    def test_unreadable_problem_path_is_one_line(self, capsys, tmp_path):
+        code = cli.main(["locate", "--problem", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("ProblemError: ")
+        assert err.count("\n") == 1
 
 
 class TestReports:

@@ -102,19 +102,6 @@ class TestGoverningEquation:
                 resid = abs(-d2 + bs[j] * vs[i] - psi[j])
                 assert resid <= 1e-6 * (1.0 + abs(psi[j]))
 
-    @pytest.mark.parametrize("label", ["v1", "v2", "vstar", "z"])
-    def test_derivative_evaluator_consistent_with_tables(self, cubic_terms,
-                                                         label):
-        _, terms = cubic_terms
-        term = terms[label]
-        for xi, val in ((term.xi_neg, term.val_neg),
-                        (term.xi_pos, term.val_pos)):
-            i = xi.size // 3
-            fd = local_poly_derivative(xi, val, i, order=1)
-            side = -1 if xi[0] < 0 else 1
-            assert term.derivative(xi[i], side=side) == pytest.approx(
-                fd, rel=1e-6, abs=1e-8)
-
 
 class TestBounds:
     def test_first_order_growth_bound(self, cubic_terms):
@@ -149,7 +136,7 @@ class TestPhi:
                                                          wavy_terms):
         for _, terms in (cubic_terms, wavy_terms):
             for term in terms.values():
-                gap = abs(corrections.phi_of(term)
+                gap = abs(term.phi_value
                           - corrections.phi_from_tables(term))
                 assert gap <= 1e-6
 

@@ -1,10 +1,9 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from layerforge import kernels, kink, locator, problem
+from layerforge import corrections, kernels, kink, locator, problem
 from layerforge.grids import local_poly_derivative
 
 SQ2 = math.sqrt(2.0)
@@ -198,45 +197,37 @@ class TestProfileODE:
 class TestEvaluators:
     def test_anchor_at_zero_shift(self, cubic):
         spec, loc, kk = cubic
-        loc0 = replace(loc, t1=0.0, t2=0.0)
-        assert kink.eval_V0(kk, loc0, 0.0, 0.0) == pytest.approx(
-            spec.phi(0, loc.t0), abs=1e-12)
+        aux = corrections.make_auxiliary(spec, kk, loc, 0.0, tbar1=0.0)
+        assert aux.V0(0.0) == pytest.approx(spec.phi(0, loc.t0), abs=1e-12)
 
     def test_logistic_inversion_point(self, cubic):
-        _, loc, kk = cubic
-        loc0 = replace(loc, t1=0.0, t2=0.0)
-        assert kink.eval_V0(kk, loc0, SQ2 * math.log(3.0), 0.0) == \
-            pytest.approx(0.75, abs=1e-9)
+        spec, loc, kk = cubic
+        aux = corrections.make_auxiliary(spec, kk, loc, 0.0, tbar1=0.0)
+        assert aux.V0(SQ2 * math.log(3.0)) == pytest.approx(0.75, abs=1e-9)
 
     def test_shift_identity(self, cubic):
-        _, loc, kk = cubic
+        spec, loc, kk = cubic
         for delta in (0.03, -0.02):
-            a = kink.eval_V0(kk, loc, 1.3, 0.05)
-            b = kink.eval_V0(kk, loc, 1.3 + delta, 0.05 - delta)
+            a = corrections.make_auxiliary(spec, kk, loc, 0.05).V0(1.3)
+            b = corrections.make_auxiliary(spec, kk, loc,
+                                           0.05 - delta).V0(1.3 + delta)
             assert a == pytest.approx(b, abs=1e-12)
 
     def test_shift_cap(self, cubic):
-        _, loc, kk = cubic
+        spec, loc, kk = cubic
         with pytest.raises(ValueError):
-            kink.eval_V0(kk, loc, 0.0, 0.2)
+            corrections.make_auxiliary(spec, kk, loc, 0.2, tbar1=0.0)
 
     def test_chi_derivative_identities(self, cubic):
         spec, loc, kk = cubic
-        loc0 = replace(loc, t1=0.0, t2=0.0)
+        aux = corrections.make_auxiliary(spec, kk, loc, 0.0, tbar1=0.0)
         # extremal slope at the anchor
-        assert kink.chi_derivatives(kk, loc0, 0.0, 0.0, 1) == \
-            pytest.approx(0.0, abs=1e-12)
-        # curvature of the weight at the anchor
+        assert aux.chi_prime(0.0) == pytest.approx(0.0, abs=1e-12)
+        # curvature of the weight at the anchor: chi'' = B_s chi
         expected = -0.25 / (4.0 * SQ2)
-        assert kink.chi_derivatives(kk, loc0, 0.0, 0.0, 2) == \
-            pytest.approx(expected, abs=1e-9)
-        # chi''/chi approaches the squared tail rate
-        xi = 18.0
-        ratio = (kink.chi_derivatives(kk, loc0, xi, 0.0, 2)
-                 / kink.eval_chi(kk, loc0, xi, 0.0))
-        assert ratio == pytest.approx(kk.gamma_bar ** 2, rel=1e-4)
-        with pytest.raises(ValueError):
-            kink.chi_derivatives(kk, loc0, 0.0, 0.0, 4)
+        assert aux.B_s(0.0) * aux.chi(0.0) == pytest.approx(expected, abs=1e-9)
+        # chi''/chi = B_s approaches the squared tail rate
+        assert aux.B_s(18.0) == pytest.approx(kk.gamma_bar ** 2, rel=1e-4)
 
 
 class TestFailureModes:

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +17,9 @@ CUBIC_JSON = {
     "g1": 1.0,
     "epsilon": 0.01,
 }
+
+
+PROBLEMS_DIR = Path(__file__).resolve().parents[1] / "problems"
 
 
 def write(tmp_path, data, raw=None):
@@ -41,8 +45,9 @@ class TestLoad:
 
     def test_truncated_json_is_a_parse_error(self, tmp_path):
         path = write(tmp_path, None, raw='{"name": "cubic", "b": ')
-        with pytest.raises(json.JSONDecodeError):
+        with pytest.raises(problem.ProblemError, match="not valid JSON") as exc:
             problem.load_problem(path)
+        assert isinstance(exc.value.__cause__, json.JSONDecodeError)
 
     def test_missing_fields(self, tmp_path):
         data = {k: v for k, v in CUBIC_JSON.items() if k != "phi2"}
@@ -70,6 +75,11 @@ class TestLoad:
         assert problem.builtin_problem("cubic-wavy").name == "cubic-wavy"
         with pytest.raises(problem.ProblemError):
             problem.builtin_problem("no-such-problem")
+
+    def test_shipped_files_match_builtins(self):
+        shipped = {path.stem: json.loads(path.read_text())
+                   for path in PROBLEMS_DIR.glob("*.json")}
+        assert shipped == problem.BUILTIN_PROBLEMS
 
     def test_resolve_accepts_paths(self, tmp_path):
         path = write(tmp_path, CUBIC_JSON)
