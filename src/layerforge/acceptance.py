@@ -236,8 +236,7 @@ def criterion_11_solver_oracle(ctx: AcceptanceContext) -> CriterionResult:
     e = build_expansion(spec, p=0.0, eps=1e-2, loc=loc, kink=kk)
     mesh = solver.build_mesh(loc, 1e-2, 512, 2.5)
     spec_eps = problem.builtin_problem("cubic", eps=1e-2)
-    sol = solver.newton_solve(spec_eps, mesh,
-                              lambda x: np.atleast_1d(e.u_as(x)))
+    sol = solver.newton_solve(spec_eps, mesh, e.u_as)
     ok_iters = sol.iterations <= 8
     rep = verify.solver_convergence(spec, loc, kk)
     ok = ok_iters and rep.passed

@@ -16,7 +16,8 @@ import sys
 import numpy as np
 
 from . import acceptance, corrections, kink, locator, problem, solver, verify
-from .expansion import build_expansion, build_perturbed
+from .expansion import (HHAT_CAP, PPRIME_STAR, build_expansion,
+                        build_perturbed)
 from .expr import DomainError, ParseError
 from .problem import ProblemError
 
@@ -128,6 +129,16 @@ def _check_eps(args):
         raise UsageError(f"--eps must lie in (0, 1), got {eps}")
 
 
+def _check_perturbation(pprime: float, hhat: float, eps: float):
+    """The ranges build_perturbed admits, as usage errors."""
+    if abs(pprime) > PPRIME_STAR:
+        raise UsageError(
+            f"--pprime magnitude must not exceed {PPRIME_STAR}, got {pprime}")
+    if hhat ** 2 > HHAT_CAP * eps:
+        raise UsageError(f"--hhat squared must not exceed {HHAT_CAP} * eps "
+                         f"= {HHAT_CAP * eps:.3g}, got --hhat {hhat}")
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 
@@ -141,7 +152,7 @@ def cmd_check(args) -> int:
         "problem": spec.name,
         "epsilon": spec.eps,
         "defaults": {"n_grid": args.n_grid, "p_star": kink.P_STAR,
-                     "pprime_star": 0.05, "gamma_margin": 0.01},
+                     "pprime_star": PPRIME_STAR, "gamma_margin": 0.01},
         "scale": report.scale,
         "gamma_sq_est": report.gamma_sq_est,
         "checks": {name: {"passed": r.passed, "worst_x": r.worst_x,
@@ -203,12 +214,12 @@ def cmd_dump_corrections(args) -> int:
 
 def cmd_expand(args) -> int:
     spec, loc, kk = _pipeline(args)
+    _check_perturbation(args.pprime, args.hhat, spec.eps)
     e = build_expansion(spec, p=args.p, eps=spec.eps, loc=loc, kink=kk)
     pe = build_perturbed(e, pprime=args.pprime, hhat=args.hhat)
     xs = np.linspace(0.0, 1.0, args.points)
-    rows = list(zip(xs, np.atleast_1d(e.u_as(xs)),
-                    np.atleast_1d(pe.beta(xs)),
-                    np.atleast_1d(e.truncated(xs, args.n, args.c_tau))))
+    rows = list(zip(xs, e.u_as(xs), pe.beta(xs),
+                    e.truncated(xs, args.n, args.c_tau)))
     header = ("x", "u_as", "beta", "U_trunc")
     if args.format == "json":
         _print_json({"schema_version": SCHEMA_VERSION, "command": "expand",
@@ -257,6 +268,7 @@ def cmd_monotone(args) -> int:
     eps = spec.eps
     pprime = args.pprime if args.pprime is not None else eps * args.p
     hhat = args.hhat if args.hhat is not None else math.sqrt(eps)
+    _check_perturbation(pprime, hhat, eps)
     rep = verify.monotonicity_check(spec, loc, kk, eps=eps, p=args.p,
                                     pprime=pprime, hhat=hhat,
                                     n_points=args.points)
@@ -276,7 +288,7 @@ def cmd_solve(args) -> int:
     e = build_expansion(spec, p=0.0, eps=spec.eps, loc=loc, kink=kk)
     mesh = solver.build_mesh(loc, spec.eps, args.n, args.c_tau,
                              kind=args.mesh)
-    sol = solver.newton_solve(spec, mesh, lambda x: np.atleast_1d(e.u_as(x)))
+    sol = solver.newton_solve(spec, mesh, e.u_as)
     header = ("x", "u")
     rows = list(zip(mesh.nodes, sol.values))
     if args.format == "json":
@@ -293,9 +305,8 @@ def cmd_compare(args) -> int:
     spec, loc, kk = _pipeline(args)
     e = build_expansion(spec, p=0.0, eps=spec.eps, loc=loc, kink=kk)
     mesh = solver.build_mesh(loc, spec.eps, args.n, args.c_tau)
-    sol = solver.newton_solve(spec, mesh, lambda x: np.atleast_1d(e.u_as(x)))
-    d_max, d_layer, d_outer = solver.compare(sol,
-                                             lambda x: np.atleast_1d(e.u_as(x)))
+    sol = solver.newton_solve(spec, mesh, e.u_as)
+    d_max, d_layer, d_outer = solver.compare(sol, e.u_as)
     _print_json({"schema_version": SCHEMA_VERSION, "command": "compare",
                  "problem": spec.name, "epsilon": spec.eps, "N": args.n,
                  "iterations": sol.iterations,
@@ -405,8 +416,12 @@ def build_parser() -> argparse.ArgumentParser:
 def _validate(args):
     _check_eps(args)
     if getattr(args, "n", None) is not None:
+        if args.n < 2:
+            raise UsageError(f"--n must be at least 2, got {args.n}")
         if args.command in ("solve", "compare") and args.n % 2:
             raise UsageError(f"--n must be even, got {args.n}")
+    if getattr(args, "n_grid", None) is not None and args.n_grid < 16:
+        raise UsageError(f"--n-grid must be at least 16, got {args.n_grid}")
     if getattr(args, "c_tau", None) is not None and args.c_tau <= 2.0:
         raise UsageError(f"--c-tau must exceed 2, got {args.c_tau}")
     if getattr(args, "p", None) is not None and abs(args.p) > kink.P_STAR:

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.interpolate import CubicSpline
 
+from . import expr as ex
 from .grids import graded_half_grid, one_sided_derivative
 from .kink import KinkProfile, P_STAR
 from .locator import DegenerateRoot, LayerLocation
@@ -193,15 +194,15 @@ class CorrectionTerm:
 
     def value(self, xi, side: int | None = None):
         """nu(xi); the branch at xi=0 is picked by `side` (+1 by default)."""
-        xi = np.atleast_1d(np.asarray(xi, dtype=float))
-        out = np.empty_like(xi)
+        a = np.atleast_1d(np.asarray(xi, dtype=float))
+        out = np.empty_like(a)
         if side is not None:
-            out[:] = self._branch_eval(xi, side > 0)
+            out[:] = self._branch_eval(a, side > 0)
         else:
-            neg = xi < 0.0
-            out[neg] = self._branch_eval(xi[neg], False)
-            out[~neg] = self._branch_eval(xi[~neg], True)
-        return out if out.size > 1 else float(out[0])
+            neg = a < 0.0
+            out[neg] = self._branch_eval(a[neg], False)
+            out[~neg] = self._branch_eval(a[~neg], True)
+        return ex.shaped_like(out, xi)
 
 
 def solve_jump(chi, psi, nu0_minus: float, nu0_plus: float,
@@ -225,7 +226,7 @@ def solve_jump(chi, psi, nu0_minus: float, nu0_plus: float,
     psi_pos = np.asarray(psi(xi_pos, 1), dtype=float)
     psi_neg = np.asarray(psi(xi_neg, -1), dtype=float)
     chi0 = float(chi_pos[0])
-    dchi0 = float(np.asarray(chi_prime(0.0)).reshape(-1)[0])
+    dchi0 = float(chi_prime(0.0))
 
     _check_decay(xi_pos, psi_pos, chi_pos, label)
     _check_decay(-xi_neg[::-1], psi_neg[::-1], chi_neg[::-1], label)

@@ -48,7 +48,6 @@ class Expansion:
     v2: CorrectionTerm = field(repr=False)
     eps: float
     p: float
-    u2_exprs: tuple = field(repr=False)   # per side: (u2, u2', u2'') in x
 
     @property
     def t0(self) -> float:
@@ -60,53 +59,52 @@ class Expansion:
     # -- smooth part ---------------------------------------------------------
 
     def u0(self, x, side=None, order: int = 0):
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        sides = _sides_for(x, self.t0, side)
-        out = np.empty_like(x)
+        a = np.atleast_1d(np.asarray(x, dtype=float))
+        sides = _sides_for(a, self.t0, side)
+        out = np.empty_like(a)
         for s, k in ((-1, 1), (1, 2)):
             m = sides == s
             if m.any():
-                out[m] = self.spec.phi(k, x[m], order=order)
-        return out if out.size != 1 else float(out[0])
+                out[m] = self.spec.phi(k, a[m], order=order)
+        return ex.shaped_like(out, x)
 
     def u2(self, x, side=None, order: int = 0):
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        sides = _sides_for(x, self.t0, side)
-        out = np.empty_like(x)
+        a = np.atleast_1d(np.asarray(x, dtype=float))
+        sides = _sides_for(a, self.t0, side)
+        out = np.empty_like(a)
         for s, idx in ((-1, 0), (1, 1)):
             m = sides == s
             if m.any():
-                out[m] = ex.evaluate(self.u2_exprs[idx][order], x[m], 0.0)
-        return out if out.size != 1 else float(out[0])
+                out[m] = ex.evaluate(self.spec.u2_exprs[idx][order], a[m], 0.0)
+        return ex.shaped_like(out, x)
 
     # -- assembled values ----------------------------------------------------
 
     def u_as(self, x, side=None):
         """Expansion value; `side` picks the branch at the layer point."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        sides = _sides_for(x, self.t0, side)
-        xi = self.xi_of(x)
+        a = np.atleast_1d(np.asarray(x, dtype=float))
+        sides = _sides_for(a, self.t0, side)
+        xi = self.xi_of(a)
         eps = self.eps
-        out = np.atleast_1d(self.u0(x, side) + eps * eps * self.u2(x, side)
-                            + self.aux.V0(xi))
+        out = self.u0(a, side) + eps * eps * self.u2(a, side) + self.aux.V0(xi)
         for s, idx in ((-1, 0), (1, 1)):
             m = sides == s
             if m.any():
                 out[m] += (-self.aux.u0_side[idx]
                            + eps * self.v1.value(xi[m], side=s)
                            + eps * eps * self.v2.value(xi[m], side=s))
-        return out if out.size > 1 else float(out[0])
+        return ex.shaped_like(out, x)
 
     def u_as_second_derivative(self, x, side=None):
         """Exact second derivative via the layer governing equations."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        sides = _sides_for(x, self.t0, side)
-        xi = self.xi_of(x)
+        a = np.atleast_1d(np.asarray(x, dtype=float))
+        sides = _sides_for(a, self.t0, side)
+        xi = self.xi_of(a)
         eps = self.eps
-        out = np.atleast_1d(
-            self.u0(x, side, order=2) + eps * eps * self.u2(x, side, order=2)
-            + self.spec.b_val(self.t0, self.aux.V0(xi)) / (eps * eps))
-        bs = np.atleast_1d(self.aux.B_s(xi))
+        out = (self.u0(a, side, order=2)
+               + eps * eps * self.u2(a, side, order=2)
+               + self.spec.b_val(self.t0, self.aux.V0(xi)) / (eps * eps))
+        bs = self.aux.B_s(xi)
         for s in (-1, 1):
             m = sides == s
             if m.any():
@@ -116,15 +114,14 @@ class Expansion:
                 psi2 = self.v2.psi_fn(xi[m], s)
                 out[m] += ((bs[m] * w1 - psi1) / eps
                            + (bs[m] * w2 - psi2))
-        return out if out.size > 1 else float(out[0])
+        return ex.shaped_like(out, x)
 
     def residual(self, x, side=None):
         """Defect of the expansion in the differential operator."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        val = np.atleast_1d(self.u_as(x, side))
-        d2 = np.atleast_1d(self.u_as_second_derivative(x, side))
-        out = -self.eps ** 2 * d2 + self.spec.b_val(x, val)
-        return out if out.size > 1 else float(out[0])
+        a = np.atleast_1d(np.asarray(x, dtype=float))
+        val = self.u_as(a, side)
+        d2 = self.u_as_second_derivative(a, side)
+        return ex.shaped_like(-self.eps ** 2 * d2 + self.spec.b_val(a, val), x)
 
     def phi_u_as(self) -> float:
         """Scaled derivative jump of the expansion at the layer point.
@@ -137,8 +134,9 @@ class Expansion:
         t0 = self.t0
         eps = self.eps
         phi_u0 = self.spec.phi(1, t0, order=1) - self.spec.phi(2, t0, order=1)
-        phi_u2 = (ex.evaluate(self.u2_exprs[0][1], t0, 0.0)
-                  - ex.evaluate(self.u2_exprs[1][1], t0, 0.0))
+        u2_exprs = self.spec.u2_exprs
+        phi_u2 = (ex.evaluate(u2_exprs[0][1], t0, 0.0)
+                  - ex.evaluate(u2_exprs[1][1], t0, 0.0))
         return float(eps * phi_u0 + eps ** 3 * phi_u2
                      + eps * self.v1.phi_value + eps * eps * self.v2.phi_value)
 
@@ -149,28 +147,15 @@ class Expansion:
             raise ValueError("C_tau must exceed 2")
         if N < 2:
             raise ValueError("N must be at least 2")
-        x = np.atleast_1d(np.asarray(x, dtype=float))
+        a = np.atleast_1d(np.asarray(x, dtype=float))
         tau = (C_tau / self.kink.gamma_bar) * self.eps * np.log(N)
-        xi = self.xi_of(x)
+        xi = self.xi_of(a)
         shift = self.loc.t1 + self.eps * self.loc.t2
-        inside = np.abs(x - self.t0) <= tau
-        out = np.empty_like(x)
+        inside = np.abs(a - self.t0) <= tau
+        out = np.empty_like(a)
         out[inside] = self.kink.value(xi[inside] - shift)
-        out[~inside] = self.u0(x[~inside])
-        return out if out.size > 1 else float(out[0])
-
-
-def _u2_side_exprs(spec: ProblemSpec):
-    exprs = []
-    for k in (1, 2):
-        phi_k = spec.phi_derivs[k][0]
-        num = spec.phi_derivs[k][2]
-        den = ex.substitute(spec.b_partials[(0, 1)], "u", phi_k)
-        u2 = ex.div(num, den)
-        du2 = ex.differentiate(u2, "x")
-        ddu2 = ex.differentiate(du2, "x")
-        exprs.append((u2, du2, ddu2))
-    return tuple(exprs)
+        out[~inside] = self.u0(a[~inside])
+        return ex.shaped_like(out, x)
 
 
 def build_expansion(spec: ProblemSpec, p: float = 0.0,
@@ -196,8 +181,7 @@ def build_expansion(spec: ProblemSpec, p: float = 0.0,
     v1 = build_v1(aux, grid)
     v2 = build_v2(aux, v1, grid)
     return Expansion(spec=spec, loc=loc, kink=kink, aux=aux, v1=v1, v2=v2,
-                     eps=float(eps), p=float(p),
-                     u2_exprs=_u2_side_exprs(spec))
+                     eps=float(eps), p=float(p))
 
 
 @dataclass(frozen=True)
@@ -217,26 +201,26 @@ class PerturbedExpansion:
         return self.base.eps
 
     def beta(self, x, side=None):
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        xi = self.base.xi_of(x)
-        sides = _sides_for(x, self.base.t0, side)
-        out = np.atleast_1d(self.base.u_as(x, side)).copy()
+        a = np.atleast_1d(np.asarray(x, dtype=float))
+        xi = self.base.xi_of(a)
+        sides = _sides_for(a, self.base.t0, side)
+        out = self.base.u_as(a, side)
         for s in (-1, 1):
             m = sides == s
             if m.any():
                 out[m] += (self.pprime * (self.vstar.value(xi[m], side=s)
                                           + self.C0)
                            + self.hhat ** 2 * self.z.value(xi[m], side=s))
-        return out if out.size > 1 else float(out[0])
+        return ex.shaped_like(out, x)
 
     def f_beta(self, x, side=None):
         """Operator defect of the perturbed expansion (analytic)."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        xi = self.base.xi_of(x)
-        sides = _sides_for(x, self.base.t0, side)
-        bs = np.atleast_1d(self.base.aux.B_s(xi))
-        d2_layer = np.empty_like(x)
-        val = np.atleast_1d(self.beta(x, side))
+        a = np.atleast_1d(np.asarray(x, dtype=float))
+        xi = self.base.xi_of(a)
+        sides = _sides_for(a, self.base.t0, side)
+        bs = self.base.aux.B_s(xi)
+        d2_layer = np.empty_like(a)
+        val = self.beta(a, side)
         for s in (-1, 1):
             m = sides == s
             if m.any():
@@ -245,19 +229,19 @@ class PerturbedExpansion:
                 z_d2 = (bs[m] * self.z.value(xi[m], side=s)
                         - self.z.psi_fn(xi[m], s))
                 d2_layer[m] = self.pprime * vstar_d2 + self.hhat ** 2 * z_d2
-        d2_base = np.atleast_1d(self.base.u_as_second_derivative(x, side))
+        d2_base = self.base.u_as_second_derivative(a, side)
         out = (-self.eps ** 2 * d2_base - d2_layer
-               + self.base.spec.b_val(x, val))
-        return out if out.size > 1 else float(out[0])
+               + self.base.spec.b_val(a, val))
+        return ex.shaped_like(out, x)
 
     def f_beta_centered(self, x, side=None):
         """f_beta minus the truncation-compensation source term, the
         combination whose sign the bracketing argument controls."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        xi = self.base.xi_of(x)
-        out = (np.atleast_1d(self.f_beta(x, side))
+        a = np.atleast_1d(np.asarray(x, dtype=float))
+        xi = self.base.xi_of(a)
+        out = (self.f_beta(a, side)
                - self.hhat ** 2 / 12.0 * self.base.aux.chi_ppp(xi))
-        return out if out.size > 1 else float(out[0])
+        return ex.shaped_like(out, x)
 
     def phi_beta(self) -> float:
         return float(self.base.phi_u_as() + self.pprime * self.vstar.phi_value
@@ -289,20 +273,18 @@ def estimate_C0(aux: LayerAuxiliary, kink: KinkProfile,
         x = np.asarray(grid, dtype=float)
     xi = (x - t0) / eps
     sides = np.where(x < t0, -1, 1)
-    u0 = np.where(sides < 0, spec.phi(1, x) + 0.0 * x, spec.phi(2, x) + 0.0 * x)
+    u0 = np.where(sides < 0, spec.phi(1, x), spec.phi(2, x))
     v0 = np.empty_like(x)
     for s in (-1, 1):
         m = sides == s
         v0[m] = aux.v0(xi[m], s)
-    # constant-folded partials evaluate to scalars; broadcast them back
-    bs_zero = np.asarray(spec.b_val(x, u0, du=1), dtype=float) + 0.0 * x
-    bs_v0 = np.asarray(spec.b_val(x, u0 + v0, du=1), dtype=float) + 0.0 * x
+    bs_zero = spec.b_val(x, u0, du=1)
+    bs_v0 = spec.b_val(x, u0 + v0, du=1)
     small = np.abs(v0) < 1e-8
     ratio = np.empty_like(x)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio[~small] = np.abs(bs_zero[~small] - bs_v0[~small]) / np.abs(v0[~small])
-    ratio[small] = np.abs(np.asarray(
-        spec.b_val(x[small], u0[small], du=2), dtype=float) + 0.0 * x[small])
+    ratio[small] = np.abs(spec.b_val(x[small], u0[small], du=2))
     C5 = max(float(np.max(ratio)) * 1.05, 1e-8)
     C0 = min(1.0 / C5, 1e8)
     return C5, C0

@@ -429,18 +429,39 @@ def uses_variable(e: Expr, var: str) -> bool:
 def evaluate(e: Expr, x, u):
     """Evaluate at (x, u); either argument may be a numpy array.
 
-    Domain violations (ln of non-positive, sqrt of negative, division by
-    zero) raise DomainError naming the offending operand value.
+    Returns a float when x and u are both scalars, else a float array of
+    their broadcast shape (a constant expression too).  Domain violations
+    (ln of non-positive, sqrt of negative, division by zero) raise
+    DomainError naming the offending operand value.
     """
+    out = _eval(e, x, u)
+    shape = np.broadcast_shapes(np.shape(x), np.shape(u))
+    if not shape:
+        return float(out)
+    out = np.asarray(out, dtype=float)
+    return out if out.shape == shape else np.array(np.broadcast_to(out, shape))
+
+
+def shaped_like(out, x):
+    """The shape rule of evaluate for a result computed on np.atleast_1d(x):
+    a float when x is 0-d, otherwise a float array of x's shape (sizes 0
+    and 1 included)."""
+    if np.ndim(x) == 0:
+        return float(out[0])
+    return np.reshape(out, np.shape(x))
+
+
+def _eval(e: Expr, x, u):
+    # constant and x-only subtrees stay scalars; evaluate broadcasts once
     if isinstance(e, Const):
         return e.value
     if isinstance(e, Var):
         return x if e.name == "x" else u
     if isinstance(e, Neg):
-        return -evaluate(e.arg, x, u)
+        return -_eval(e.arg, x, u)
     if isinstance(e, BinOp):
-        a = evaluate(e.left, x, u)
-        b = evaluate(e.right, x, u)
+        a = _eval(e.left, x, u)
+        b = _eval(e.right, x, u)
         if e.op == "+":
             return a + b
         if e.op == "-":
@@ -451,12 +472,12 @@ def evaluate(e: Expr, x, u):
             raise DomainError(f"division by zero (numerator {_sample(a)})")
         return a / b
     if isinstance(e, Pow):
-        base = evaluate(e.base, x, u)
+        base = _eval(e.base, x, u)
         if e.exponent < 0 and np.any(base == 0.0):
             raise DomainError(f"zero raised to negative power {e.exponent}")
         return base ** e.exponent
     if isinstance(e, Call):
-        a = evaluate(e.arg, x, u)
+        a = _eval(e.arg, x, u)
         if e.func == "sin":
             return np.sin(a)
         if e.func == "cos":
@@ -481,65 +502,4 @@ def _sample(a, mask=None):
     arr = np.asarray(a)
     if mask is not None and arr.shape:
         arr = arr[np.asarray(mask)]
-    return float(arr.reshape(-1)[0]) if arr.size else float(arr)
-
-
-# ---------------------------------------------------------------------------
-# Compilation to a flat postfix program for the hot kernels
-
-OP_CONST = 0
-OP_VAR_X = 1
-OP_VAR_U = 2
-OP_ADD = 3
-OP_SUB = 4
-OP_MUL = 5
-OP_DIV = 6
-OP_NEG = 7
-OP_POWI = 8
-OP_SIN = 9
-OP_COS = 10
-OP_EXP = 11
-OP_LN = 12
-OP_TANH = 13
-OP_SQRT = 14
-
-
-def compile_program(e: Expr):
-    """Flatten an Expr to (codes, args) arrays interpreted by kernels.
-
-    codes[i] is an opcode; args[i] carries the literal for OP_CONST and the
-    integer exponent for OP_POWI (zero otherwise).
-    """
-    codes: list[int] = []
-    args: list[float] = []
-
-    def emit(node: Expr):
-        if isinstance(node, Const):
-            codes.append(OP_CONST)
-            args.append(node.value)
-        elif isinstance(node, Var):
-            codes.append(OP_VAR_X if node.name == "x" else OP_VAR_U)
-            args.append(0.0)
-        elif isinstance(node, Neg):
-            emit(node.arg)
-            codes.append(OP_NEG)
-            args.append(0.0)
-        elif isinstance(node, BinOp):
-            emit(node.left)
-            emit(node.right)
-            codes.append({"+": OP_ADD, "-": OP_SUB, "*": OP_MUL, "/": OP_DIV}[node.op])
-            args.append(0.0)
-        elif isinstance(node, Pow):
-            emit(node.base)
-            codes.append(OP_POWI)
-            args.append(float(node.exponent))
-        elif isinstance(node, Call):
-            emit(node.arg)
-            codes.append({"sin": OP_SIN, "cos": OP_COS, "exp": OP_EXP,
-                          "ln": OP_LN, "tanh": OP_TANH, "sqrt": OP_SQRT}[node.func])
-            args.append(0.0)
-        else:
-            raise TypeError(f"not an Expr: {node!r}")
-
-    emit(e)
-    return np.asarray(codes, dtype=np.int64), np.asarray(args, dtype=np.float64)
+    return float(arr.flat[0]) if arr.size else math.nan

@@ -1,9 +1,8 @@
-"""Numeric kernels: expression evaluation, the potential, the kink nodes
-and the tridiagonal solve.
+"""Numeric kernels: the potential, the kink nodes and the tridiagonal solve.
 
-The expression evaluation, the potential and the kink nodes are computed in
-one batched numpy pass each; the Thomas tridiagonal solve is a plain Python
-loop.
+The reaction term is evaluated by the expression tree walk of expr.evaluate;
+the potential and the kink nodes are computed in one batched numpy pass
+each; the Thomas tridiagonal solve is a plain Python loop.
 """
 
 from __future__ import annotations
@@ -12,50 +11,12 @@ import math
 
 import numpy as np
 
+# the benchmark's trace resolves this name to time every expression evaluation
+from .expr import evaluate as eval_program_array
 from .quadrature import gl_rule
 
 #: no kernel is compiled; perfbench/run.py records this flag with each run
 USE_NUMBA = False
-
-
-# ---------------------------------------------------------------------------
-# Postfix program evaluation (opcodes defined in expr.compile_program)
-
-
-def eval_program_array(codes, args, x, u):
-    """Vectorized postfix interpreter (opcodes from expr.compile_program)."""
-    x = np.asarray(x, dtype=float)
-    u = np.asarray(u, dtype=float)
-    shape = np.broadcast_shapes(x.shape, u.shape)
-    stack = []
-    for i in range(codes.shape[0]):
-        op = codes[i]
-        if op == 0:
-            stack.append(np.full(shape, args[i]))
-        elif op == 1:
-            stack.append(np.broadcast_to(x, shape).astype(float))
-        elif op == 2:
-            stack.append(np.broadcast_to(u, shape).astype(float))
-        elif op == 7:
-            stack[-1] = -stack[-1]
-        elif op == 8:
-            stack[-1] = stack[-1] ** int(args[i])
-        elif op in (3, 4, 5, 6):
-            b = stack.pop()
-            a = stack.pop()
-            if op == 3:
-                stack.append(a + b)
-            elif op == 4:
-                stack.append(a - b)
-            elif op == 5:
-                stack.append(a * b)
-            else:
-                stack.append(a / b)
-        else:
-            fn = {9: np.sin, 10: np.cos, 11: np.exp, 12: np.log,
-                  13: np.tanh, 14: np.sqrt}[int(op)]
-            stack[-1] = fn(stack[-1])
-    return stack[0]
 
 
 # ---------------------------------------------------------------------------
@@ -75,9 +36,9 @@ def eval_program_array(codes, args, x, u):
 # exact derivative coefficients `taylor` = (c1-, c2-, c3-, c1+, c2+, c3+).
 
 
-def eval_potential(codes, args, t0, edges, prefix, suffix, taylor,
+def eval_potential(b, t0, edges, prefix, suffix, taylor,
                    taylor_dist, glx, glw, v):
-    """W(v) at every point of v, as a 1-D array."""
+    """W(v) at every point of v, as a 1-D array, for the reaction Expr b."""
     v = np.atleast_1d(np.asarray(v, dtype=float))
     m = edges.size - 1
     j = np.clip(np.searchsorted(edges, v) - 1, 0, m - 1)
@@ -86,7 +47,7 @@ def eval_potential(codes, args, t0, edges, prefix, suffix, taylor,
     half = 0.5 * np.where(upper, a - v, v - a)
     mid = 0.5 * (a + v)
     pts = mid[:, None] + half[:, None] * glx[None, :]
-    seg = half * (eval_program_array(codes, args, t0, pts) @ glw)
+    seg = half * (eval_program_array(b, t0, pts) @ glw)
     out = np.where(upper, -(seg + suffix[j + 1]), prefix[j] + seg)
 
     d_lo = v - edges[0]
@@ -124,13 +85,13 @@ KINK_INTERVALS = 600
 KINK_GL_ORDER = 8
 
 
-def integrate_kink(codes, args, t0, edges, prefix, suffix, taylor,
+def integrate_kink(b, t0, edges, prefix, suffix, taylor,
                    taylor_dist, glx, glw, anchor, target, switch_eps):
     """Profile nodes from the anchor toward `target`.
 
-    Returns (s, v, chi, b, count, status): `count` nodes with s strictly
-    increasing from 0 at the anchor, the last node switch_eps from target.
-    On a nonzero status the arrays are empty.
+    Returns (s, v, chi, b(t0, v), count, status): `count` nodes with s
+    strictly increasing from 0 at the anchor, the last node switch_eps from
+    target.  On a nonzero status the arrays are empty.
     """
     direction = 1.0 if target > anchor else -1.0
     qx, qw = gl_rule(KINK_GL_ORDER)
@@ -141,7 +102,7 @@ def integrate_kink(codes, args, t0, edges, prefix, suffix, taylor,
     d = np.exp(np.concatenate([tau, tau_q.ravel()]))
     v_all = target - direction * d
     v_all[0] = anchor
-    w = eval_potential(codes, args, t0, edges, prefix, suffix, taylor,
+    w = eval_potential(b, t0, edges, prefix, suffix, taylor,
                        taylor_dist, glx, glw, v_all)
     empty = np.empty(0)
     if not np.all(np.isfinite(w)):
@@ -155,8 +116,7 @@ def integrate_kink(codes, args, t0, edges, prefix, suffix, taylor,
     ds = -half * ((d[n:] / chi_all[n:]).reshape(tau_q.shape) @ qw)
     s = np.concatenate([[0.0], np.cumsum(ds)])
     v = v_all[:n]
-    b = eval_program_array(codes, args, t0, v)
-    return s, v, chi_all[:n], b, n, 0
+    return s, v, chi_all[:n], eval_program_array(b, t0, v), n, 0
 
 
 def thomas_solve(lower, diag, upper, rhs, pivot_tol):

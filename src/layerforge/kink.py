@@ -62,8 +62,7 @@ class PotentialTable:
     partials of the reaction term.
     """
 
-    codes: np.ndarray
-    args: np.ndarray
+    b: ex.Expr
     t0: float
     edges: np.ndarray
     prefix: np.ndarray
@@ -75,13 +74,12 @@ class PotentialTable:
 
     def kernel_args(self) -> tuple:
         """The table as the leading arguments of the potential kernels."""
-        return (self.codes, self.args, self.t0, self.edges, self.prefix,
+        return (self.b, self.t0, self.edges, self.prefix,
                 self.suffix, self.taylor, _TAYLOR_DIST, self.glx, self.glw)
 
     def w(self, v):
         """W(v) for scalar or array v."""
-        out = eval_potential(*self.kernel_args(), v)
-        return out if out.size > 1 else float(out[0])
+        return ex.shaped_like(eval_potential(*self.kernel_args(), v), v)
 
 
 @dataclass(frozen=True)
@@ -112,42 +110,41 @@ class KinkProfile:
 
     def value(self, s):
         """Profile value at unshifted argument s (scalar or array)."""
-        s = np.atleast_1d(np.asarray(s, dtype=float))
-        out = np.empty_like(s)
-        left = s < -self.xi_max
-        right = s > self.xi_max
+        a = np.atleast_1d(np.asarray(s, dtype=float))
+        out = np.empty_like(a)
+        left = a < -self.xi_max
+        right = a > self.xi_max
         mid = ~(left | right)
         if mid.any():
-            out[mid] = self._v_interp(s[mid])
+            out[mid] = self._v_interp(a[mid])
         if left.any():
-            out[left] = self.phi1_t0 + self.A_minus * np.exp(self.mu_minus * s[left])
+            out[left] = self.phi1_t0 + self.A_minus * np.exp(self.mu_minus * a[left])
         if right.any():
-            out[right] = self.phi2_t0 - self.A_plus * np.exp(-self.mu_plus * s[right])
-        return out if out.size != 1 else float(out[0])
+            out[right] = self.phi2_t0 - self.A_plus * np.exp(-self.mu_plus * a[right])
+        return ex.shaped_like(out, s)
 
     def slope(self, s):
         """Profile derivative (the positive layer weight) at argument s."""
-        s = np.atleast_1d(np.asarray(s, dtype=float))
-        out = np.empty_like(s)
-        left = s < -self.xi_max
-        right = s > self.xi_max
+        a = np.atleast_1d(np.asarray(s, dtype=float))
+        out = np.empty_like(a)
+        left = a < -self.xi_max
+        right = a > self.xi_max
         mid = ~(left | right)
         if mid.any():
-            out[mid] = self._chi_interp(s[mid])
+            out[mid] = self._chi_interp(a[mid])
         if left.any():
             out[left] = (self.mu_minus * self.A_minus
-                         * np.exp(self.mu_minus * s[left]))
+                         * np.exp(self.mu_minus * a[left]))
         if right.any():
             out[right] = (self.mu_plus * self.A_plus
-                          * np.exp(-self.mu_plus * s[right]))
-        return out if out.size != 1 else float(out[0])
+                          * np.exp(-self.mu_plus * a[right]))
+        return ex.shaped_like(out, s)
 
     def w(self, v):
         return self.potential.w(v)
 
 
 def build_potential(spec: ProblemSpec, loc: LayerLocation) -> PotentialTable:
-    codes, args = ex.compile_program(spec.b)
     t0 = loc.t0
     lo = float(spec.phi(1, t0))
     hi = float(spec.phi(2, t0))
@@ -156,13 +153,13 @@ def build_potential(spec: ProblemSpec, loc: LayerLocation) -> PotentialTable:
     half = 0.5 * np.diff(edges)
     mid = 0.5 * (edges[:-1] + edges[1:])
     pts = mid[:, None] + half[:, None] * glx[None, :]
-    bv = eval_program_array(codes, args, t0, pts)
+    bv = eval_program_array(spec.b, t0, pts)
     panels = half * (bv @ glw)
     prefix = np.concatenate([[0.0], np.cumsum(panels)])
     suffix = np.concatenate([np.cumsum(panels[::-1])[::-1], [0.0]])
     taylor = np.array([float(spec.b_val(t0, root, du=k))
                        for root in (lo, hi) for k in (1, 2, 3)])
-    return PotentialTable(codes=codes, args=args, t0=t0, edges=edges,
+    return PotentialTable(b=spec.b, t0=t0, edges=edges,
                           prefix=prefix, suffix=suffix,
                           total=float(prefix[-1]), glx=glx, glw=glw,
                           taylor=taylor)

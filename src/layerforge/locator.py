@@ -171,8 +171,8 @@ def locate_t0(spec: ProblemSpec, scan_points: int = 64) -> LayerLocation:
 
     # global slope floor across the domain, with the 1% safety margin
     xg = np.linspace(0.0, 1.0, 257)
-    gmin = min(float(np.min(spec.b_val(xg, spec.phi(1, xg) + 0.0 * xg, du=1))),
-               float(np.min(spec.b_val(xg, spec.phi(2, xg) + 0.0 * xg, du=1))))
+    gmin = min(float(np.min(spec.b_val(xg, spec.phi(1, xg), du=1))),
+               float(np.min(spec.b_val(xg, spec.phi(2, xg), du=1))))
     gamma = float(np.sqrt(max(gmin, 0.0) * 0.99))
 
     return LayerLocation(t0=float(t0), C_I=float(C_I),

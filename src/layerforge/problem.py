@@ -4,7 +4,7 @@ numerical verification of the structural assumptions they must satisfy."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -52,7 +52,10 @@ class ProblemSpec:
     b_partials[(i, j)] is the exact symbolic d^{i+j} b / dx^i du^j for
     i + j <= 3; phi_derivs[k][m] is the m-th x-derivative of root k for
     m <= 4 (the smooth second-order correction needs four derivatives of
-    the outer roots).
+    the outer roots); u2_exprs[side] holds (u2, u2', u2'') in x for the
+    smooth second-order correction u2 = phi_k'' / b_u(x, phi_k) of the
+    left (phi1) and right (phi2) outer root.  All three are derived in
+    __post_init__, never passed in.
     """
 
     name: str
@@ -63,8 +66,9 @@ class ProblemSpec:
     g0: float
     g1: float
     eps: float
-    b_partials: dict = field(default_factory=dict, compare=False, repr=False)
-    phi_derivs: tuple = field(default=(), compare=False, repr=False)
+    b_partials: dict = field(init=False, compare=False, repr=False)
+    phi_derivs: tuple = field(init=False, compare=False, repr=False)
+    u2_exprs: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not 0.0 < self.eps < 1.0:
@@ -89,6 +93,13 @@ class ProblemSpec:
                 chain.append(ex.differentiate(chain[-1], "x"))
             derivs.append(tuple(chain))
         object.__setattr__(self, "phi_derivs", tuple(derivs))
+        u2_exprs = []
+        for k in (1, 2):
+            den = ex.substitute(partials[(0, 1)], "u", derivs[k][0])
+            u2 = ex.div(derivs[k][2], den)
+            du2 = ex.differentiate(u2, "x")
+            u2_exprs.append((u2, du2, ex.differentiate(du2, "x")))
+        object.__setattr__(self, "u2_exprs", tuple(u2_exprs))
 
     # -- evaluators ---------------------------------------------------------
 
@@ -156,11 +167,7 @@ def resolve_problem(name_or_path: str, eps: float | None = None) -> ProblemSpec:
         return builtin_problem(name_or_path, eps)
     if Path(name_or_path).exists():
         spec = load_problem(name_or_path)
-        if eps is not None:
-            spec = ProblemSpec(name=spec.name, b=spec.b, phi0=spec.phi0,
-                               phi1=spec.phi1, phi2=spec.phi2, g0=spec.g0,
-                               g1=spec.g1, eps=eps)
-        return spec
+        return spec if eps is None else replace(spec, eps=eps)
     raise ProblemError(f"no built-in problem or file named {name_or_path!r}")
 
 
@@ -208,7 +215,7 @@ def check_assumptions(spec: ProblemSpec, n_grid: int = 256) -> AssumptionReport:
     if n_grid < 16:
         raise ValueError("n_grid must be at least 16")
     x = np.linspace(0.0, 1.0, n_grid + 1)
-    roots = [spec.phi(k, x) + np.zeros_like(x) for k in range(3)]
+    roots = [spec.phi(k, x) for k in range(3)]
 
     # tolerance scale from the largest reaction value seen on the grid,
     # sampling u across the root span

@@ -8,7 +8,7 @@ fitted constants, and the thresholds used.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -275,7 +275,7 @@ def monotonicity_check(spec: ProblemSpec, loc: LayerLocation,
     dn = build_perturbed(build_expansion(spec, p=-p, eps=eps, loc=loc,
                                          kink=kink), -pprime, hhat)
     xs = graded_x_grid(loc.t0, eps, n_points)
-    gap = np.atleast_1d(up.beta(xs)) - np.atleast_1d(dn.beta(xs))
+    gap = up.beta(xs) - dn.beta(xs)
     i = int(np.argmin(gap))
     passed = bool(gap[i] >= -1e-12)
     return SweepReport(name=f"monotonicity[{spec.name}]", parameter="x",
@@ -307,8 +307,7 @@ def truncation_check(spec: ProblemSpec, loc: LayerLocation,
         e = build_expansion(spec, p=0.0, eps=eps, loc=loc, kink=kink)
         xs = np.linspace(0.0, 1.0, n_points)
         xs = xs[(xs != loc.t0)]
-        return float(np.max(np.abs(np.atleast_1d(e.u_as(xs))
-                                   - np.atleast_1d(e.truncated(xs, N, C_tau)))))
+        return float(np.max(np.abs(e.u_as(xs) - e.truncated(xs, N, C_tau))))
 
     def envelope(eps, N):
         return eps * np.log(N) + N ** -2
@@ -338,13 +337,9 @@ def solver_convergence(spec: ProblemSpec, loc: LayerLocation,
     """Distance between the nonlinear-solve oracle and the expansion."""
     def one(eps):
         e = build_expansion(spec, p=0.0, eps=eps, loc=loc, kink=kink)
-        spec_eps = ProblemSpec(name=spec.name, b=spec.b, phi0=spec.phi0,
-                               phi1=spec.phi1, phi2=spec.phi2, g0=spec.g0,
-                               g1=spec.g1, eps=eps)
         mesh = solver_mod.build_mesh(loc, eps, N, C_tau)
-        sol = solver_mod.newton_solve(spec_eps, mesh,
-                                      lambda x: np.atleast_1d(e.u_as(x)))
-        d_max, _, _ = solver_mod.compare(sol, lambda x: np.atleast_1d(e.u_as(x)))
+        sol = solver_mod.newton_solve(replace(spec, eps=eps), mesh, e.u_as)
+        d_max, _, _ = solver_mod.compare(sol, e.u_as)
         return d_max
 
     measured = [one(eps) for eps in eps_ladder]

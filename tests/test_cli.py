@@ -56,6 +56,26 @@ class TestUsageErrors:
         assert code == 2
         assert "--n" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["expand", "--n", "1"],
+        ["expand", "--pprime", "0.1"],
+        ["monotone", "--pprime", "0.2"],
+        ["expand", "--hhat", "1"],
+        ["monotone", "--hhat", "1"],
+        ["check", "--n-grid", "8"],
+        ["solve", "--n", "0"],
+        ["solve", "--n", "-4"],
+    ], ids=["expand-n", "expand-pprime", "monotone-pprime", "expand-hhat",
+            "monotone-hhat", "check-n-grid", "solve-n-zero",
+            "solve-n-negative"])
+    def test_out_of_range_argument_is_one_usage_line(self, capsys, argv):
+        code = cli.main(argv + ["--problem", "cubic"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith(f"usage error: {argv[1]}")
+        assert captured.err.count("\n") == 1
+
     def test_unknown_subcommand(self):
         with pytest.raises(SystemExit) as exc:
             cli.main(["frobnicate"])

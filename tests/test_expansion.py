@@ -187,3 +187,37 @@ class TestResidual:
         xs = graded_x_grid(loc.t0, cubic_e.eps, 2000)
         worst = np.max(np.abs(cubic_e.residual(xs)))
         assert worst <= 100.0 * cubic_e.eps ** 3
+
+
+class TestShapeRule:
+    """Every evaluator returns a float for a scalar and otherwise an array
+    of its input's shape, sizes 0 and 1 included."""
+
+    @pytest.fixture(scope="class")
+    def evaluators(self, cubic_e, cubic, cubic_terms):
+        _, _, kk = cubic
+        _, terms = cubic_terms
+        pe = expansion.build_perturbed(cubic_e, pprime=1e-3, hhat=0.05)
+        return {
+            "u_as": cubic_e.u_as,
+            "residual": cubic_e.residual,
+            "truncated": lambda x: cubic_e.truncated(x, 64, 2.5),
+            "beta": pe.beta,
+            "f_beta_centered": pe.f_beta_centered,
+            "KinkProfile.value": kk.value,
+            "CorrectionTerm.value": terms["v1"].value,
+        }
+
+    @pytest.mark.parametrize("name", [
+        "u_as", "residual", "truncated", "beta", "f_beta_centered",
+        "KinkProfile.value", "CorrectionTerm.value"])
+    def test_shapes(self, evaluators, name):
+        fn = evaluators[name]
+        empty = fn(np.empty(0))
+        assert isinstance(empty, np.ndarray) and empty.shape == (0,)
+        one = fn(np.array([0.3]))
+        assert isinstance(one, np.ndarray) and one.shape == (1,)
+        scalar = fn(0.3)
+        assert isinstance(scalar, float)
+        assert scalar == one[0]
+        assert fn(np.array([[0.3, 0.7]])).shape == (1, 2)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from layerforge import problem
-from layerforge.expr import ParseError
+from layerforge.expr import ParseError, evaluate
 
 CUBIC_JSON = {
     "name": "cubic",
@@ -85,6 +85,50 @@ class TestLoad:
         path = write(tmp_path, CUBIC_JSON)
         spec = problem.resolve_problem(str(path), eps=0.02)
         assert spec.eps == 0.02
+
+
+class TestDerivedExpressions:
+    def test_constant_root_takes_the_input_shape(self):
+        spec = problem.builtin_problem("cubic")
+        xs = np.linspace(0.0, 1.0, 7)
+        assert spec.phi(1, xs).shape == xs.shape
+        assert np.all(spec.phi(1, xs) == 0.0)
+        assert spec.b_val(xs, xs, du=3).shape == xs.shape
+        assert isinstance(spec.phi(1, 0.5), float)
+
+    @pytest.mark.parametrize("derived", ["b_partials", "phi_derivs",
+                                         "u2_exprs"])
+    def test_derived_fields_are_not_constructor_arguments(self, derived):
+        spec = problem.builtin_problem("cubic")
+        kwargs = dict(name=spec.name, b=spec.b, phi0=spec.phi0,
+                      phi1=spec.phi1, phi2=spec.phi2, g0=spec.g0, g1=spec.g1,
+                      eps=spec.eps)
+        with pytest.raises(TypeError):
+            problem.ProblemSpec(**kwargs, **{derived: getattr(spec, derived)})
+
+    def test_u2_expressions_match_the_closed_form(self):
+        # u2 = phi_k'' / b_u(x, phi_k); on the wavy problem the outer roots
+        # are 0.1 sin(pi x) (+1), and b_u at a root is the product of its
+        # distances to the other two roots
+        spec = problem.builtin_problem("cubic-wavy")
+        x = np.linspace(0.05, 0.95, 7)
+        pi = 3.14159265358979
+        s = 0.1 * np.sin(pi * x)
+        ddphi = -0.1 * pi ** 2 * np.sin(pi * x)
+        middle = 0.75 - 0.5 * x + s
+        expected = (ddphi / ((s - middle) * (s - (1 + s))),
+                    ddphi / ((1 + s - s) * (1 + s - middle)))
+        for side in (0, 1):
+            got = evaluate(spec.u2_exprs[side][0], x, 0.0)
+            assert np.allclose(got, expected[side], rtol=1e-12, atol=0)
+
+    def test_epsilon_override_keeps_derived_fields(self, tmp_path):
+        spec = problem.resolve_problem(str(write(tmp_path, CUBIC_JSON)),
+                                       eps=0.02)
+        assert spec.eps == 0.02
+        assert set(spec.b_partials) == set(
+            problem.builtin_problem("cubic").b_partials)
+        assert len(spec.u2_exprs) == 2
 
 
 class TestCheckAssumptions:
