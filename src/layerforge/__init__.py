@@ -21,8 +21,7 @@ from .corrections import (CorrectionTerm, LayerAuxiliary, NonDecayingSource,
 from .expansion import (Expansion, PerturbedExpansion, build_expansion,
                         build_perturbed, estimate_C0)
 from .solver import (Mesh, MeshSolution, NoConvergence, SingularJacobian,
-                     build_mesh, compare, newton_solve, solve_jump_fd,
-                     solve_jump_fd_numerov)
+                     build_mesh, compare, newton_solve, solve_jump_fd_numerov)
 from .verify import (AllZeros, SweepReport, decay_fit, fbeta_check,
                      monotonicity_check, residual_sweep, solver_convergence,
                      truncation_check)
@@ -42,7 +41,7 @@ __all__ = [
     "Expansion", "PerturbedExpansion", "build_expansion", "build_perturbed",
     "estimate_C0",
     "Mesh", "MeshSolution", "NoConvergence", "SingularJacobian", "build_mesh",
-    "compare", "newton_solve", "solve_jump_fd", "solve_jump_fd_numerov",
+    "compare", "newton_solve", "solve_jump_fd_numerov",
     "AllZeros", "SweepReport", "decay_fit", "fbeta_check",
     "monotonicity_check", "residual_sweep", "solver_convergence",
     "truncation_check",

@@ -475,7 +475,11 @@ def _eval(e: Expr, x, u):
         base = _eval(e.base, x, u)
         if e.exponent < 0 and np.any(base == 0.0):
             raise DomainError(f"zero raised to negative power {e.exponent}")
-        return base ** e.exponent
+        try:
+            return base ** e.exponent
+        except OverflowError:  # Python floats; numpy arrays give inf
+            raise DomainError(f"{_sample(base)} raised to power {e.exponent} "
+                              "overflows") from None
     if isinstance(e, Call):
         a = _eval(e.arg, x, u)
         if e.func == "sin":

@@ -2,7 +2,7 @@
 
 The reaction term is evaluated by the expression tree walk of expr.evaluate;
 the potential and the kink nodes are computed in one batched numpy pass
-each; the Thomas tridiagonal solve is a plain Python loop.
+each; the tridiagonal solve is LAPACK's LU with partial pivoting.
 """
 
 from __future__ import annotations
@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.linalg.lapack import dgtsv
 
 # the benchmark's trace resolves this name to time every expression evaluation
 from .expr import evaluate as eval_program_array
@@ -120,27 +121,17 @@ def integrate_kink(b, t0, edges, prefix, suffix, taylor,
 
 
 def thomas_solve(lower, diag, upper, rhs, pivot_tol):
-    """Thomas solve of a tridiagonal system; returns (ok, x).
+    """Tridiagonal solve by LU with partial pivoting; returns (ok, x).
 
-    lower[0] and upper[-1] are ignored.  Fails when a forward-elimination
-    pivot falls below pivot_tol in magnitude.
+    lower[0] and upper[-1] are ignored.  Fails when a diagonal entry of the
+    pivoted U factor is zero or below pivot_tol in magnitude.  LAPACK's
+    dgtsv factors and solves in one pass and leaves U's diagonal in place
+    of `diag`.
     """
-    n = diag.shape[0]
-    cp = np.empty(n)
-    dp = np.empty(n)
-    x = np.empty(n)
-    piv = diag[0]
-    if abs(piv) < pivot_tol:
-        return False, x
-    cp[0] = upper[0] / piv
-    dp[0] = rhs[0] / piv
-    for i in range(1, n):
-        piv = diag[i] - lower[i] * cp[i - 1]
-        if abs(piv) < pivot_tol:
-            return False, x
-        cp[i] = upper[i] / piv
-        dp[i] = (rhs[i] - lower[i] * dp[i - 1]) / piv
-    x[n - 1] = dp[n - 1]
-    for i in range(n - 2, -1, -1):
-        x[i] = dp[i] - cp[i] * x[i + 1]
-    return True, x
+    if diag.size > 1:
+        _, u_diag, _, x, info = dgtsv(lower[1:], diag, upper[:-1], rhs)
+    else:
+        # scipy's dgtsv wrapper takes no 1 x 1 system; U is the matrix itself
+        u_diag, info = diag, int(diag[0] == 0.0)
+        x = rhs if info else rhs / diag
+    return info == 0 and float(np.min(np.abs(u_diag))) >= pivot_tol, x

@@ -189,16 +189,9 @@ class AssumptionReport:
     gamma_sq_est: float
     scale: float
     n_grid: int
-    gamma_bar_sq_est: float | None = None
 
     def all_passed(self) -> bool:
         return all(r.passed is not False for r in self.checks.values())
-
-    def with_gamma_bar(self, gamma_bar_sq: float) -> "AssumptionReport":
-        return AssumptionReport(checks=self.checks,
-                                gamma_sq_est=self.gamma_sq_est,
-                                scale=self.scale, n_grid=self.n_grid,
-                                gamma_bar_sq_est=gamma_bar_sq)
 
 
 def _worst(x: np.ndarray, values: np.ndarray, take_max: bool):

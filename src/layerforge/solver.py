@@ -1,9 +1,11 @@
 """Independent finite-difference machinery.
 
 A damped-Newton nonlinear solve on a layer-adapted mesh validates the
-assembled expansion end to end, and a plain tridiagonal solve of the
+assembled expansion end to end, and a fourth-order (Numerov) solve of the
 two-branch jump problem provides the oracle the explicit integral formula
-is tested against.  Everything here deliberately shares nothing with the
+is tested against.  Both solve for the interior unknowns only, with the
+Dirichlet data moved into the right-hand side, through one tridiagonal
+kernel.  Everything here deliberately shares nothing with the
 variation-of-parameters construction beyond the problem data itself.
 """
 
@@ -90,99 +92,112 @@ def build_mesh(loc: LayerLocation, eps: float, N: int, C_tau: float = 2.5,
     return Mesh(nodes=nodes, kind=kind, tau=tau, N=N, center=t0)
 
 
-def _second_difference_weights(x: np.ndarray):
-    """Three-point weights for u'' at interior nodes of a nonuniform mesh."""
-    hm = x[1:-1] - x[:-2]
-    hp = x[2:] - x[1:-1]
-    wl = 2.0 / (hm * (hm + hp))
-    wc = -2.0 / (hm * hp)
-    wr = 2.0 / (hp * (hm + hp))
-    return wl, wc, wr
+def _scheme_weights(x: np.ndarray):
+    """Interior-node weights (wl, wc, wr, al, ac, ar) of the difference scheme.
 
-
-def _reaction_weights(x: np.ndarray):
-    """Per-node weights of the reaction average in the difference scheme.
-
-    Where the three-node stencil is locally uniform the scheme uses the
-    fourth-order compact (Numerov) average (1, 10, 1)/12 of the reaction;
+    (wl, wc, wr) is the three-point stencil of u'' on the nonuniform mesh.
+    (al, ac, ar) averages the reaction: where the stencil is locally uniform
+    the scheme uses the fourth-order compact (Numerov) average (1, 10, 1)/12;
     at the few mesh-transition nodes it falls back to the plain nodal value
     (a localized second-order defect that does not affect the global order).
     """
     hm = x[1:-1] - x[:-2]
     hp = x[2:] - x[1:-1]
+    wl = 2.0 / (hm * (hm + hp))
+    wc = -2.0 / (hm * hp)
+    wr = 2.0 / (hp * (hm + hp))
     uniform = np.abs(hp - hm) <= 1e-12 * (hm + hp)
     al = np.where(uniform, 1.0 / 12.0, 0.0)
     ac = np.where(uniform, 10.0 / 12.0, 1.0)
     ar = np.where(uniform, 1.0 / 12.0, 0.0)
-    return al, ac, ar
+    return wl, wc, wr, al, ac, ar
+
+
+def _residual(eps_sq: float, weights, u: np.ndarray,
+              b_nodes: np.ndarray) -> np.ndarray:
+    wl, wc, wr, al, ac, ar = weights
+    d2 = wl * u[:-2] + wc * u[1:-1] + wr * u[2:]
+    react = al * b_nodes[:-2] + ac * b_nodes[1:-1] + ar * b_nodes[2:]
+    return -eps_sq * d2 + react
 
 
 def discrete_residual(spec: ProblemSpec, mesh: Mesh, u: np.ndarray) -> np.ndarray:
     """Interior residual of the difference scheme at the given nodal values."""
     x = mesh.nodes
-    wl, wc, wr = _second_difference_weights(x)
-    al, ac, ar = _reaction_weights(x)
-    d2 = wl * u[:-2] + wc * u[1:-1] + wr * u[2:]
-    b_nodes = spec.b_val(x, u)
-    react = al * b_nodes[:-2] + ac * b_nodes[1:-1] + ar * b_nodes[2:]
-    return -spec.eps ** 2 * d2 + react
+    return _residual(spec.eps ** 2, _scheme_weights(x), u, spec.b_val(x, u))
 
 
-def newton_solve(spec: ProblemSpec, mesh: Mesh, initial,
-                 max_iter: int = 50) -> MeshSolution:
+#: Newton iterations before NoConvergence
+MAX_ITER = 50
+
+#: A residual norm up to FLOOR_FACTOR * F counts as converged, where
+#: F = eps^2 max(|wl| + |wc| + |wr|) u_round max(1, max|u|).  A residual
+#: row rounds its three stencil products, together by at most F, and two
+#: partial sums.  As |wc| = |wl| + |wr|, the first sum is about the size of
+#: the last product (at most F / 2 of rounding); the second is O(|b|), which
+#: the fixed tolerance 1e-10 (1 + max|b|) covers.
+FLOOR_FACTOR = 2.0
+
+
+def newton_solve(spec: ProblemSpec, mesh: Mesh, initial) -> MeshSolution:
     """Damped Newton iteration with tridiagonal linear solves.
 
     `initial` is an evaluator x -> u seeding the iteration; the boundary
-    values are imposed exactly.  The step is halved until the residual norm
-    decreases; running out of halvings or iterations raises NoConvergence,
-    which is the expected outcome when seeding from the unstable root.
+    values are imposed exactly and only the interior values are updated.
+    The iteration stops once the residual norm is below 1e-10 (1 + max|b|)
+    or below the roundoff floor of the residual, whichever is larger.  The
+    step is halved until the residual norm decreases; running out of
+    halvings or iterations raises NoConvergence, which is the expected
+    outcome when seeding from the unstable root.
     """
     x = mesh.nodes
     u = np.asarray(initial(x), dtype=float).copy()
     u[0] = spec.g0
     u[-1] = spec.g1
-    wl, wc, wr = _second_difference_weights(x)
-    al, ac, ar = _reaction_weights(x)
+    weights = _scheme_weights(x)
+    wl, wc, wr, al, ac, ar = weights
     eps_sq = spec.eps ** 2
+    floor = (FLOOR_FACTOR * eps_sq * np.finfo(float).eps / 2.0
+             * float(np.max(np.abs(wl) + np.abs(wc) + np.abs(wr))))
     damping: list = []
 
-    res = discrete_residual(spec, mesh, u)
+    b_nodes = spec.b_val(x, u)
+    res = _residual(eps_sq, weights, u, b_nodes)
     norm = float(np.max(np.abs(res)))
-    for iteration in range(1, max_iter + 1):
-        tol = 1e-10 * (1.0 + float(np.max(np.abs(spec.b_val(x, u)))))
+    for iteration in range(MAX_ITER + 1):
+        tol = max(1e-10 * (1.0 + float(np.max(np.abs(b_nodes)))),
+                  floor * max(1.0, float(np.max(np.abs(u)))))
         if norm <= tol:
-            return MeshSolution(mesh=mesh, values=u, iterations=iteration - 1,
+            return MeshSolution(mesh=mesh, values=u, iterations=iteration,
                                 residual_norm=norm, damping=tuple(damping))
-        # boundary rows pin the update to zero; lower[0] / upper[-1] unused
+        if iteration == MAX_ITER:
+            break
+        # the update vanishes at both boundary nodes, so lower[0] and
+        # upper[-1] (the couplings to them) drop out
         bu = spec.b_val(x, u, du=1)
-        lower = np.concatenate([[0.0], -eps_sq * wl + al * bu[:-2], [0.0]])
-        diag = np.concatenate([[1.0], -eps_sq * wc + ac * bu[1:-1], [1.0]])
-        upper = np.concatenate([[0.0], -eps_sq * wr + ar * bu[2:], [0.0]])
-        rhs = np.concatenate([[0.0], -res, [0.0]])
-        ok, delta = thomas_solve(lower, diag, upper, rhs,
-                                 1e-14 * float(np.max(np.abs(diag))))
+        diag = -eps_sq * wc + ac * bu[1:-1]
+        ok, step = thomas_solve(-eps_sq * wl + al * bu[:-2], diag,
+                                -eps_sq * wr + ar * bu[2:], -res,
+                                1e-14 * float(np.max(np.abs(diag))))
         if not ok:
             raise SingularJacobian(
-                f"tridiagonal pivot breakdown at iteration {iteration}")
+                f"tridiagonal pivot breakdown at iteration {iteration + 1}")
         lam = 1.0
         while lam >= 2.0 ** -20:
-            trial = u + lam * delta
-            trial_res = discrete_residual(spec, mesh, trial)
+            trial = u.copy()
+            trial[1:-1] += lam * step
+            trial_b = spec.b_val(x, trial)
+            trial_res = _residual(eps_sq, weights, trial, trial_b)
             trial_norm = float(np.max(np.abs(trial_res)))
             if trial_norm < norm or trial_norm <= tol:
                 break
             lam *= 0.5
         else:
             raise NoConvergence(
-                f"line search stalled at iteration {iteration}", norm)
+                f"line search stalled at iteration {iteration + 1}", norm)
         damping.append(lam)
-        u, res, norm = trial, trial_res, trial_norm
-
-    tol = 1e-10 * (1.0 + float(np.max(np.abs(spec.b_val(x, u)))))
-    if norm <= tol:
-        return MeshSolution(mesh=mesh, values=u, iterations=max_iter,
-                            residual_norm=norm, damping=tuple(damping))
-    raise NoConvergence(f"no convergence in {max_iter} iterations", norm)
+        u, b_nodes, res, norm = trial, trial_b, trial_res, trial_norm
+    raise NoConvergence(f"no convergence in {MAX_ITER} iterations", norm)
 
 
 def compare(sol: MeshSolution, u_fn):
@@ -196,40 +211,13 @@ def compare(sol: MeshSolution, u_fn):
     return d_max, d_layer, d_outer
 
 
-def solve_jump_fd(coeff_fn, psi_fn, nu0_minus: float, nu0_plus: float,
-                  xi_neg: np.ndarray, xi_pos: np.ndarray):
-    """Direct tridiagonal solve of the two-branch jump problem.
-
-    Solves -nu'' + c(xi) nu = psi on each branch with Dirichlet data
-    (0 at the far end, the jump value at 0) using the standard nonuniform
-    three-point stencil.  This is an oracle for the integral-formula path.
-    """
-    out = []
-    for xi, side, left_bc, right_bc in (
-            (np.asarray(xi_neg, dtype=float), -1, 0.0, nu0_minus),
-            (np.asarray(xi_pos, dtype=float), 1, nu0_plus, 0.0)):
-        wl, wc, wr = _second_difference_weights(xi)
-        c = np.asarray(coeff_fn(xi[1:-1]), dtype=float)
-        psi = np.asarray(psi_fn(xi[1:-1], side), dtype=float)
-        lower = np.concatenate([[0.0], -wl, [0.0]])
-        diag = np.concatenate([[1.0], -wc + c, [1.0]])
-        upper = np.concatenate([[0.0], -wr, [0.0]])
-        rhs = np.concatenate([[left_bc], psi, [right_bc]])
-        ok, sol = thomas_solve(lower, diag, upper, rhs,
-                               1e-14 * float(np.max(np.abs(diag))))
-        if not ok:
-            raise SingularJacobian("jump-problem oracle: pivot breakdown")
-        out.append(sol)
-    return out[0], out[1]
-
-
 def solve_jump_fd_numerov(coeff_fn, psi_fn, nu0_minus: float, nu0_plus: float,
                           half_width: float = 40.0, n: int = 4000):
     """Fourth-order tridiagonal (Numerov) solve of the jump problem.
 
     Uniform branch meshes on [-half_width, 0] and [0, half_width] with n
-    nodes each; Dirichlet data as in solve_jump_fd.  Returns the two branch
-    grids with their solutions.
+    nodes each; Dirichlet data 0 at the far end and the jump value at 0.
+    Returns the two branch grids with their solutions.
     """
     results = []
     for side, left_bc, right_bc in ((-1, 0.0, nu0_minus), (1, nu0_plus, 0.0)):
@@ -241,14 +229,14 @@ def solve_jump_fd_numerov(coeff_fn, psi_fn, nu0_minus: float, nu0_plus: float,
         c = np.asarray(coeff_fn(xi), dtype=float)
         psi = np.asarray(psi_fn(xi, side), dtype=float)
         w = h * h / 12.0
-        lower = np.concatenate([[0.0], 1.0 - w * c[:-2], [0.0]])
-        diag = np.concatenate([[1.0], -2.0 - 10.0 * w * c[1:-1], [1.0]])
-        upper = np.concatenate([[0.0], 1.0 - w * c[2:], [0.0]])
-        rhs = np.concatenate([[left_bc],
-                              -w * (psi[:-2] + 10.0 * psi[1:-1] + psi[2:]),
-                              [right_bc]])
-        ok, sol = thomas_solve(lower, diag, upper, rhs, 1e-300)
+        lower = 1.0 - w * c[:-2]
+        upper = 1.0 - w * c[2:]
+        rhs = -w * (psi[:-2] + 10.0 * psi[1:-1] + psi[2:])
+        rhs[0] -= lower[0] * left_bc
+        rhs[-1] -= upper[-1] * right_bc
+        ok, inner = thomas_solve(lower, -2.0 - 10.0 * w * c[1:-1], upper,
+                                 rhs, 1e-300)
         if not ok:
             raise SingularJacobian("jump-problem oracle: pivot breakdown")
-        results.append((xi, sol))
+        results.append((xi, np.concatenate([[left_bc], inner, [right_bc]])))
     return results[0], results[1]

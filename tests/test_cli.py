@@ -101,7 +101,11 @@ class TestUsageErrors:
         (json.dumps(dict(problem.BUILTIN_PROBLEMS["cubic"],
                          b="u*(u-(0.75-0.5*x))*(u-1)*sqrt(x-0.5)")),
          "DomainError"),
-    ], ids=["malformed-json", "non-numeric-epsilon", "reaction-domain"])
+        (json.dumps(dict(problem.BUILTIN_PROBLEMS["cubic"],
+                         b="u*(u-(0.75-0.5*x))*(u-1)+0*(1e200^2)")),
+         "DomainError"),
+    ], ids=["malformed-json", "non-numeric-epsilon", "reaction-domain",
+            "scalar-power-overflow"])
     def test_bad_problem_file_is_one_line(self, capsys, tmp_path, text, error):
         path = tmp_path / "bad.json"
         path.write_text(text)

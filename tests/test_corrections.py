@@ -212,14 +212,3 @@ class TestMatching:
                 gap = max(np.max(np.abs(fdn - term.value(xn, side=-1))),
                           np.max(np.abs(fdp - term.value(xp, side=1))))
                 assert gap <= 1e-6
-
-    def test_three_point_oracle_agrees_coarsely(self, cubic_terms):
-        """The plain nonuniform stencil corroborates at its own accuracy."""
-        aux, terms = cubic_terms
-        v1 = terms["v1"]
-        g = graded_half_grid(40.0, 4000, 1e-3)
-        fd_neg, fd_pos = solver.solve_jump_fd(aux.B_s, v1.psi_fn, 0.0, 0.0,
-                                              -g[::-1], g)
-        gap = max(np.max(np.abs(fd_neg - v1.value(-g[::-1], side=-1))),
-                  np.max(np.abs(fd_pos - v1.value(g, side=1))))
-        assert gap <= 1e-6

@@ -155,12 +155,6 @@ class TestCheckAssumptions:
         with pytest.raises(ValueError):
             problem.check_assumptions(problem.builtin_problem("cubic"), n_grid=8)
 
-    def test_gamma_bar_merge(self):
-        report = problem.check_assumptions(problem.builtin_problem("cubic"))
-        merged = report.with_gamma_bar(0.5)
-        assert merged.gamma_bar_sq_est == 0.5
-        assert merged.gamma_bar_sq_est >= merged.gamma_sq_est
-
 
 class TestShiftedReactionBound:
     @pytest.mark.parametrize("name", ["cubic", "cubic-wavy"])

@@ -4,8 +4,69 @@ import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
 
-from layerforge import problem, solver
+from layerforge import cli, kernels, problem, solver
 from layerforge.expansion import build_expansion
+
+
+def _dense(lower, diag, upper):
+    return np.diag(diag) + np.diag(lower[1:], -1) + np.diag(upper[:-1], 1)
+
+
+class TestTridiagonalKernel:
+    def test_matches_dense_solve_with_row_interchanges(self):
+        rng = np.random.default_rng(3)
+        lower, diag, upper, rhs = rng.standard_normal((4, 200))
+        diag[0] = 0.0           # elimination without interchanges fails here
+        ok, x = kernels.thomas_solve(lower, diag, upper, rhs, 1e-300)
+        ref = np.linalg.solve(_dense(lower, diag, upper), rhs)
+        assert ok
+        assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_matches_dense_solve_diagonally_dominant(self):
+        rng = np.random.default_rng(4)
+        lower, upper, rhs = rng.standard_normal((3, 200))
+        diag = 2.5 + rng.random(200)
+        ok, x = kernels.thomas_solve(lower, diag, upper, rhs, 1e-300)
+        ref = np.linalg.solve(_dense(lower, diag, upper), rhs)
+        assert ok
+        assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_one_unknown(self):
+        one = np.ones(1)
+        assert kernels.thomas_solve(one, 4.0 * one, one, 2.0 * one,
+                                    1e-300) == (True, pytest.approx([0.5]))
+        assert not kernels.thomas_solve(one, 0.0 * one, one, one, 1e-300)[0]
+
+    def test_exactly_zero_pivot_fails(self):
+        # rows 0 and 1 are equal, so U has an exact zero on its diagonal
+        lower = np.array([0.0, 1.0, 1.0])
+        diag = np.array([1.0, 1.0, 1.0])
+        upper = np.array([1.0, 0.0, 0.0])
+        ok, _ = kernels.thomas_solve(lower, diag, upper, np.ones(3), 0.0)
+        assert not ok
+
+    def test_pivot_below_tolerance_fails(self):
+        # the determinant is 1e-12, so one diagonal entry of U is that small
+        lower = np.array([0.0, 1.0, 1.0])
+        diag = np.array([1.0, 1.0 + 1e-12, 1.0])
+        upper = np.array([1.0, 0.0, 0.0])
+        ok, _ = kernels.thomas_solve(lower, diag, upper, np.ones(3), 1e-300)
+        assert ok
+        ok, _ = kernels.thomas_solve(lower, diag, upper, np.ones(3), 1e-10)
+        assert not ok
+
+    def test_failing_kernel_is_singular_jacobian(self, cubic, capsys,
+                                                 monkeypatch):
+        spec, loc, _ = cubic
+        monkeypatch.setattr(solver, "thomas_solve",
+                            lambda lower, *args: (False, lower))
+        mesh = solver.build_mesh(loc, 1e-2, 64, 2.5)
+        with pytest.raises(solver.SingularJacobian):
+            solver.newton_solve(spec, mesh, lambda x: np.asarray(x))
+        assert cli.main(["solve", "--problem", "cubic"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("SingularJacobian: ")
+        assert err.count("\n") == 1
 
 
 class TestMesh:
@@ -60,6 +121,14 @@ class TestNewton:
         scale = 1.0 + np.max(np.abs(spec.b_val(mesh.nodes, sol.values)))
         assert sol.residual_norm <= 1e-10 * scale
 
+    def test_residual_norm_is_that_of_the_returned_values(self, cubic):
+        spec, loc, kk = cubic
+        e = build_expansion(spec, p=0.0, eps=1e-2, loc=loc, kink=kk)
+        mesh = solver.build_mesh(loc, 1e-2, 512, 2.5)
+        sol = solver.newton_solve(spec, mesh, e.u_as)
+        res = solver.discrete_residual(spec, mesh, sol.values)
+        assert float(np.max(np.abs(res))) == sol.residual_norm
+
     def test_truncated_seed_lands_in_same_basin(self, cubic):
         spec, loc, kk = cubic
         e = build_expansion(spec, p=0.0, eps=1e-2, loc=loc, kink=kk)
@@ -95,6 +164,18 @@ class TestNewton:
             solutions.append(sol.values)
         for other in solutions[1:]:
             assert np.max(np.abs(solutions[0] - other)) <= 1e-8
+
+    def test_fine_mesh_converges_with_exact_boundary_values(self, wavy):
+        """On 2^16 cells the residual norm cannot reach the fixed tolerance;
+        the roundoff floor of the residual ends the iteration instead."""
+        _, loc, kk = wavy
+        eps = 2.0 ** -7
+        spec = problem.builtin_problem("cubic-wavy", eps=eps)
+        e = build_expansion(spec, p=0.0, eps=eps, loc=loc, kink=kk)
+        mesh = solver.build_mesh(loc, eps, 2 ** 16, 2.5)
+        sol = solver.newton_solve(spec, mesh, e.u_as)
+        assert sol.values[0] == spec.g0
+        assert sol.values[-1] == spec.g1
 
     def test_damping_history_recorded(self, cubic):
         spec, loc, kk = cubic
