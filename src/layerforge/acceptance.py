@@ -55,6 +55,13 @@ class AcceptanceContext:
             self._cache[key] = (aux, corrections.build_terms(aux))
         return self._cache[key]
 
+    def ladder(self, name: str) -> verify.JumpLadder:
+        """The (eps, p) jump ladder that criteria 07 and 08 both read."""
+        key = (name, "ladder")
+        if key not in self._cache:
+            self._cache[key] = verify.jump_ladder(*self.pipeline(name))
+        return self._cache[key]
+
 
 def criterion_01_kink_oracle(ctx: AcceptanceContext) -> CriterionResult:
     """Profile matches the closed-form logistic on the symmetric cubic."""
@@ -178,7 +185,7 @@ def criterion_07_phi_linearity(ctx: AcceptanceContext) -> CriterionResult:
         details.append(f"{name}: slope {rep.slope:.6g} vs target "
                        f"{rep.threshold:.6g} (rel {rep.details['rel_slope_error']:.3%},"
                        " tol 5%)")
-        rep_i = verify.phi_intercept_check(spec, loc, kk)
+        rep_i = verify.phi_intercept_check(spec, ctx.ladder(name))
         ok = ok and rep_i.passed
         details.append(f"{name}: intercept envelope K = {rep_i.details['K']:.3e}"
                        f" validated on the ladder: {rep_i.passed}")
@@ -190,8 +197,8 @@ def criterion_08_sign_inequalities(ctx: AcceptanceContext) -> CriterionResult:
     ok = True
     for name in ctx.problem_names:
         spec, loc, kk = ctx.pipeline(name)
-        rep1 = verify.phi_sign_inequality(spec, loc, kk)
-        rep2 = verify.phi_sign_inequality(spec, loc, kk, with_perturbation=True)
+        rep1, rep2 = verify.phi_sign_inequality(spec, loc, kk,
+                                                ctx.ladder(name))
         rep3 = verify.fbeta_check(spec, loc, kk)
         ok = ok and rep1.passed and rep2.passed and rep3.passed
         details.append(

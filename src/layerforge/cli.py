@@ -75,12 +75,7 @@ def _print_json(payload: dict):
     print(dumps(payload))
 
 
-def _write_csv(path, header, rows):
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(float(v)) if isinstance(v, (float, np.floating))
-                              else str(v) for v in row))
-    text = "\n".join(lines) + "\n"
+def _write(path, text: str):
     if path is None or path == "-":
         sys.stdout.write(text)
     else:
@@ -88,10 +83,26 @@ def _write_csv(path, header, rows):
             fh.write(text)
 
 
-def _rows_payload(header, rows):
-    return {"columns": list(header),
-            "rows": [[float(v) if isinstance(v, (float, np.floating)) else v
-                      for v in row] for row in rows]}
+def _write_csv(path, header, rows):
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(_fmt(float(v)) if isinstance(v, (float, np.floating))
+                              else str(v) for v in row))
+    _write(path, "\n".join(lines) + "\n")
+
+
+def _write_table(args, spec, header, rows, **fields):
+    """A table subcommand's rows in --format, to --out (default stdout).
+
+    JSON puts `fields` between the problem name and the rows."""
+    if args.format == "csv":
+        _write_csv(args.out, header, rows)
+        return
+    payload = {"schema_version": SCHEMA_VERSION, "command": args.command,
+               "problem": spec.name, **fields, "columns": list(header),
+               "rows": [[float(v) if isinstance(v, (float, np.floating))
+                         else v for v in row] for row in rows]}
+    _write(args.out, dumps(payload) + "\n")
 
 
 def _report_payload(rep: verify.SweepReport) -> dict:
@@ -182,12 +193,7 @@ def cmd_locate(args) -> int:
 def cmd_dump_kink(args) -> int:
     spec, loc, kk = _pipeline(args)
     rows = list(zip(kk.xi, kk.v_table, kk.chi_table))
-    header = ("xi", "V0", "chi")
-    if args.format == "json":
-        _print_json({"schema_version": SCHEMA_VERSION, "command": "dump-kink",
-                     "problem": spec.name, **_rows_payload(header, rows)})
-    else:
-        _write_csv(args.out, header, rows)
+    _write_table(args, spec, ("xi", "V0", "chi"), rows)
     return 0
 
 
@@ -201,14 +207,8 @@ def cmd_dump_corrections(args) -> int:
             rows.append((label, "minus", float(xi), float(val)))
         for xi, val in zip(term.xi_pos, term.val_pos):
             rows.append((label, "plus", float(xi), float(val)))
-    header = ("term", "branch", "xi", "value")
-    if args.format == "json":
-        _print_json({"schema_version": SCHEMA_VERSION,
-                     "command": "dump-corrections", "problem": spec.name,
-                     "phi": {k: t.phi_value for k, t in terms.items()},
-                     **_rows_payload(header, rows)})
-    else:
-        _write_csv(args.out, header, rows)
+    _write_table(args, spec, ("term", "branch", "xi", "value"), rows,
+                 phi={k: t.phi_value for k, t in terms.items()})
     return 0
 
 
@@ -220,12 +220,7 @@ def cmd_expand(args) -> int:
     xs = np.linspace(0.0, 1.0, args.points)
     rows = list(zip(xs, e.u_as(xs), pe.beta(xs),
                     e.truncated(xs, args.n, args.c_tau)))
-    header = ("x", "u_as", "beta", "U_trunc")
-    if args.format == "json":
-        _print_json({"schema_version": SCHEMA_VERSION, "command": "expand",
-                     "problem": spec.name, **_rows_payload(header, rows)})
-    else:
-        _write_csv(args.out, header, rows)
+    _write_table(args, spec, ("x", "u_as", "beta", "U_trunc"), rows)
     return 0
 
 
@@ -289,15 +284,8 @@ def cmd_solve(args) -> int:
     mesh = solver.build_mesh(loc, spec.eps, args.n, args.c_tau,
                              kind=args.mesh)
     sol = solver.newton_solve(spec, mesh, e.u_as)
-    header = ("x", "u")
-    rows = list(zip(mesh.nodes, sol.values))
-    if args.format == "json":
-        _print_json({"schema_version": SCHEMA_VERSION, "command": "solve",
-                     "problem": spec.name, "iterations": sol.iterations,
-                     "residual_norm": sol.residual_norm,
-                     **_rows_payload(header, rows)})
-    else:
-        _write_csv(args.out, header, rows)
+    _write_table(args, spec, ("x", "u"), list(zip(mesh.nodes, sol.values)),
+                 iterations=sol.iterations, residual_norm=sol.residual_norm)
     return 0
 
 
@@ -317,6 +305,9 @@ def cmd_compare(args) -> int:
 
 
 def cmd_all(args) -> int:
+    if args.eps is not None:
+        raise UsageError("--eps does not apply to 'all': each criterion sets "
+                         "its own epsilon")
     problems = (args.problem,) if args.problem != "all" else acceptance.PROBLEMS
     for name in problems:
         if name not in problem.BUILTIN_PROBLEMS:
@@ -355,14 +346,14 @@ def build_parser() -> argparse.ArgumentParser:
     add("locate", cmd_locate, "layer point and matching constants (JSON)")
 
     p = add("dump-kink", cmd_dump_kink,
-            "profile table as CSV: xi,V0,chi")
-    p.add_argument("--out", default=None, help="CSV path (default stdout)")
+            "profile table, CSV or JSON: xi,V0,chi")
+    p.add_argument("--out", default=None, help="output path (default stdout)")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
 
     p = add("dump-corrections", cmd_dump_corrections,
-            "correction tables as CSV: term,branch,xi,value")
+            "correction tables, CSV or JSON: term,branch,xi,value")
     p.add_argument("--p", type=float, default=0.0, help="profile shift")
-    p.add_argument("--out", default=None, help="CSV path (default stdout)")
+    p.add_argument("--out", default=None, help="output path (default stdout)")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
 
     p = add("expand", cmd_expand,
@@ -373,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=64, help="truncation N")
     p.add_argument("--c-tau", type=float, default=2.5)
     p.add_argument("--points", type=int, default=1001)
-    p.add_argument("--out", default=None, help="CSV path (default stdout)")
+    p.add_argument("--out", default=None, help="output path (default stdout)")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
 
     p = add("residual", cmd_residual, "residual-order sweep report (JSON)")
@@ -400,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c-tau", type=float, default=2.5)
     p.add_argument("--mesh", choices=("layer-adapted", "uniform"),
                    default="layer-adapted")
-    p.add_argument("--out", default=None, help="CSV path (default stdout)")
+    p.add_argument("--out", default=None, help="output path (default stdout)")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
 
     p = add("compare", cmd_compare, "distance of the FD solve to the expansion")

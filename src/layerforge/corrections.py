@@ -309,41 +309,30 @@ def phi_from_tables(term: CorrectionTerm) -> float:
 # The four concrete corrections
 
 
-def _default_grid(kink: KinkProfile, n_per_side: int | None = None,
-                  spacing0: float = GRID_SPACING0) -> np.ndarray:
-    n = GRID_N_PER_SIDE if n_per_side is None else n_per_side
+def _default_grid(kink: KinkProfile) -> np.ndarray:
     xi_max = max(kink.xi_max, GRID_RANGE_FACTOR / kink.gamma_bar)
-    return graded_half_grid(xi_max, n, spacing0)
+    return graded_half_grid(xi_max, GRID_N_PER_SIDE, GRID_SPACING0)
 
 
-def build_v1(aux: LayerAuxiliary, grid: np.ndarray | None = None) -> CorrectionTerm:
+def build_v1(aux: LayerAuxiliary) -> CorrectionTerm:
     """First-order layer correction: source -xi * B_x, zero jumps."""
-    if grid is None:
-        grid = _default_grid(aux.kink)
-
     def psi(xi, side):
         return -xi * aux.B_x(xi, side)
 
-    return solve_jump(aux.chi, psi, 0.0, 0.0, grid, chi_prime=aux.chi_prime,
+    return solve_jump(aux.chi, psi, 0.0, 0.0, _default_grid(aux.kink), chi_prime=aux.chi_prime,
                       bs=aux.B_s, mu_minus=aux.kink.mu_minus,
                       mu_plus=aux.kink.mu_plus, label="v1", p=aux.p,
                       tbar1=aux.tbar1)
 
 
-def build_v2(aux: LayerAuxiliary, v1: CorrectionTerm | None = None,
-             grid: np.ndarray | None = None,
-             u2_jumps: tuple | None = None) -> CorrectionTerm:
+def build_v2(aux: LayerAuxiliary, v1: CorrectionTerm) -> CorrectionTerm:
     """Second-order layer correction.
 
     Source assembled termwise from the B partials and the first-order term;
     jump data cancels the one-sided smooth correction so their sum stays
     continuous across the layer point.
     """
-    if grid is None:
-        grid = _default_grid(aux.kink)
-    if v1 is None:
-        v1 = build_v1(aux, grid)
-    u2 = aux.u2_side if u2_jumps is None else u2_jumps
+    u2 = aux.u2_side
 
     def psi(xi, side):
         i = 0 if side < 0 else 1
@@ -353,42 +342,34 @@ def build_v2(aux: LayerAuxiliary, v1: CorrectionTerm | None = None,
                 - 0.5 * w1 * w1 * aux.B_ss(xi)
                 - u2[i] * (aux.B_s(xi) - aux.bs0_side[i]))
 
-    return solve_jump(aux.chi, psi, -u2[0], -u2[1], grid,
+    return solve_jump(aux.chi, psi, -u2[0], -u2[1], _default_grid(aux.kink),
                       chi_prime=aux.chi_prime, bs=aux.B_s,
                       mu_minus=aux.kink.mu_minus, mu_plus=aux.kink.mu_plus,
                       label="v2", p=aux.p, tbar1=aux.tbar1)
 
 
-def build_vstar(aux: LayerAuxiliary,
-                grid: np.ndarray | None = None) -> CorrectionTerm:
+def build_vstar(aux: LayerAuxiliary) -> CorrectionTerm:
     """Nonnegative perturbation shape: source |v0|, zero jumps.
 
     The absolute value is non-smooth only at xi = 0, which is already the
     branch boundary.
     """
-    if grid is None:
-        grid = _default_grid(aux.kink)
-
     def psi(xi, side):
         return np.abs(aux.v0(xi, side))
 
-    return solve_jump(aux.chi, psi, 0.0, 0.0, grid, chi_prime=aux.chi_prime,
+    return solve_jump(aux.chi, psi, 0.0, 0.0, _default_grid(aux.kink), chi_prime=aux.chi_prime,
                       bs=aux.B_s, mu_minus=aux.kink.mu_minus,
                       mu_plus=aux.kink.mu_plus, label="vstar", p=aux.p,
                       tbar1=aux.tbar1)
 
 
-def build_z(aux: LayerAuxiliary,
-            grid: np.ndarray | None = None) -> CorrectionTerm:
+def build_z(aux: LayerAuxiliary) -> CorrectionTerm:
     """Truncation-error compensation shape: source is a twelfth of the
     fourth profile derivative (analytically: the third weight derivative)."""
-    if grid is None:
-        grid = _default_grid(aux.kink)
-
     def psi(xi, side):
         return aux.chi_ppp(xi) / 12.0
 
-    return solve_jump(aux.chi, psi, 0.0, 0.0, grid, chi_prime=aux.chi_prime,
+    return solve_jump(aux.chi, psi, 0.0, 0.0, _default_grid(aux.kink), chi_prime=aux.chi_prime,
                       bs=aux.B_s, mu_minus=aux.kink.mu_minus,
                       mu_plus=aux.kink.mu_plus, label="z", p=aux.p,
                       tbar1=aux.tbar1)
@@ -406,8 +387,7 @@ def build_terms(aux: LayerAuxiliary) -> dict:
 
 
 def compute_matching(spec: ProblemSpec, kink: KinkProfile,
-                     loc: LayerLocation,
-                     grid: np.ndarray | None = None) -> LayerLocation:
+                     loc: LayerLocation) -> LayerLocation:
     """Fill the second- and third-order matching constants.
 
     Two-pass construction: the first-moment constant fixes the first-order
@@ -426,8 +406,8 @@ def compute_matching(spec: ProblemSpec, kink: KinkProfile,
     t1 = C_II / loc.C_I
 
     aux0 = make_auxiliary(spec, kink, loc, p=0.0, tbar1=t1)
-    v1 = build_v1(aux0, grid)
-    v2 = build_v2(aux0, v1, grid)
+    v1 = build_v1(aux0)
+    v2 = build_v2(aux0, v1)
     C_III = v2.phi_numerator
     t2 = C_III / loc.C_I
     return loc.with_matching(float(C_II), float(C_III), float(t1), float(t2))

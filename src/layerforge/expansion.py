@@ -16,11 +16,10 @@ import numpy as np
 
 from . import expr as ex
 from .corrections import (CorrectionTerm, LayerAuxiliary, build_v1, build_v2,
-                          build_vstar, build_z, compute_matching,
-                          make_auxiliary)
+                          build_vstar, build_z, make_auxiliary)
 from .grids import graded_half_grid
-from .kink import KinkProfile, build_kink
-from .locator import LayerLocation, locate_t0
+from .kink import KinkProfile
+from .locator import LayerLocation
 from .problem import ProblemSpec
 
 #: largest admissible perturbation weight
@@ -158,28 +157,17 @@ class Expansion:
         return ex.shaped_like(out, x)
 
 
-def build_expansion(spec: ProblemSpec, p: float = 0.0,
-                    eps: float | None = None,
-                    loc: LayerLocation | None = None,
-                    kink: KinkProfile | None = None,
-                    grid: np.ndarray | None = None) -> Expansion:
-    """Construct the full expansion, locating and matching as needed.
+def build_expansion(spec: ProblemSpec, p: float, eps: float,
+                    loc: LayerLocation, kink: KinkProfile) -> Expansion:
+    """Construct the full expansion at one (p, eps).
 
-    `loc` (with matching constants) and `kink` may be supplied to reuse the
-    epsilon-independent work across a parameter sweep.
+    `loc` carries the matching constants and, with `kink`, the
+    epsilon-independent work that a parameter sweep reuses.
     """
-    if eps is None:
-        eps = spec.eps
-    if loc is None:
-        loc = locate_t0(spec)
-    if kink is None:
-        kink = build_kink(spec, loc)
-    if loc.t1 is None:
-        loc = compute_matching(spec, kink, loc)
     tbar1 = loc.t1 + eps * loc.t2
     aux = make_auxiliary(spec, kink, loc, p=p, tbar1=tbar1)
-    v1 = build_v1(aux, grid)
-    v2 = build_v2(aux, v1, grid)
+    v1 = build_v1(aux)
+    v2 = build_v2(aux, v1)
     return Expansion(spec=spec, loc=loc, kink=kink, aux=aux, v1=v1, v2=v2,
                      eps=float(eps), p=float(p))
 
@@ -249,7 +237,7 @@ class PerturbedExpansion:
 
 
 def estimate_C0(aux: LayerAuxiliary, kink: KinkProfile,
-                grid: np.ndarray | None = None, eps: float | None = None):
+                eps: float | None = None):
     """(C5, C0): bound on the curvature ratio of the shifted reaction and
     the perturbation offset it dictates.
 
@@ -262,15 +250,12 @@ def estimate_C0(aux: LayerAuxiliary, kink: KinkProfile,
     t0 = aux.t0
     if eps is None:
         eps = spec.eps
-    if grid is None:
-        half = graded_half_grid(kink.xi_max, 400, 1e-2)[1:]
-        xi = np.concatenate([-half[::-1], half])
-        x_layer = t0 + eps * xi
-        x = np.unique(np.concatenate([np.linspace(1e-4, 1.0 - 1e-4, 801),
-                                      x_layer]))
-        x = x[(x > 0.0) & (x < 1.0) & (x != t0)]
-    else:
-        x = np.asarray(grid, dtype=float)
+    half = graded_half_grid(kink.xi_max, 400, 1e-2)[1:]
+    xi = np.concatenate([-half[::-1], half])
+    x_layer = t0 + eps * xi
+    x = np.unique(np.concatenate([np.linspace(1e-4, 1.0 - 1e-4, 801),
+                                  x_layer]))
+    x = x[(x > 0.0) & (x < 1.0) & (x != t0)]
     xi = (x - t0) / eps
     sides = np.where(x < t0, -1, 1)
     u0 = np.where(sides < 0, spec.phi(1, x), spec.phi(2, x))
@@ -290,8 +275,8 @@ def estimate_C0(aux: LayerAuxiliary, kink: KinkProfile,
     return C5, C0
 
 
-def build_perturbed(base: Expansion, pprime: float, hhat: float,
-                    grid: np.ndarray | None = None) -> PerturbedExpansion:
+def build_perturbed(base: Expansion, pprime: float,
+                    hhat: float) -> PerturbedExpansion:
     """Attach the bracketing perturbation to an expansion.
 
     Enforces the admissible ranges: |p'| within its cap and the squared
@@ -303,8 +288,8 @@ def build_perturbed(base: Expansion, pprime: float, hhat: float,
         raise ValueError(
             f"hhat^2 = {hhat ** 2:.3g} exceeds {HHAT_CAP} * eps = "
             f"{HHAT_CAP * base.eps:.3g}")
-    vstar = build_vstar(base.aux, grid)
-    z = build_z(base.aux, grid)
+    vstar = build_vstar(base.aux)
+    z = build_z(base.aux)
     C5, C0 = estimate_C0(base.aux, base.kink, eps=base.eps)
     return PerturbedExpansion(base=base, pprime=float(pprime),
                               hhat=float(hhat), vstar=vstar, z=z,

@@ -140,9 +140,6 @@ class KinkProfile:
                           * np.exp(-self.mu_plus * a[right]))
         return ex.shaped_like(out, s)
 
-    def w(self, v):
-        return self.potential.w(v)
-
 
 def build_potential(spec: ProblemSpec, loc: LayerLocation) -> PotentialTable:
     t0 = loc.t0

@@ -115,75 +115,87 @@ def phi_sweep(spec: ProblemSpec, loc: LayerLocation, kink: KinkProfile,
                                 "chi0": chi0})
 
 
-def phi_intercept_check(spec: ProblemSpec, loc: LayerLocation,
-                        kink: KinkProfile, eps_ladder=EPS_LADDER,
-                        p_values=P_SWEEP) -> SweepReport:
+@dataclass(frozen=True)
+class JumpLadder:
+    """Jumps on the EPS_LADDER x P_SWEEP grid, one row per eps.
+
+    Each cell is one expansion and its perturbation with p' = eps * p and
+    hhat = sqrt(eps): `phi_u` holds Phi[u_as], `phi_beta` Phi[beta] and
+    `vstar_phi` |Phi[v*]|.
+    """
+
+    phi_u: np.ndarray
+    phi_beta: np.ndarray
+    vstar_phi: np.ndarray
+
+
+def jump_ladder(spec: ProblemSpec, loc: LayerLocation,
+                kink: KinkProfile) -> JumpLadder:
+    """Build each (eps, p) cell of the jump ladder once."""
+    shape = (len(EPS_LADDER), len(P_SWEEP))
+    phi_u, phi_beta, vstar_phi = (np.empty(shape) for _ in range(3))
+    for i, eps in enumerate(EPS_LADDER):
+        for j, p in enumerate(P_SWEEP):
+            e = build_expansion(spec, p=p, eps=eps, loc=loc, kink=kink)
+            pe = build_perturbed(e, pprime=eps * p, hhat=float(np.sqrt(eps)))
+            phi_u[i, j] = e.phi_u_as()
+            phi_beta[i, j] = pe.phi_beta()
+            vstar_phi[i, j] = abs(pe.vstar.phi_value)
+    return JumpLadder(phi_u=phi_u, phi_beta=phi_beta, vstar_phi=vstar_phi)
+
+
+def phi_intercept_check(spec: ProblemSpec, ladder: JumpLadder) -> SweepReport:
     """Regression intercepts bounded by a fitted third-order envelope."""
-    intercepts = []
-    for eps in eps_ladder:
-        phis = [build_expansion(spec, p=p, eps=eps, loc=loc,
-                                kink=kink).phi_u_as() for p in p_values]
-        coeff = np.polyfit(np.asarray(p_values), np.asarray(phis), 1)
-        intercepts.append(abs(float(coeff[1])))
-    K = 1.05 * intercepts[0] / eps_ladder[0] ** 3
+    intercepts = [abs(float(np.polyfit(np.asarray(P_SWEEP), phis, 1)[1]))
+                  for phis in ladder.phi_u]
+    K = 1.05 * intercepts[0] / EPS_LADDER[0] ** 3
     # absolute floor guards problems whose intercept is pure roundoff
-    ok = [ic <= K * eps ** 3 + 1e-12 for ic, eps in zip(intercepts, eps_ladder)]
+    ok = [ic <= K * eps ** 3 + 1e-12 for ic, eps in zip(intercepts, EPS_LADDER)]
     return SweepReport(name=f"phi-intercept[{spec.name}]", parameter="eps",
-                       values=tuple(eps_ladder), measured=tuple(intercepts),
+                       values=EPS_LADDER, measured=tuple(intercepts),
                        threshold=K, passed=bool(all(ok)),
-                       details={"fitted_at": eps_ladder[0], "K": float(K)})
+                       details={"fitted_at": EPS_LADDER[0], "K": float(K)})
 
 
 def phi_sign_inequality(spec: ProblemSpec, loc: LayerLocation,
-                        kink: KinkProfile, eps_ladder=EPS_LADDER,
-                        p_values=P_SWEEP, with_perturbation: bool = False,
-                        hhat_rule=lambda eps: np.sqrt(eps)) -> SweepReport:
-    """Signed lower bound on the jump functional across the ladder.
+                        kink: KinkProfile,
+                        ladder: JumpLadder) -> tuple[SweepReport, SweepReport]:
+    """Signed lower bounds on the jump functional across the ladder.
 
-    The first-order constant comes from the construction itself (half the
-    area slope over the largest profile weight); the third-order constant is
-    fitted at the coarsest epsilon and validated below it.  When
-    `with_perturbation` is set the bound also subtracts the fitted multiple
-    of |p'| with p' = eps * p.
+    Returns two reports: the base bound on Phi[u_as] and the perturbed bound
+    on Phi[beta].  The first-order constant C1 comes from the construction
+    itself (half the area slope over the largest profile weight).  The
+    perturbed bound also subtracts C3 eps |p|, with C3 the largest
+    |Phi[v*]| on the ladder, inflated 5%.  The third-order constant C2 of
+    each bound is fitted at the coarsest epsilon and validated below it.
     """
-    chi_max = float(np.max(kink.chi_table))
-    C1 = 0.5 * loc.C_I / chi_max
-    C3 = 0.0
+    C1 = 0.5 * loc.C_I / float(np.max(kink.chi_table))
+    C3 = 1.05 * float(np.max(ladder.vstar_phi))
+    return (_sign_report(f"phi-sign[{spec.name}]", ladder.phi_u, C1, 0.0),
+            _sign_report(f"phi-sign-perturbed[{spec.name}]", ladder.phi_beta,
+                         C1, C3))
 
-    def signed_phi(eps, p):
-        e = build_expansion(spec, p=p, eps=eps, loc=loc, kink=kink)
-        if not with_perturbation:
-            return np.sign(p) * e.phi_u_as(), 0.0
-        pprime = eps * p
-        pe = build_perturbed(e, pprime=pprime, hhat=float(hhat_rule(eps)))
-        return np.sign(p) * pe.phi_beta(), abs(pe.vstar.phi_value)
 
-    rows = {}
-    for eps in eps_ladder:
-        rows[eps] = [signed_phi(eps, p) for p in p_values]
-        if with_perturbation:
-            C3 = max(C3, 1.05 * max(r[1] for r in rows[eps]))
-
-    eps_fit = eps_ladder[0]
-    deficits = [C1 * eps_fit * abs(p) - C3 * eps_fit * abs(p) - sphi
-                for (sphi, _), p in zip(rows[eps_fit], p_values)]
-    C2 = 1.05 * max(max(deficits) / eps_fit ** 3, 0.0) + 1e-9
+def _sign_report(name: str, phis: np.ndarray, C1: float,
+                 C3: float) -> SweepReport:
+    """sign(p) Phi >= (C1 - C3) eps |p| - C2 eps^3 on every ladder row."""
+    abs_p = np.abs(P_SWEEP)
+    signed = np.sign(P_SWEEP) * phis
+    eps_fit = EPS_LADDER[0]
+    deficits = C1 * eps_fit * abs_p - C3 * eps_fit * abs_p - signed[0]
+    C2 = 1.05 * max(float(np.max(deficits)) / eps_fit ** 3, 0.0) + 1e-9
 
     per_eps_ok = {}
-    for eps in eps_ladder:
-        bound = [C1 * eps * abs(p) - C2 * eps ** 3 - C3 * eps * abs(p)
-                 for p in p_values]
-        per_eps_ok[eps] = bool(all(sphi >= b - 1e-14 for (sphi, _), b
-                                   in zip(rows[eps], bound)))
+    for eps, row in zip(EPS_LADDER, signed):
+        bound = C1 * eps * abs_p - C2 * eps ** 3 - C3 * eps * abs_p
+        per_eps_ok[eps] = bool(np.all(row >= bound - 1e-14))
     eps_star = None
-    for eps in sorted(eps_ladder, reverse=True):
-        if all(per_eps_ok[e2] for e2 in eps_ladder if e2 <= eps):
+    for eps in sorted(EPS_LADDER, reverse=True):
+        if all(per_eps_ok[e2] for e2 in EPS_LADDER if e2 <= eps):
             eps_star = eps
             break
-    name = "phi-sign-perturbed" if with_perturbation else "phi-sign"
-    measured = tuple(min(s for s, _ in rows[eps]) for eps in eps_ladder)
-    return SweepReport(name=f"{name}[{spec.name}]", parameter="eps",
-                       values=tuple(eps_ladder), measured=measured,
+    return SweepReport(name=name, parameter="eps", values=EPS_LADDER,
+                       measured=tuple(float(row.min()) for row in signed),
                        passed=bool(all(per_eps_ok.values())),
                        details={"C1": C1, "C2": float(C2), "C3": float(C3),
                                 "eps_star_empirical": eps_star})
@@ -196,7 +208,6 @@ def phi_sign_inequality(spec: ProblemSpec, loc: LayerLocation,
 def fbeta_check(spec: ProblemSpec, loc: LayerLocation, kink: KinkProfile,
                 eps_values=(1e-2, 5e-3, 2e-3, 1e-3), p: float = 0.005,
                 pprime_rule=lambda eps: 0.01 * eps,
-                hhat_rule=lambda eps: np.sqrt(eps),
                 n_points: int = 1000) -> SweepReport:
     """Pointwise signed lower bound on the centered operator defect.
 
@@ -209,7 +220,7 @@ def fbeta_check(spec: ProblemSpec, loc: LayerLocation, kink: KinkProfile,
     for eps in eps_values:
         e = build_expansion(spec, p=p, eps=eps, loc=loc, kink=kink)
         pprime = float(pprime_rule(eps))
-        pe = build_perturbed(e, pprime=pprime, hhat=float(hhat_rule(eps)))
+        pe = build_perturbed(e, pprime=pprime, hhat=float(np.sqrt(eps)))
         xs = graded_x_grid(loc.t0, eps, n_points)
         lhs = np.sign(pprime) * pe.f_beta_centered(xs)
         base = 0.5 * pe.C0 * abs(pprime) * gamma_sq

@@ -65,9 +65,10 @@ class TestUsageErrors:
         ["check", "--n-grid", "8"],
         ["solve", "--n", "0"],
         ["solve", "--n", "-4"],
+        ["all", "--eps", "0.5"],
     ], ids=["expand-n", "expand-pprime", "monotone-pprime", "expand-hhat",
             "monotone-hhat", "check-n-grid", "solve-n-zero",
-            "solve-n-negative"])
+            "solve-n-negative", "all-eps"])
     def test_out_of_range_argument_is_one_usage_line(self, capsys, argv):
         code = cli.main(argv + ["--problem", "cubic"])
         captured = capsys.readouterr()
@@ -156,6 +157,21 @@ class TestReports:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "x,u_as,beta,U_trunc"
         assert len(lines) == 12
+
+    @pytest.mark.parametrize("argv", [
+        ["dump-kink"],
+        ["expand", "--points", "11"],
+        ["solve", "--n", "16"],
+    ], ids=["dump-kink", "expand", "solve"])
+    def test_json_written_to_file(self, capsys, tmp_path, argv):
+        path = tmp_path / "out.json"
+        code, out = run(capsys, *argv, "--problem", "cubic", "--format",
+                        "json", "--out", str(path))
+        assert code == 0
+        assert out == ""
+        payload = json.loads(path.read_text())
+        assert payload["command"] == argv[0]
+        assert payload["rows"]
 
     def test_compare_report(self, capsys):
         code, out = run(capsys, "compare", "--problem", "cubic",

@@ -54,9 +54,10 @@ class TestPhiSweeps:
         assert rep.threshold == pytest.approx(1e-2 * math.sqrt(2.0) / 3.0,
                                               rel=1e-9)
 
-    def test_sign_inequality_reports_empirical_threshold(self, cubic):
+    def test_sign_inequality_reports_empirical_threshold(self, actx, cubic):
         spec, loc, kk = cubic
-        rep = verify.phi_sign_inequality(spec, loc, kk)
+        rep, _ = verify.phi_sign_inequality(spec, loc, kk,
+                                            actx.ladder("cubic"))
         assert rep.passed
         assert rep.details["eps_star_empirical"] == max(verify.EPS_LADDER)
 
