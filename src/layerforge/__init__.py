@@ -16,8 +16,8 @@ from .kink import (AnchorOutOfRange, KinkProfile, PotentialNegative,
                    ProfileIntegrationFailed, build_kink)
 from .corrections import (CorrectionTerm, LayerAuxiliary, NonDecayingSource,
                           build_terms, build_v1, build_v2, build_vstar,
-                          build_z, compute_matching, make_auxiliary,
-                          solve_jump)
+                          build_z, compute_matching, locate_and_match,
+                          make_auxiliary, solve_jump)
 from .expansion import (Expansion, PerturbedExpansion, build_expansion,
                         build_perturbed, estimate_C0)
 from .solver import (Mesh, MeshSolution, NoConvergence, SingularJacobian,
@@ -37,7 +37,7 @@ __all__ = [
     "ProfileIntegrationFailed", "build_kink",
     "CorrectionTerm", "LayerAuxiliary", "NonDecayingSource", "build_terms",
     "build_v1", "build_v2", "build_vstar", "build_z", "compute_matching",
-    "make_auxiliary", "solve_jump",
+    "locate_and_match", "make_auxiliary", "solve_jump",
     "Expansion", "PerturbedExpansion", "build_expansion", "build_perturbed",
     "estimate_C0",
     "Mesh", "MeshSolution", "NoConvergence", "SingularJacobian", "build_mesh",

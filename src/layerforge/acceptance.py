@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import corrections, kink, locator, problem, solver, verify
+from . import corrections, locator, problem, solver, verify
 from .expansion import build_expansion
 from .quadrature import composite_simpson
 
@@ -41,10 +41,7 @@ class AcceptanceContext:
     def pipeline(self, name: str):
         if name not in self._cache:
             spec = problem.builtin_problem(name)
-            loc = locator.locate_t0(spec)
-            kk = kink.build_kink(spec, loc)
-            loc = corrections.compute_matching(spec, kk, loc)
-            self._cache[name] = (spec, loc, kk)
+            self._cache[name] = (spec, *corrections.locate_and_match(spec))
         return self._cache[name]
 
     def terms(self, name: str, p: float = 0.0):
@@ -230,8 +227,7 @@ def criterion_10_truncation(ctx: AcceptanceContext) -> CriterionResult:
     ok = True
     for name in ctx.problem_names:
         spec, loc, kk = ctx.pipeline(name)
-        rep = verify.truncation_check(spec, loc, kk, eps_fit=1e-2,
-                                      N_fit=(64, 256, 1024))
+        rep = verify.truncation_check(spec, loc, kk)
         ok = ok and rep.passed
         details.append(f"{name}: K = {rep.details['K']:.4g}, "
                        f"validated combos pass: {rep.passed}")

@@ -10,6 +10,7 @@ usage error.
 from __future__ import annotations
 
 import argparse
+import json
 import math
 import sys
 
@@ -51,13 +52,18 @@ def _fmt(x) -> str:
     raise TypeError(f"unsupported scalar {x!r}")
 
 
+#: JSON string literal with control characters escaped and non-ASCII kept
+_json_string = json.JSONEncoder(ensure_ascii=False).encode
+
+
 def dumps(obj, indent: int = 0) -> str:
     """JSON text with fixed 17-significant-digit float formatting."""
     pad = "  " * indent
     if isinstance(obj, dict):
         if not obj:
             return "{}"
-        items = [f'{pad}  "{k}": {dumps(v, indent + 1)}' for k, v in obj.items()]
+        items = [f"{pad}  {_json_string(k)}: {dumps(v, indent + 1)}"
+                 for k, v in obj.items()]
         return "{\n" + ",\n".join(items) + f"\n{pad}}}"
     if isinstance(obj, (list, tuple)):
         if not obj:
@@ -65,7 +71,7 @@ def dumps(obj, indent: int = 0) -> str:
         items = [f"{pad}  {dumps(v, indent + 1)}" for v in obj]
         return "[\n" + ",\n".join(items) + f"\n{pad}]"
     if isinstance(obj, str):
-        return '"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"'
+        return _json_string(obj)
     if isinstance(obj, (np.floating,)):
         return _fmt(float(obj))
     return _fmt(obj)
@@ -128,10 +134,7 @@ def _report_payload(rep: verify.SweepReport) -> dict:
 
 def _pipeline(args):
     spec = problem.resolve_problem(args.problem, getattr(args, "eps", None))
-    loc = locator.locate_t0(spec)
-    kk = kink.build_kink(spec, loc)
-    loc = corrections.compute_matching(spec, kk, loc)
-    return spec, loc, kk
+    return (spec, *corrections.locate_and_match(spec))
 
 
 def _check_eps(args):
@@ -142,10 +145,10 @@ def _check_eps(args):
 
 def _check_perturbation(pprime: float, hhat: float, eps: float):
     """The ranges build_perturbed admits, as usage errors."""
-    if abs(pprime) > PPRIME_STAR:
+    if not abs(pprime) <= PPRIME_STAR:
         raise UsageError(
             f"--pprime magnitude must not exceed {PPRIME_STAR}, got {pprime}")
-    if hhat ** 2 > HHAT_CAP * eps:
+    if not hhat ** 2 <= HHAT_CAP * eps:
         raise UsageError(f"--hhat squared must not exceed {HHAT_CAP} * eps "
                          f"= {HHAT_CAP * eps:.3g}, got --hhat {hhat}")
 
@@ -406,6 +409,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _validate(args):
     _check_eps(args)
+    for name in ("p", "pprime", "hhat", "c_tau"):
+        value = getattr(args, name, None)
+        if value is not None and not math.isfinite(value):
+            raise UsageError(f"--{name.replace('_', '-')} must be finite, "
+                             f"got {value}")
     if getattr(args, "n", None) is not None:
         if args.n < 2:
             raise UsageError(f"--n must be at least 2, got {args.n}")

@@ -25,8 +25,8 @@ from scipy.interpolate import CubicSpline
 
 from . import expr as ex
 from .grids import graded_half_grid, one_sided_derivative
-from .kink import KinkProfile, P_STAR
-from .locator import DegenerateRoot, LayerLocation
+from .kink import KinkProfile, P_STAR, build_kink
+from .locator import DegenerateRoot, LayerLocation, locate_t0
 from .problem import ProblemSpec
 from .quadrature import adaptive_gl, cumtrapz_from_zero, cumtrapz_to_end
 
@@ -44,6 +44,19 @@ class NonDecayingSource(ValueError):
     """The source grows faster than |xi|^6 relative to the profile weight."""
 
 
+def sides_of(xi, side=None):
+    """Branch of each point of R \\ {0}: -1 where xi < 0, +1 elsewhere,
+    unless an explicit side (+-1, a scalar or one per point) overrides it."""
+    if side is None:
+        return np.where(np.asarray(xi) < 0.0, -1, 1)
+    return np.broadcast_to(side, np.shape(xi))
+
+
+def at_side(pair, side):
+    """pair[0] where side < 0 and pair[1] elsewhere (scalar or per point)."""
+    return np.where(np.asarray(side) < 0, pair[0], pair[1])
+
+
 # ---------------------------------------------------------------------------
 # Auxiliary evaluators around one (p, shift) configuration
 
@@ -55,8 +68,7 @@ class LayerAuxiliary:
     Because the profile value V0 equals u0 at the layer point plus the layer
     component, every partial of B at the layer point collapses to partials
     of b evaluated at (t0, V0(xi)), with the side entering only through the
-    one-sided derivatives of the outer roots.  side=-1 is the branch left of
-    the layer point, +1 the right branch.
+    one-sided derivatives of the outer roots (`side`: see sides_of).
     """
 
     spec: ProblemSpec = field(repr=False)
@@ -68,13 +80,11 @@ class LayerAuxiliary:
     ddu0_side: tuple        # second root derivatives at t0
     u2_side: tuple          # smooth second-order correction, one-sided values
     bs0_side: tuple         # B_s(., 0) per side (squared tail rates)
+    grid: np.ndarray = field(repr=False)  # correction half-grid [0 .. Xi]
 
     @property
     def t0(self) -> float:
         return self.kink.t0
-
-    def _idx(self, side: int) -> int:
-        return 0 if side < 0 else 1
 
     def V0(self, xi):
         return self.kink.value(np.asarray(xi, dtype=float) - self.tbar1 + self.p)
@@ -92,31 +102,30 @@ class LayerAuxiliary:
         return (self.spec.b_val(self.t0, v, du=2) * chi * chi
                 + self.spec.b_val(self.t0, v, du=1) * self.spec.b_val(self.t0, v))
 
-    def v0(self, xi, side: int):
-        return self.V0(xi) - self.u0_side[self._idx(side)]
+    def v0(self, xi, side):
+        return self.V0(xi) - at_side(self.u0_side, side)
 
     def B_s(self, xi):
         return self.spec.b_val(self.t0, self.V0(xi), du=1)
 
-    def B_x(self, xi, side: int):
+    def B_x(self, xi, side):
         v = self.V0(xi)
-        du0 = self.du0_side[self._idx(side)]
+        du0 = at_side(self.du0_side, side)
         return (self.spec.b_val(self.t0, v, dx=1)
                 + du0 * self.spec.b_val(self.t0, v, du=1))
 
-    def B_xx(self, xi, side: int):
+    def B_xx(self, xi, side):
         v = self.V0(xi)
-        i = self._idx(side)
-        du0 = self.du0_side[i]
-        ddu0 = self.ddu0_side[i]
+        du0 = at_side(self.du0_side, side)
+        ddu0 = at_side(self.ddu0_side, side)
         return (self.spec.b_val(self.t0, v, dx=2)
                 + 2.0 * du0 * self.spec.b_val(self.t0, v, dx=1, du=1)
                 + du0 * du0 * self.spec.b_val(self.t0, v, du=2)
                 + ddu0 * self.spec.b_val(self.t0, v, du=1))
 
-    def B_xs(self, xi, side: int):
+    def B_xs(self, xi, side):
         v = self.V0(xi)
-        du0 = self.du0_side[self._idx(side)]
+        du0 = at_side(self.du0_side, side)
         return (self.spec.b_val(self.t0, v, dx=1, du=1)
                 + du0 * self.spec.b_val(self.t0, v, du=2))
 
@@ -131,7 +140,7 @@ def make_auxiliary(spec: ProblemSpec, kink: KinkProfile, loc: LayerLocation,
     tbar1 defaults to the location's matched shift; the matching pass itself
     supplies explicit intermediate values.
     """
-    if abs(p) > P_STAR:
+    if not abs(p) <= P_STAR:
         raise ValueError(f"|p| must not exceed {P_STAR}, got {p}")
     if tbar1 is None:
         tbar1 = loc.tbar1
@@ -141,9 +150,11 @@ def make_auxiliary(spec: ProblemSpec, kink: KinkProfile, loc: LayerLocation,
     ddu0 = (float(spec.phi(1, t0, order=2)), float(spec.phi(2, t0, order=2)))
     bs0 = (float(spec.b_val(t0, u0[0], du=1)), float(spec.b_val(t0, u0[1], du=1)))
     u2 = (ddu0[0] / bs0[0], ddu0[1] / bs0[1])
+    xi_max = max(kink.xi_max, GRID_RANGE_FACTOR / kink.gamma_bar)
+    grid = graded_half_grid(xi_max, GRID_N_PER_SIDE, GRID_SPACING0)
     return LayerAuxiliary(spec=spec, kink=kink, p=p, tbar1=float(tbar1),
                           u0_side=u0, du0_side=du0, ddu0_side=ddu0,
-                          u2_side=u2, bs0_side=bs0)
+                          u2_side=u2, bs0_side=bs0, grid=grid)
 
 
 # ---------------------------------------------------------------------------
@@ -155,8 +166,6 @@ class CorrectionTerm:
     """Two-branch solution of the jump problem with its jump data."""
 
     label: str
-    p: float
-    tbar1: float
     xi_neg: np.ndarray = field(repr=False)   # ascending, [-Xi .. 0]
     val_neg: np.ndarray = field(repr=False)
     xi_pos: np.ndarray = field(repr=False)   # ascending, [0 .. Xi]
@@ -173,60 +182,45 @@ class CorrectionTerm:
     _spline_neg: CubicSpline = field(repr=False, compare=False)
     _spline_pos: CubicSpline = field(repr=False, compare=False)
 
-    @property
-    def xi_max(self) -> float:
-        return float(self.xi_pos[-1])
-
-    def _branch_eval(self, xi, positive: bool):
-        xi = np.asarray(xi, dtype=float)
-        out = np.empty_like(xi)
-        if positive:
-            inside = xi <= self.xi_max
-            out[inside] = self._spline_pos(xi[inside])
-            out[~inside] = (self.val_pos[-1]
-                            * np.exp(-self.mu_plus * (xi[~inside] - self.xi_max)))
-        else:
-            inside = xi >= -self.xi_max
-            out[inside] = self._spline_neg(xi[inside])
-            out[~inside] = (self.val_neg[0]
-                            * np.exp(self.mu_minus * (xi[~inside] + self.xi_max)))
-        return out
-
-    def value(self, xi, side: int | None = None):
-        """nu(xi); the branch at xi=0 is picked by `side` (+1 by default)."""
+    def value(self, xi, side=None):
+        """nu(xi) on the branch `sides_of(xi, side)` picks at each point;
+        past its table end a branch continues with its exponential tail."""
         a = np.atleast_1d(np.asarray(xi, dtype=float))
+        xi_max = float(self.xi_pos[-1])
+        sides = sides_of(a, side)
+        neg = sides < 0
+        far = np.where(neg, a < -xi_max, a > xi_max)
         out = np.empty_like(a)
-        if side is not None:
-            out[:] = self._branch_eval(a, side > 0)
-        else:
-            neg = a < 0.0
-            out[neg] = self._branch_eval(a[neg], False)
-            out[~neg] = self._branch_eval(a[~neg], True)
+        out[neg & ~far] = self._spline_neg(a[neg & ~far])
+        out[~neg & ~far] = self._spline_pos(a[~neg & ~far])
+        s = sides[far]
+        out[far] = (at_side((self.val_neg[0], self.val_pos[-1]), s)
+                    * np.exp(-at_side((self.mu_minus, self.mu_plus), s)
+                             * (np.abs(a[far]) - xi_max)))
         return ex.shaped_like(out, xi)
 
 
-def solve_jump(chi, psi, nu0_minus: float, nu0_plus: float,
-               grid: np.ndarray, *, chi_prime, bs, mu_minus: float,
-               mu_plus: float, label: str = "nu", p: float = 0.0,
-               tbar1: float = 0.0) -> CorrectionTerm:
-    """Solve the two-branch jump problem on a graded half-grid.
+def solve_jump(aux: LayerAuxiliary, psi, nu0_minus: float, nu0_plus: float,
+               label: str, grid: np.ndarray | None = None) -> CorrectionTerm:
+    """Solve the two-branch jump problem of one configuration.
 
-    chi, chi_prime, bs are callables of xi; psi is a callable of (xi, side).
-    `grid` is the ascending half-grid [0 .. Xi]; the negative branch uses its
-    mirror image.  Inner integrals accumulate running trapezoid sums once
-    over each branch; the integral tails beyond the grid use the analytic
-    exponential rate of chi*psi.
+    The weight chi, its derivative, the coefficient B_s and the tail rates
+    come from `aux`; psi is a callable of (xi, side).  `grid` is the
+    ascending half-grid [0 .. Xi] (default `aux.grid`); the negative branch
+    uses its mirror image.  Inner integrals accumulate running trapezoid
+    sums once over each branch; the integral tails beyond the grid use the
+    analytic exponential rate of chi*psi.
     """
-    grid = np.asarray(grid, dtype=float)
-    xi_pos = grid
-    xi_neg = -grid[::-1]
+    xi_pos = np.asarray(aux.grid if grid is None else grid, dtype=float)
+    xi_neg = -xi_pos[::-1]
+    mu_minus, mu_plus = aux.kink.mu_minus, aux.kink.mu_plus
 
-    chi_pos = np.asarray(chi(xi_pos), dtype=float)
-    chi_neg = np.asarray(chi(xi_neg), dtype=float)
+    chi_pos = np.asarray(aux.chi(xi_pos), dtype=float)
+    chi_neg = np.asarray(aux.chi(xi_neg), dtype=float)
     psi_pos = np.asarray(psi(xi_pos, 1), dtype=float)
     psi_neg = np.asarray(psi(xi_neg, -1), dtype=float)
     chi0 = float(chi_pos[0])
-    dchi0 = float(chi_prime(0.0))
+    dchi0 = float(aux.chi_prime(0.0))
 
     _check_decay(xi_pos, psi_pos, chi_pos, label)
     _check_decay(-xi_neg[::-1], psi_neg[::-1], chi_neg[::-1], label)
@@ -260,17 +254,17 @@ def solve_jump(chi, psi, nu0_minus: float, nu0_plus: float,
 
     # end conditions: nu'' from the governing equation at both branch ends
     ends = [0, -1]
-    d2_neg = (np.asarray(bs(xi_neg[ends]), dtype=float) * val_neg[ends]
+    d2_neg = (np.asarray(aux.B_s(xi_neg[ends]), dtype=float) * val_neg[ends]
               - psi_neg[ends])
-    d2_pos = (np.asarray(bs(xi_pos[ends]), dtype=float) * val_pos[ends]
+    d2_pos = (np.asarray(aux.B_s(xi_pos[ends]), dtype=float) * val_pos[ends]
               - psi_pos[ends])
     spline_neg = CubicSpline(xi_neg, val_neg,
                              bc_type=((2, d2_neg[0]), (2, d2_neg[1])))
     spline_pos = CubicSpline(xi_pos, val_pos,
                              bc_type=((2, d2_pos[0]), (2, d2_pos[1])))
 
-    return CorrectionTerm(label=label, p=p, tbar1=tbar1, xi_neg=xi_neg,
-                          val_neg=val_neg, xi_pos=xi_pos, val_pos=val_pos,
+    return CorrectionTerm(label=label, xi_neg=xi_neg, val_neg=val_neg,
+                          xi_pos=xi_pos, val_pos=val_pos,
                           jump_minus=float(nu0_minus), jump_plus=float(nu0_plus),
                           phi_numerator=float(phi_numerator),
                           phi_value=float(phi_value), chi0=chi0, dchi0=dchi0,
@@ -309,20 +303,12 @@ def phi_from_tables(term: CorrectionTerm) -> float:
 # The four concrete corrections
 
 
-def _default_grid(kink: KinkProfile) -> np.ndarray:
-    xi_max = max(kink.xi_max, GRID_RANGE_FACTOR / kink.gamma_bar)
-    return graded_half_grid(xi_max, GRID_N_PER_SIDE, GRID_SPACING0)
-
-
 def build_v1(aux: LayerAuxiliary) -> CorrectionTerm:
     """First-order layer correction: source -xi * B_x, zero jumps."""
     def psi(xi, side):
         return -xi * aux.B_x(xi, side)
 
-    return solve_jump(aux.chi, psi, 0.0, 0.0, _default_grid(aux.kink), chi_prime=aux.chi_prime,
-                      bs=aux.B_s, mu_minus=aux.kink.mu_minus,
-                      mu_plus=aux.kink.mu_plus, label="v1", p=aux.p,
-                      tbar1=aux.tbar1)
+    return solve_jump(aux, psi, 0.0, 0.0, "v1")
 
 
 def build_v2(aux: LayerAuxiliary, v1: CorrectionTerm) -> CorrectionTerm:
@@ -335,17 +321,14 @@ def build_v2(aux: LayerAuxiliary, v1: CorrectionTerm) -> CorrectionTerm:
     u2 = aux.u2_side
 
     def psi(xi, side):
-        i = 0 if side < 0 else 1
-        w1 = v1.value(xi, side=side)
+        w1 = v1.value(xi, side)
         return (-0.5 * xi * xi * aux.B_xx(xi, side)
                 - xi * w1 * aux.B_xs(xi, side)
                 - 0.5 * w1 * w1 * aux.B_ss(xi)
-                - u2[i] * (aux.B_s(xi) - aux.bs0_side[i]))
+                - at_side(u2, side)
+                * (aux.B_s(xi) - at_side(aux.bs0_side, side)))
 
-    return solve_jump(aux.chi, psi, -u2[0], -u2[1], _default_grid(aux.kink),
-                      chi_prime=aux.chi_prime, bs=aux.B_s,
-                      mu_minus=aux.kink.mu_minus, mu_plus=aux.kink.mu_plus,
-                      label="v2", p=aux.p, tbar1=aux.tbar1)
+    return solve_jump(aux, psi, -u2[0], -u2[1], "v2")
 
 
 def build_vstar(aux: LayerAuxiliary) -> CorrectionTerm:
@@ -357,10 +340,7 @@ def build_vstar(aux: LayerAuxiliary) -> CorrectionTerm:
     def psi(xi, side):
         return np.abs(aux.v0(xi, side))
 
-    return solve_jump(aux.chi, psi, 0.0, 0.0, _default_grid(aux.kink), chi_prime=aux.chi_prime,
-                      bs=aux.B_s, mu_minus=aux.kink.mu_minus,
-                      mu_plus=aux.kink.mu_plus, label="vstar", p=aux.p,
-                      tbar1=aux.tbar1)
+    return solve_jump(aux, psi, 0.0, 0.0, "vstar")
 
 
 def build_z(aux: LayerAuxiliary) -> CorrectionTerm:
@@ -369,10 +349,7 @@ def build_z(aux: LayerAuxiliary) -> CorrectionTerm:
     def psi(xi, side):
         return aux.chi_ppp(xi) / 12.0
 
-    return solve_jump(aux.chi, psi, 0.0, 0.0, _default_grid(aux.kink), chi_prime=aux.chi_prime,
-                      bs=aux.B_s, mu_minus=aux.kink.mu_minus,
-                      mu_plus=aux.kink.mu_plus, label="z", p=aux.p,
-                      tbar1=aux.tbar1)
+    return solve_jump(aux, psi, 0.0, 0.0, "z")
 
 
 def build_terms(aux: LayerAuxiliary) -> dict:
@@ -411,3 +388,11 @@ def compute_matching(spec: ProblemSpec, kink: KinkProfile,
     C_III = v2.phi_numerator
     t2 = C_III / loc.C_I
     return loc.with_matching(float(C_II), float(C_III), float(t1), float(t2))
+
+
+def locate_and_match(spec: ProblemSpec) -> tuple[LayerLocation, KinkProfile]:
+    """The epsilon-independent pipeline: locate the layer point, build the
+    profile, and fill the matching constants."""
+    loc = locate_t0(spec)
+    kink = build_kink(spec, loc)
+    return compute_matching(spec, kink, loc), kink

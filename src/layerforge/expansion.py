@@ -15,8 +15,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import expr as ex
-from .corrections import (CorrectionTerm, LayerAuxiliary, build_v1, build_v2,
-                          build_vstar, build_z, make_auxiliary)
+from .corrections import (CorrectionTerm, LayerAuxiliary, at_side, build_v1,
+                          build_v2, build_vstar, build_z, make_auxiliary,
+                          sides_of)
 from .grids import graded_half_grid
 from .kink import KinkProfile
 from .locator import LayerLocation
@@ -27,12 +28,6 @@ PPRIME_STAR = 0.05
 
 #: mesh-width square is capped at HHAT_CAP * eps (exponent one)
 HHAT_CAP = 10.0
-
-
-def _sides_for(x: np.ndarray, t0: float, side: int | None):
-    if side is not None:
-        return np.full(x.shape, side)
-    return np.where(x < t0, -1, 1)
 
 
 @dataclass(frozen=True)
@@ -57,62 +52,54 @@ class Expansion:
 
     # -- smooth part ---------------------------------------------------------
 
-    def u0(self, x, side=None, order: int = 0):
+    def _outer(self, x, side, root):
+        """root(k, points) for the left (k = 0) and right (k = 1) outer root
+        on its own side's points only: beyond, it may leave its domain."""
         a = np.atleast_1d(np.asarray(x, dtype=float))
-        sides = _sides_for(a, self.t0, side)
+        sides = sides_of(a - self.t0, side)
         out = np.empty_like(a)
-        for s, k in ((-1, 1), (1, 2)):
+        for k, s in enumerate((-1, 1)):
             m = sides == s
             if m.any():
-                out[m] = self.spec.phi(k, a[m], order=order)
+                out[m] = root(k, a[m])
         return ex.shaped_like(out, x)
 
+    def u0(self, x, side=None, order: int = 0):
+        return self._outer(x, side, lambda k, a: self.spec.phi(k + 1, a,
+                                                               order=order))
+
     def u2(self, x, side=None, order: int = 0):
-        a = np.atleast_1d(np.asarray(x, dtype=float))
-        sides = _sides_for(a, self.t0, side)
-        out = np.empty_like(a)
-        for s, idx in ((-1, 0), (1, 1)):
-            m = sides == s
-            if m.any():
-                out[m] = ex.evaluate(self.spec.u2_exprs[idx][order], a[m], 0.0)
-        return ex.shaped_like(out, x)
+        return self._outer(x, side, lambda k, a: ex.evaluate(
+            self.spec.u2_exprs[k][order], a, 0.0))
 
     # -- assembled values ----------------------------------------------------
 
     def u_as(self, x, side=None):
-        """Expansion value; `side` picks the branch at the layer point."""
+        """Expansion value; `side` picks the branch (scalar or per point)."""
         a = np.atleast_1d(np.asarray(x, dtype=float))
-        sides = _sides_for(a, self.t0, side)
         xi = self.xi_of(a)
+        sides = sides_of(xi, side)
         eps = self.eps
-        out = self.u0(a, side) + eps * eps * self.u2(a, side) + self.aux.V0(xi)
-        for s, idx in ((-1, 0), (1, 1)):
-            m = sides == s
-            if m.any():
-                out[m] += (-self.aux.u0_side[idx]
-                           + eps * self.v1.value(xi[m], side=s)
-                           + eps * eps * self.v2.value(xi[m], side=s))
+        out = (self.u0(a, sides) + eps * eps * self.u2(a, sides)
+               + self.aux.V0(xi))
+        out += (-at_side(self.aux.u0_side, sides)
+                + eps * self.v1.value(xi, sides)
+                + eps * eps * self.v2.value(xi, sides))
         return ex.shaped_like(out, x)
 
     def u_as_second_derivative(self, x, side=None):
         """Exact second derivative via the layer governing equations."""
         a = np.atleast_1d(np.asarray(x, dtype=float))
-        sides = _sides_for(a, self.t0, side)
         xi = self.xi_of(a)
+        sides = sides_of(xi, side)
         eps = self.eps
-        out = (self.u0(a, side, order=2)
-               + eps * eps * self.u2(a, side, order=2)
+        out = (self.u0(a, sides, order=2)
+               + eps * eps * self.u2(a, sides, order=2)
                + self.spec.b_val(self.t0, self.aux.V0(xi)) / (eps * eps))
         bs = self.aux.B_s(xi)
-        for s in (-1, 1):
-            m = sides == s
-            if m.any():
-                w1 = self.v1.value(xi[m], side=s)
-                w2 = self.v2.value(xi[m], side=s)
-                psi1 = self.v1.psi_fn(xi[m], s)
-                psi2 = self.v2.psi_fn(xi[m], s)
-                out[m] += ((bs[m] * w1 - psi1) / eps
-                           + (bs[m] * w2 - psi2))
+        out += ((bs * self.v1.value(xi, sides) - self.v1.psi_fn(xi, sides))
+                / eps
+                + (bs * self.v2.value(xi, sides) - self.v2.psi_fn(xi, sides)))
         return ex.shaped_like(out, x)
 
     def residual(self, x, side=None):
@@ -142,14 +129,14 @@ class Expansion:
     def truncated(self, x, N: int, C_tau: float):
         """Two-piece reduced representation: profile inside the transition
         width, outer roots beyond it.  Uses the unperturbed profile shift."""
-        if C_tau <= 2.0:
+        if not C_tau > 2.0:
             raise ValueError("C_tau must exceed 2")
         if N < 2:
             raise ValueError("N must be at least 2")
         a = np.atleast_1d(np.asarray(x, dtype=float))
         tau = (C_tau / self.kink.gamma_bar) * self.eps * np.log(N)
         xi = self.xi_of(a)
-        shift = self.loc.t1 + self.eps * self.loc.t2
+        shift = self.loc.shift(self.eps)
         inside = np.abs(a - self.t0) <= tau
         out = np.empty_like(a)
         out[inside] = self.kink.value(xi[inside] - shift)
@@ -164,8 +151,7 @@ def build_expansion(spec: ProblemSpec, p: float, eps: float,
     `loc` carries the matching constants and, with `kink`, the
     epsilon-independent work that a parameter sweep reuses.
     """
-    tbar1 = loc.t1 + eps * loc.t2
-    aux = make_auxiliary(spec, kink, loc, p=p, tbar1=tbar1)
+    aux = make_auxiliary(spec, kink, loc, p=p, tbar1=loc.shift(eps))
     v1 = build_v1(aux)
     v2 = build_v2(aux, v1)
     return Expansion(spec=spec, loc=loc, kink=kink, aux=aux, v1=v1, v2=v2,
@@ -191,33 +177,24 @@ class PerturbedExpansion:
     def beta(self, x, side=None):
         a = np.atleast_1d(np.asarray(x, dtype=float))
         xi = self.base.xi_of(a)
-        sides = _sides_for(a, self.base.t0, side)
-        out = self.base.u_as(a, side)
-        for s in (-1, 1):
-            m = sides == s
-            if m.any():
-                out[m] += (self.pprime * (self.vstar.value(xi[m], side=s)
-                                          + self.C0)
-                           + self.hhat ** 2 * self.z.value(xi[m], side=s))
+        sides = sides_of(xi, side)
+        out = self.base.u_as(a, sides)
+        out += (self.pprime * (self.vstar.value(xi, sides) + self.C0)
+                + self.hhat ** 2 * self.z.value(xi, sides))
         return ex.shaped_like(out, x)
 
     def f_beta(self, x, side=None):
         """Operator defect of the perturbed expansion (analytic)."""
         a = np.atleast_1d(np.asarray(x, dtype=float))
         xi = self.base.xi_of(a)
-        sides = _sides_for(a, self.base.t0, side)
+        sides = sides_of(xi, side)
         bs = self.base.aux.B_s(xi)
-        d2_layer = np.empty_like(a)
-        val = self.beta(a, side)
-        for s in (-1, 1):
-            m = sides == s
-            if m.any():
-                vstar_d2 = (bs[m] * self.vstar.value(xi[m], side=s)
-                            - self.vstar.psi_fn(xi[m], s))
-                z_d2 = (bs[m] * self.z.value(xi[m], side=s)
-                        - self.z.psi_fn(xi[m], s))
-                d2_layer[m] = self.pprime * vstar_d2 + self.hhat ** 2 * z_d2
-        d2_base = self.base.u_as_second_derivative(a, side)
+        val = self.beta(a, sides)
+        vstar_d2 = (bs * self.vstar.value(xi, sides)
+                    - self.vstar.psi_fn(xi, sides))
+        z_d2 = bs * self.z.value(xi, sides) - self.z.psi_fn(xi, sides)
+        d2_layer = self.pprime * vstar_d2 + self.hhat ** 2 * z_d2
+        d2_base = self.base.u_as_second_derivative(a, sides)
         out = (-self.eps ** 2 * d2_base - d2_layer
                + self.base.spec.b_val(a, val))
         return ex.shaped_like(out, x)
@@ -257,12 +234,9 @@ def estimate_C0(aux: LayerAuxiliary, kink: KinkProfile,
                                   x_layer]))
     x = x[(x > 0.0) & (x < 1.0) & (x != t0)]
     xi = (x - t0) / eps
-    sides = np.where(x < t0, -1, 1)
-    u0 = np.where(sides < 0, spec.phi(1, x), spec.phi(2, x))
-    v0 = np.empty_like(x)
-    for s in (-1, 1):
-        m = sides == s
-        v0[m] = aux.v0(xi[m], s)
+    sides = sides_of(xi)
+    u0 = at_side((spec.phi(1, x), spec.phi(2, x)), sides)
+    v0 = aux.v0(xi, sides)
     bs_zero = spec.b_val(x, u0, du=1)
     bs_v0 = spec.b_val(x, u0 + v0, du=1)
     small = np.abs(v0) < 1e-8
@@ -282,9 +256,9 @@ def build_perturbed(base: Expansion, pprime: float,
     Enforces the admissible ranges: |p'| within its cap and the squared
     mesh width at most a fixed multiple of eps.
     """
-    if abs(pprime) > PPRIME_STAR:
+    if not abs(pprime) <= PPRIME_STAR:
         raise ValueError(f"|p'| must not exceed {PPRIME_STAR}, got {pprime}")
-    if hhat ** 2 > HHAT_CAP * base.eps:
+    if not hhat ** 2 <= HHAT_CAP * base.eps:
         raise ValueError(
             f"hhat^2 = {hhat ** 2:.3g} exceeds {HHAT_CAP} * eps = "
             f"{HHAT_CAP * base.eps:.3g}")

@@ -5,7 +5,7 @@ connecting profile satisfies dV/dxi = sqrt(2 W(V)) with W the running
 integral of the reaction term at the layer point.  Its inverse,
 xi(V) = int_anchor^V dv / sqrt(2 W(v)), is a plain quadrature from the
 anchor (kernels.integrate_kink), so no boundary condition at infinity has to
-be shot for.  The quadrature stops `switch_eps` from each root, the table
+be shot for.  The quadrature stops `SWITCH_EPS` from each root, the table
 between its nodes is filled by quintic Hermite interpolation, and the
 exponential tails are attached analytically.
 """
@@ -183,13 +183,11 @@ def _hermite_quintic(s_t, s_k, v_k, d1_k, d2_k):
 
 
 def build_kink(spec: ProblemSpec, loc: LayerLocation,
-               xi_max: float | None = None, n_per_side: int = 3000,
-               spacing0: float = 1e-3,
-               switch_eps: float = SWITCH_EPS) -> KinkProfile:
+               xi_max: float | None = None) -> KinkProfile:
     """Construct the profile table from the first integral.
 
     Computes xi(V) = int dv / sqrt(2 W(v)) from the anchor toward both roots
-    down to switch_eps from each, switches to the linearized exponential
+    down to SWITCH_EPS from each, switches to the linearized exponential
     tail, and fills a graded table (clustered at 0) via quintic Hermite
     interpolation of the quadrature nodes, which carry exact first and
     second derivatives of the profile.
@@ -226,14 +224,14 @@ def build_kink(spec: ProblemSpec, loc: LayerLocation,
     sides = {}
     for direction, target in ((1.0, phi2_t0), (-1.0, phi1_t0)):
         s, v, c, b, _, status = integrate_kink(*pot.kernel_args(), anchor,
-                                               target, switch_eps)
+                                               target, SWITCH_EPS)
         if status != 0:
             raise ProfileIntegrationFailed(
                 f"profile quadrature toward {target:.15g} failed with "
                 f"status {status} (1: potential <= 0, 2: non-finite)")
         sides[direction] = (s, v, c, b)
 
-    half_grid = graded_half_grid(xi_max, n_per_side, spacing0)
+    half_grid = graded_half_grid(xi_max, 3000, 1e-3)
     xi = np.concatenate([-half_grid[::-1], half_grid[1:]])
 
     # Tail amplitudes.  A node's own rounding (~1e-16 in V) is a poor

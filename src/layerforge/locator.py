@@ -35,7 +35,8 @@ class LayerLocation:
     """Every matching constant of the expansion around one layer point.
 
     t1 and t2 (and the constants they derive from) are filled by the
-    corrections machinery; tbar1 is the effective profile shift t1 + eps*t2.
+    corrections machinery; tbar1 is the profile shift at the problem's own
+    epsilon.
     """
 
     t0: float
@@ -49,11 +50,15 @@ class LayerLocation:
     t1: float | None = None
     t2: float | None = None
 
-    @property
-    def tbar1(self) -> float:
+    def shift(self, eps: float) -> float:
+        """Profile shift t1 + eps*t2 of the expansion at this epsilon."""
         if self.t1 is None or self.t2 is None:
             raise ValueError("matching constants not computed yet")
-        return self.t1 + self.eps * self.t2
+        return self.t1 + eps * self.t2
+
+    @property
+    def tbar1(self) -> float:
+        return self.shift(self.eps)
 
     def with_matching(self, C_II: float, C_III: float,
                       t1: float, t2: float) -> "LayerLocation":

@@ -13,32 +13,11 @@ from . import expr as ex
 
 _REQUIRED_FIELDS = ("name", "b", "phi0", "phi1", "phi2", "g0", "g1", "epsilon")
 
+#: the shipped instances, one per problems/<name>.json, in name order
 BUILTIN_PROBLEMS = {
-    "cubic": {
-        "name": "cubic",
-        "b": "u*(u-(0.75-0.5*x))*(u-1)",
-        "phi0": "0.75-0.5*x",
-        "phi1": "0",
-        "phi2": "1",
-        "g0": 0.0,
-        "g1": 1.0,
-        "epsilon": 0.01,
-    },
-    # same cubic with all three roots shifted by 0.1*sin(pi x): exercises
-    # curved stable roots, hence non-trivial smooth second-order corrections
-    "cubic-wavy": {
-        "name": "cubic-wavy",
-        "b": ("(u-0.1*sin(3.14159265358979*x))"
-              "*(u-(0.75-0.5*x+0.1*sin(3.14159265358979*x)))"
-              "*(u-(1+0.1*sin(3.14159265358979*x)))"),
-        "phi0": "0.75-0.5*x+0.1*sin(3.14159265358979*x)",
-        "phi1": "0.1*sin(3.14159265358979*x)",
-        "phi2": "1+0.1*sin(3.14159265358979*x)",
-        "g0": 0.0,
-        "g1": 1.0,
-        "epsilon": 0.01,
-    },
-}
+    path.stem: json.loads(path.read_text(encoding="utf-8"))
+    for path in sorted(Path(__file__).with_name("problems").glob("*.json"),
+                       key=lambda path: path.stem)}
 
 
 class ProblemError(ValueError):

@@ -68,7 +68,7 @@ def build_mesh(loc: LayerLocation, eps: float, N: int, C_tau: float = 2.5,
     """
     if N % 2:
         raise ValueError("N must be even")
-    if C_tau <= 2.0:
+    if not C_tau > 2.0:
         raise ValueError("C_tau must exceed 2")
     tau = transition_half_width(loc, eps, N, C_tau)
     if kind == "uniform":

@@ -26,6 +26,25 @@ EPS_LADDER = tuple(2.0 ** -k for k in range(4, 11))
 #: perturbation sizes for the jump-functional sweeps
 P_SWEEP = (-1e-2, -3e-3, -1e-3, -3e-4, -1e-4, 1e-4, 3e-4, 1e-3, 3e-3, 1e-2)
 
+#: residual-order sweep: points per rung and the least fitted order
+RESIDUAL_POINTS = 2000
+RESIDUAL_MIN_ORDER = 2.7
+
+#: operator-defect margin: epsilons (the first one fits C4) and shift p
+FBETA_EPS = (1e-2, 5e-3, 2e-3, 1e-3)
+FBETA_P = 0.005
+
+#: transition constant of the truncation and the oracle mesh
+C_TAU = 2.5
+
+#: truncation envelope fit: its epsilon and N-ladder
+TRUNC_EPS_FIT = 1e-2
+TRUNC_N_FIT = (64, 256, 1024)
+
+#: nonlinear-solve oracle: epsilon ladder and mesh cells
+SOLVER_EPS = tuple(2.0 ** -k for k in range(5, 10))
+SOLVER_N = 2048
+
 
 class AllZeros(ValueError):
     """A decay fit received an identically vanishing tail."""
@@ -67,22 +86,22 @@ def loglog_fit(xs, ys):
 # Residual order
 
 
-def residual_sweep(spec: ProblemSpec, loc: LayerLocation, kink: KinkProfile,
-                   eps_ladder=EPS_LADDER, n_points: int = 2000,
-                   min_slope: float = 2.7) -> SweepReport:
+def residual_sweep(spec: ProblemSpec, loc: LayerLocation,
+                   kink: KinkProfile) -> SweepReport:
     """Fitted order of the maximal expansion defect across the ladder."""
     def worst(eps):
         e = build_expansion(spec, p=0.0, eps=eps, loc=loc, kink=kink)
-        xs = graded_x_grid(loc.t0, eps, n_points)
+        xs = graded_x_grid(loc.t0, eps, RESIDUAL_POINTS)
         return float(np.max(np.abs(e.residual(xs))))
 
-    measured = [worst(eps) for eps in eps_ladder]
-    slope, intercept = loglog_fit(eps_ladder, measured)
+    measured = [worst(eps) for eps in EPS_LADDER]
+    slope, intercept = loglog_fit(EPS_LADDER, measured)
     return SweepReport(name=f"residual-order[{spec.name}]", parameter="eps",
-                       values=tuple(eps_ladder), measured=tuple(measured),
+                       values=EPS_LADDER, measured=tuple(measured),
                        slope=slope, intercept=intercept,
-                       threshold=min_slope, passed=bool(slope >= min_slope),
-                       details={"n_points": n_points})
+                       threshold=RESIDUAL_MIN_ORDER,
+                       passed=bool(slope >= RESIDUAL_MIN_ORDER),
+                       details={"n_points": RESIDUAL_POINTS})
 
 
 # ---------------------------------------------------------------------------
@@ -90,8 +109,7 @@ def residual_sweep(spec: ProblemSpec, loc: LayerLocation, kink: KinkProfile,
 
 
 def phi_sweep(spec: ProblemSpec, loc: LayerLocation, kink: KinkProfile,
-              eps: float = 1e-2, p_values=P_SWEEP,
-              slope_rtol: float = 0.05) -> SweepReport:
+              eps: float = 1e-2) -> SweepReport:
     """Linearity of the derivative-jump functional in the shift parameter.
 
     The regression slope is compared against eps * C_I / chi(0); the
@@ -101,14 +119,14 @@ def phi_sweep(spec: ProblemSpec, loc: LayerLocation, kink: KinkProfile,
         e = build_expansion(spec, p=p, eps=eps, loc=loc, kink=kink)
         return e.phi_u_as()
 
-    phis = [one(p) for p in p_values]
-    coeff = np.polyfit(np.asarray(p_values), np.asarray(phis), 1)
-    chi0 = float(kink.slope(-(loc.t1 + eps * loc.t2)))
+    phis = [one(p) for p in P_SWEEP]
+    coeff = np.polyfit(np.asarray(P_SWEEP), np.asarray(phis), 1)
+    chi0 = float(kink.slope(-loc.shift(eps)))
     target = eps * loc.C_I / chi0
     rel = abs(coeff[0] / target - 1.0)
-    passed = bool(rel <= slope_rtol)
+    passed = bool(rel <= 0.05)
     return SweepReport(name=f"phi-linearity[{spec.name}]", parameter="p",
-                       values=tuple(p_values), measured=tuple(phis),
+                       values=P_SWEEP, measured=tuple(phis),
                        slope=float(coeff[0]), intercept=float(coeff[1]),
                        threshold=target, passed=passed,
                        details={"eps": eps, "rel_slope_error": float(rel),
@@ -206,9 +224,7 @@ def _sign_report(name: str, phis: np.ndarray, C1: float,
 
 
 def fbeta_check(spec: ProblemSpec, loc: LayerLocation, kink: KinkProfile,
-                eps_values=(1e-2, 5e-3, 2e-3, 1e-3), p: float = 0.005,
-                pprime_rule=lambda eps: 0.01 * eps,
-                n_points: int = 1000) -> SweepReport:
+                pprime_rule=lambda eps: 0.01 * eps) -> SweepReport:
     """Pointwise signed lower bound on the centered operator defect.
 
     The slack constant is fitted at the largest epsilon (where the defect
@@ -217,11 +233,11 @@ def fbeta_check(spec: ProblemSpec, loc: LayerLocation, kink: KinkProfile,
     margins = []
     gamma_sq = loc.gamma ** 2
     C4 = None
-    for eps in eps_values:
-        e = build_expansion(spec, p=p, eps=eps, loc=loc, kink=kink)
+    for eps in FBETA_EPS:
+        e = build_expansion(spec, p=FBETA_P, eps=eps, loc=loc, kink=kink)
         pprime = float(pprime_rule(eps))
         pe = build_perturbed(e, pprime=pprime, hhat=float(np.sqrt(eps)))
-        xs = graded_x_grid(loc.t0, eps, n_points)
+        xs = graded_x_grid(loc.t0, eps, 1000)
         lhs = np.sign(pprime) * pe.f_beta_centered(xs)
         base = 0.5 * pe.C0 * abs(pprime) * gamma_sq
         scale = eps ** 3 + eps * pe.hhat ** 2 + pe.hhat ** 4
@@ -231,22 +247,21 @@ def fbeta_check(spec: ProblemSpec, loc: LayerLocation, kink: KinkProfile,
         margins.append(margin)
     passed = bool(all(m >= 0.0 for m in margins))
     return SweepReport(name=f"fbeta-margin[{spec.name}]", parameter="eps",
-                       values=tuple(eps_values), measured=tuple(margins),
+                       values=FBETA_EPS, measured=tuple(margins),
                        passed=passed,
-                       details={"C4": float(C4), "p": p,
-                                "fitted_at": eps_values[0]})
+                       details={"C4": float(C4), "p": FBETA_P,
+                                "fitted_at": FBETA_EPS[0]})
 
 
 # ---------------------------------------------------------------------------
 # Decay and monotonicity
 
 
-def decay_fit(xi: np.ndarray, values: np.ndarray,
-              window: tuple | None = None) -> float:
+def decay_fit(xi: np.ndarray, values: np.ndarray) -> float:
     """Exponential decay rate from a log-linear tail fit.
 
-    Fits log |value| against |xi| on the window (defaults to [Xi/2, 0.9 Xi])
-    and returns the negated slope.  The fit is resampled uniformly in |xi|
+    Fits log |value| against |xi| on the window [Xi/2, 0.9 Xi] and returns
+    the negated slope.  The fit is resampled uniformly in |xi|
     so graded tables do not overweight the near end of the window.  Raises
     AllZeros when the window holds no usable magnitudes.
     """
@@ -254,9 +269,7 @@ def decay_fit(xi: np.ndarray, values: np.ndarray,
     values = np.asarray(values, dtype=float)
     a_xi = np.abs(xi)
     hi = float(a_xi.max())
-    if window is None:
-        window = (hi / 2.0, 0.9 * hi)
-    mask = (a_xi >= window[0]) & (a_xi <= window[1]) & (np.abs(values) > 1e-280)
+    mask = (a_xi >= hi / 2.0) & (a_xi <= 0.9 * hi) & (np.abs(values) > 1e-280)
     if mask.sum() < 4:
         raise AllZeros("tail window has no usable values to fit")
     order = np.argsort(a_xi[mask])
@@ -268,12 +281,10 @@ def decay_fit(xi: np.ndarray, values: np.ndarray,
     return float(-slope)
 
 
-def term_decay_rate(term: CorrectionTerm, window: tuple | None = None) -> float:
+def term_decay_rate(term: CorrectionTerm) -> float:
     """Conservative (slower) decay rate over the two branches of a term."""
-    rates = []
-    for xi, val in ((term.xi_neg, term.val_neg), (term.xi_pos, term.val_pos)):
-        rates.append(decay_fit(xi, val, window))
-    return min(rates)
+    return min(decay_fit(term.xi_neg, term.val_neg),
+               decay_fit(term.xi_pos, term.val_pos))
 
 
 def monotonicity_check(spec: ProblemSpec, loc: LayerLocation,
@@ -302,11 +313,7 @@ def monotonicity_check(spec: ProblemSpec, loc: LayerLocation,
 
 
 def truncation_check(spec: ProblemSpec, loc: LayerLocation,
-                     kink: KinkProfile, eps_values=(1e-2, 1e-3),
-                     N_values=(64, 256), C_tau: float = 2.5,
-                     eps_fit: float = 2.0 ** -4,
-                     N_fit=(64, 256, 1024),
-                     n_points: int = 10000) -> SweepReport:
+                     kink: KinkProfile) -> SweepReport:
     """Fitted envelope for the distance to the two-piece representation.
 
     The envelope constant is fitted once at the coarsest epsilon over an
@@ -316,24 +323,25 @@ def truncation_check(spec: ProblemSpec, loc: LayerLocation,
     """
     def distance(eps, N):
         e = build_expansion(spec, p=0.0, eps=eps, loc=loc, kink=kink)
-        xs = np.linspace(0.0, 1.0, n_points)
+        xs = np.linspace(0.0, 1.0, 10000)
         xs = xs[(xs != loc.t0)]
-        return float(np.max(np.abs(e.u_as(xs) - e.truncated(xs, N, C_tau))))
+        return float(np.max(np.abs(e.u_as(xs) - e.truncated(xs, N, C_TAU))))
 
     def envelope(eps, N):
         return eps * np.log(N) + N ** -2
 
-    K = 1.05 * max(distance(eps_fit, N) / envelope(eps_fit, N) for N in N_fit)
-    combos = [(eps, N) for eps in eps_values for N in N_values]
+    K = 1.05 * max(distance(TRUNC_EPS_FIT, N) / envelope(TRUNC_EPS_FIT, N)
+                   for N in TRUNC_N_FIT)
+    combos = [(eps, N) for eps in (1e-2, 1e-3) for N in (64, 256)]
     measured = [distance(eps, N) for eps, N in combos]
     ok = [d <= K * envelope(eps, N) + 1e-14
           for d, (eps, N) in zip(measured, combos)]
     return SweepReport(name=f"truncation[{spec.name}]", parameter="(eps,N)",
                        values=tuple(combos), measured=tuple(measured),
                        threshold=float(K), passed=bool(all(ok)),
-                       details={"C_tau": C_tau, "K": float(K),
-                                "fitted_at_eps": eps_fit,
-                                "fitted_over_N": tuple(N_fit)})
+                       details={"C_tau": C_TAU, "K": float(K),
+                                "fitted_at_eps": TRUNC_EPS_FIT,
+                                "fitted_over_N": TRUNC_N_FIT})
 
 
 # ---------------------------------------------------------------------------
@@ -342,21 +350,19 @@ def truncation_check(spec: ProblemSpec, loc: LayerLocation,
 
 def solver_convergence(spec: ProblemSpec, loc: LayerLocation,
                        kink: KinkProfile,
-                       eps_ladder=tuple(2.0 ** -k for k in range(5, 10)),
-                       N: int = 2048, C_tau: float = 2.5,
                        min_order: float = 1.7) -> SweepReport:
     """Distance between the nonlinear-solve oracle and the expansion."""
     def one(eps):
         e = build_expansion(spec, p=0.0, eps=eps, loc=loc, kink=kink)
-        mesh = solver_mod.build_mesh(loc, eps, N, C_tau)
+        mesh = solver_mod.build_mesh(loc, eps, SOLVER_N, C_TAU)
         sol = solver_mod.newton_solve(replace(spec, eps=eps), mesh, e.u_as)
         d_max, _, _ = solver_mod.compare(sol, e.u_as)
         return d_max
 
-    measured = [one(eps) for eps in eps_ladder]
-    slope, _ = loglog_fit(eps_ladder, measured)
+    measured = [one(eps) for eps in SOLVER_EPS]
+    slope, _ = loglog_fit(SOLVER_EPS, measured)
     return SweepReport(name=f"solver-distance[{spec.name}]", parameter="eps",
-                       values=tuple(eps_ladder), measured=tuple(measured),
+                       values=SOLVER_EPS, measured=tuple(measured),
                        slope=slope, threshold=min_order,
                        passed=bool(slope >= min_order),
-                       details={"N": N, "C_tau": C_tau})
+                       details={"N": SOLVER_N, "C_tau": C_TAU})

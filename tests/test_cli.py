@@ -66,9 +66,17 @@ class TestUsageErrors:
         ["solve", "--n", "0"],
         ["solve", "--n", "-4"],
         ["all", "--eps", "0.5"],
+        ["expand", "--p", "nan"],
+        ["monotone", "--p", "nan"],
+        ["decay", "--p", "nan"],
+        ["solve", "--c-tau", "nan", "--n", "64"],
+        ["expand", "--pprime", "nan"],
+        ["expand", "--hhat", "nan"],
     ], ids=["expand-n", "expand-pprime", "monotone-pprime", "expand-hhat",
             "monotone-hhat", "check-n-grid", "solve-n-zero",
-            "solve-n-negative", "all-eps"])
+            "solve-n-negative", "all-eps", "expand-p-nan", "monotone-p-nan",
+            "decay-p-nan", "solve-c-tau-nan", "expand-pprime-nan",
+            "expand-hhat-nan"])
     def test_out_of_range_argument_is_one_usage_line(self, capsys, argv):
         code = cli.main(argv + ["--problem", "cubic"])
         captured = capsys.readouterr()
@@ -122,6 +130,21 @@ class TestUsageErrors:
         assert code == 1
         assert err.startswith("ProblemError: ")
         assert err.count("\n") == 1
+
+
+class TestJsonStrings:
+    def test_control_character_in_problem_name(self, capsys, tmp_path):
+        path = tmp_path / "tab.json"
+        path.write_text(json.dumps(dict(problem.BUILTIN_PROBLEMS["cubic"],
+                                        name="cubic\tv2")))
+        code, out = run(capsys, "locate", "--problem", str(path))
+        assert code == 0
+        assert json.loads(out)["problem"] == "cubic\tv2"
+
+    def test_strings_without_control_characters_keep_their_bytes(self):
+        text = 'a "quoted" back\\slash, \u00e9, \u2028 and \x7f'
+        assert cli.dumps(text) == ('"a \\"quoted\\" back\\\\slash, '
+                                   '\u00e9, \u2028 and \x7f"')
 
 
 class TestReports:

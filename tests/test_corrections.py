@@ -20,11 +20,8 @@ def small_grid(aux):
     return graded_half_grid(aux.kink.xi_max, 2000, 1e-3)
 
 
-def jump_solve(aux, psi, jm, jp, grid=None):
-    return corrections.solve_jump(
-        aux.chi, psi, jm, jp, small_grid(aux) if grid is None else grid,
-        chi_prime=aux.chi_prime, bs=aux.B_s, mu_minus=aux.kink.mu_minus,
-        mu_plus=aux.kink.mu_plus)
+def jump_solve(aux, psi, jm, jp):
+    return corrections.solve_jump(aux, psi, jm, jp, "nu", small_grid(aux))
 
 
 class TestSolveJump:
@@ -196,6 +193,36 @@ class TestV2:
         left = aux.u2_side[0] + v2.value(0.0, side=-1)
         right = aux.u2_side[1] + v2.value(0.0, side=1)
         assert abs(left - right) <= 1e-10
+
+
+class TestBranchRule:
+    def test_sides_of(self):
+        xi = np.array([-2.0, -0.0, 0.0, 3.0])
+        assert list(corrections.sides_of(xi)) == [-1, 1, 1, 1]
+        assert list(corrections.sides_of(xi, -1)) == [-1, -1, -1, -1]
+
+    def test_value_with_mixed_sides_matches_each_branch(self, cubic_terms):
+        _, terms = cubic_terms
+        xi = np.array([-3.0, 0.0, 0.0, 2.5, -1e3, 1e3, 0.7])
+        sides = np.array([-1, -1, 1, -1, 1, -1, 1])
+        for term in terms.values():
+            mixed = term.value(xi, sides)
+            for s in (-1, 1):
+                m = sides == s
+                assert np.array_equal(mixed[m], term.value(xi[m], s))
+
+    def test_one_grid_per_configuration(self, cubic, monkeypatch):
+        spec, loc, kk = cubic
+        calls = []
+        grid = corrections.graded_half_grid
+
+        def counted(*args):
+            calls.append(args)
+            return grid(*args)
+
+        monkeypatch.setattr(corrections, "graded_half_grid", counted)
+        corrections.build_terms(corrections.make_auxiliary(spec, kk, loc, 0.0))
+        assert len(calls) == 1
 
 
 class TestMatching:

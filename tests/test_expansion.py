@@ -86,6 +86,10 @@ class TestBeta:
             expansion.build_perturbed(cubic_e, pprime=0.2, hhat=0.0)
         with pytest.raises(ValueError, match="hhat"):
             expansion.build_perturbed(cubic_e, pprime=0.0, hhat=1.0)
+        with pytest.raises(ValueError, match="p'"):
+            expansion.build_perturbed(cubic_e, pprime=math.nan, hhat=0.0)
+        with pytest.raises(ValueError, match="hhat"):
+            expansion.build_perturbed(cubic_e, pprime=0.0, hhat=math.nan)
 
     def test_phi_beta_decomposition(self, cubic_e):
         pe = expansion.build_perturbed(cubic_e, pprime=0.003, hhat=0.05)
@@ -129,7 +133,7 @@ class TestCurvatureBound:
         assert C5 <= 1.05 * curv + 1e-9
         assert C0 == pytest.approx(1.0 / C5)
 
-    def test_degenerate_linear_reaction_guard(self, cubic, monkeypatch):
+    def test_degenerate_linear_reaction_guard(self, cubic, cubic_e):
         """A reaction linear in u has zero curvature: the floor and cap
         engage."""
         from layerforge import expr as ex
@@ -141,7 +145,8 @@ class TestCurvatureBound:
         aux = corrections.LayerAuxiliary(
             spec=linear, kink=kk, p=0.0, tbar1=0.0,
             u0_side=(kk.phi1_t0, kk.phi2_t0), du0_side=(0.0, 0.0),
-            ddu0_side=(0.0, 0.0), u2_side=(0.0, 0.0), bs0_side=(1.0, 1.0))
+            ddu0_side=(0.0, 0.0), u2_side=(0.0, 0.0), bs0_side=(1.0, 1.0),
+            grid=cubic_e.aux.grid)
         C5, C0 = expansion.estimate_C0(aux, kk)
         assert C5 == 1e-8
         assert C0 == 1e8
@@ -172,6 +177,8 @@ class TestTruncated:
             cubic_e.truncated(0.3, 64, 1.5)
         with pytest.raises(ValueError):
             cubic_e.truncated(0.3, 1, 2.5)
+        with pytest.raises(ValueError):
+            cubic_e.truncated(0.3, 64, math.nan)
 
 
 class TestResidual:

@@ -218,6 +218,11 @@ class TestEvaluators:
         with pytest.raises(ValueError):
             corrections.make_auxiliary(spec, kk, loc, 0.2, tbar1=0.0)
 
+    def test_shift_cap_rejects_nan(self, cubic):
+        spec, loc, kk = cubic
+        with pytest.raises(ValueError):
+            corrections.make_auxiliary(spec, kk, loc, float("nan"), tbar1=0.0)
+
     def test_chi_derivative_identities(self, cubic):
         spec, loc, kk = cubic
         aux = corrections.make_auxiliary(spec, kk, loc, 0.0, tbar1=0.0)

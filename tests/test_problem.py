@@ -1,5 +1,4 @@
 import json
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,9 +16,6 @@ CUBIC_JSON = {
     "g1": 1.0,
     "epsilon": 0.01,
 }
-
-
-PROBLEMS_DIR = Path(__file__).resolve().parents[1] / "problems"
 
 
 def write(tmp_path, data, raw=None):
@@ -75,11 +71,6 @@ class TestLoad:
         assert problem.builtin_problem("cubic-wavy").name == "cubic-wavy"
         with pytest.raises(problem.ProblemError):
             problem.builtin_problem("no-such-problem")
-
-    def test_shipped_files_match_builtins(self):
-        shipped = {path.stem: json.loads(path.read_text())
-                   for path in PROBLEMS_DIR.glob("*.json")}
-        assert shipped == problem.BUILTIN_PROBLEMS
 
     def test_resolve_accepts_paths(self, tmp_path):
         path = write(tmp_path, CUBIC_JSON)

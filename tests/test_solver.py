@@ -108,6 +108,8 @@ class TestMesh:
             solver.build_mesh(loc, 1e-2, 63, 2.5)
         with pytest.raises(ValueError):
             solver.build_mesh(loc, 1e-2, 64, 2.0)
+        with pytest.raises(ValueError):
+            solver.build_mesh(loc, 1e-2, 64, float("nan"))
 
 
 class TestNewton:
