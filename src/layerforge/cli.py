@@ -21,6 +21,7 @@ from .expansion import (HHAT_CAP, PPRIME_STAR, build_expansion,
                         build_perturbed)
 from .expr import DomainError, ParseError
 from .problem import ProblemError
+from .quadrature import QuadratureFailed
 
 SCHEMA_VERSION = 1
 
@@ -28,8 +29,8 @@ _ERRORS = (ProblemError, ParseError, DomainError, locator.NoSignChange,
            locator.WrongOrientation, locator.DegenerateRoot,
            kink.PotentialNegative, kink.AnchorOutOfRange,
            kink.ProfileIntegrationFailed,
-           corrections.NonDecayingSource, solver.NoConvergence,
-           solver.SingularJacobian, verify.AllZeros)
+           corrections.NonDecayingSource, QuadratureFailed,
+           solver.NoConvergence, solver.SingularJacobian, verify.AllZeros)
 
 
 class UsageError(ValueError):
@@ -137,9 +138,19 @@ def _pipeline(args):
     return (spec, *corrections.locate_and_match(spec))
 
 
+#: subcommands whose output does not depend on the problem's epsilon: the
+#: profile is epsilon-free, and the sweeps set their own epsilons
+_NO_EPS = ("dump-kink", "residual", "fbeta", "all")
+
+
 def _check_eps(args):
     eps = getattr(args, "eps", None)
-    if eps is not None and not 0.0 < eps < 1.0:
+    if eps is None:
+        return
+    if args.command in _NO_EPS:
+        raise UsageError(f"--eps does not apply to {args.command!r}, whose "
+                         "output does not depend on the problem's epsilon")
+    if not 0.0 < eps < 1.0:
         raise UsageError(f"--eps must lie in (0, 1), got {eps}")
 
 
@@ -194,7 +205,8 @@ def cmd_locate(args) -> int:
 
 
 def cmd_dump_kink(args) -> int:
-    spec, loc, kk = _pipeline(args)
+    spec = problem.resolve_problem(args.problem)
+    kk = kink.build_kink(spec, locator.locate_t0(spec))
     rows = list(zip(kk.xi, kk.v_table, kk.chi_table))
     _write_table(args, spec, ("xi", "V0", "chi"), rows)
     return 0
@@ -308,9 +320,6 @@ def cmd_compare(args) -> int:
 
 
 def cmd_all(args) -> int:
-    if args.eps is not None:
-        raise UsageError("--eps does not apply to 'all': each criterion sets "
-                         "its own epsilon")
     problems = (args.problem,) if args.problem != "all" else acceptance.PROBLEMS
     for name in problems:
         if name not in problem.BUILTIN_PROBLEMS:

@@ -179,7 +179,7 @@ class CorrectionTerm:
     mu_minus: float
     mu_plus: float
     psi_fn: object = field(repr=False, compare=False)
-    _spline_neg: CubicSpline = field(repr=False, compare=False)
+    _spline_neg: CubicSpline = field(repr=False, compare=False)  # on -xi
     _spline_pos: CubicSpline = field(repr=False, compare=False)
 
     def value(self, xi, side=None):
@@ -191,7 +191,7 @@ class CorrectionTerm:
         neg = sides < 0
         far = np.where(neg, a < -xi_max, a > xi_max)
         out = np.empty_like(a)
-        out[neg & ~far] = self._spline_neg(a[neg & ~far])
+        out[neg & ~far] = self._spline_neg(-a[neg & ~far])
         out[~neg & ~far] = self._spline_pos(a[~neg & ~far])
         s = sides[far]
         out[far] = (at_side((self.val_neg[0], self.val_pos[-1]), s)
@@ -205,71 +205,58 @@ def solve_jump(aux: LayerAuxiliary, psi, nu0_minus: float, nu0_plus: float,
     """Solve the two-branch jump problem of one configuration.
 
     The weight chi, its derivative, the coefficient B_s and the tail rates
-    come from `aux`; psi is a callable of (xi, side).  `grid` is the
-    ascending half-grid [0 .. Xi] (default `aux.grid`); the negative branch
-    uses its mirror image.  Inner integrals accumulate running trapezoid
-    sums once over each branch; the integral tails beyond the grid use the
-    analytic exponential rate of chi*psi.
+    come from `aux`; psi is a callable of (xi, side).  `grid` holds the
+    distances s = |xi| from the layer point, ascending from 0 (default
+    `aux.grid`); xi -> -xi maps one branch's problem onto the other's, so
+    each branch is one _half_line solve on xi = side * s.
     """
-    xi_pos = np.asarray(aux.grid if grid is None else grid, dtype=float)
-    xi_neg = -xi_pos[::-1]
-    mu_minus, mu_plus = aux.kink.mu_minus, aux.kink.mu_plus
-
-    chi_pos = np.asarray(aux.chi(xi_pos), dtype=float)
-    chi_neg = np.asarray(aux.chi(xi_neg), dtype=float)
-    psi_pos = np.asarray(psi(xi_pos, 1), dtype=float)
-    psi_neg = np.asarray(psi(xi_neg, -1), dtype=float)
-    chi0 = float(chi_pos[0])
+    s = np.asarray(aux.grid if grid is None else grid, dtype=float)
+    chi0 = float(aux.chi(0.0))
     dchi0 = float(aux.chi_prime(0.0))
-
-    _check_decay(xi_pos, psi_pos, chi_pos, label)
-    _check_decay(-xi_neg[::-1], psi_neg[::-1], chi_neg[::-1], label)
-
-    # negative branch: inner integral from -inf up to xi
-    g_neg = chi_neg * psi_neg
-    tail_neg = g_neg[0] / (2.0 * mu_minus)
-    inner_neg = tail_neg + cumtrapz_from_zero(g_neg, xi_neg)
-    r_neg = inner_neg / (chi_neg * chi_neg)
-    # outer integral from xi up to 0, accumulated backwards
-    outer_neg = cumtrapz_from_zero(r_neg, xi_neg)
-    outer_neg = outer_neg[-1] - outer_neg
-    val_neg = chi_neg * outer_neg + (nu0_minus / chi0) * chi_neg
-
-    # positive branch: inner integral from xi up to +inf, accumulated from
-    # the far end so the exponentially small tail survives the chi^-2 weight
-    g_pos = chi_pos * psi_pos
-    tail_pos = g_pos[-1] / (2.0 * mu_plus)
-    inner_pos = cumtrapz_to_end(g_pos, xi_pos) + tail_pos
-    r_pos = inner_pos / (chi_pos * chi_pos)
-    outer_pos = cumtrapz_from_zero(r_pos, xi_pos)
-    val_pos = chi_pos * outer_pos + (nu0_plus / chi0) * chi_pos
-
-    # jump data is exact at the table ends by construction
-    val_neg[-1] = nu0_minus
-    val_pos[0] = nu0_plus
-
-    phi_numerator = (-(inner_neg[-1] + inner_pos[0])
-                     + (nu0_minus - nu0_plus) * dchi0)
-    phi_value = phi_numerator / chi0
-
-    # end conditions: nu'' from the governing equation at both branch ends
-    ends = [0, -1]
-    d2_neg = (np.asarray(aux.B_s(xi_neg[ends]), dtype=float) * val_neg[ends]
-              - psi_neg[ends])
-    d2_pos = (np.asarray(aux.B_s(xi_pos[ends]), dtype=float) * val_pos[ends]
-              - psi_pos[ends])
-    spline_neg = CubicSpline(xi_neg, val_neg,
-                             bc_type=((2, d2_neg[0]), (2, d2_neg[1])))
-    spline_pos = CubicSpline(xi_pos, val_pos,
-                             bc_type=((2, d2_pos[0]), (2, d2_pos[1])))
-
-    return CorrectionTerm(label=label, xi_neg=xi_neg, val_neg=val_neg,
-                          xi_pos=xi_pos, val_pos=val_pos,
+    branch = {}
+    for side, mu, nu0 in ((1, aux.kink.mu_plus, nu0_plus),
+                          (-1, aux.kink.mu_minus, nu0_minus)):
+        xi = side * s
+        chi = np.asarray(aux.chi(xi), dtype=float)
+        psi_s = np.asarray(psi(xi, side), dtype=float)
+        _check_decay(s, psi_s, chi, label)
+        bs_ends = np.asarray(aux.B_s(xi[[0, -1]]), dtype=float)
+        branch[side] = _half_line(s, chi, psi_s, bs_ends, mu, nu0, chi0)
+    val_neg, inner_neg, spline_neg = branch[-1]
+    val_pos, inner_pos, spline_pos = branch[1]
+    phi_numerator = -(inner_neg + inner_pos) + (nu0_minus - nu0_plus) * dchi0
+    return CorrectionTerm(label=label, xi_neg=-s[::-1], val_neg=val_neg[::-1],
+                          xi_pos=s, val_pos=val_pos,
                           jump_minus=float(nu0_minus), jump_plus=float(nu0_plus),
                           phi_numerator=float(phi_numerator),
-                          phi_value=float(phi_value), chi0=chi0, dchi0=dchi0,
-                          mu_minus=mu_minus, mu_plus=mu_plus, psi_fn=psi,
+                          phi_value=float(phi_numerator / chi0), chi0=chi0,
+                          dchi0=dchi0, mu_minus=aux.kink.mu_minus,
+                          mu_plus=aux.kink.mu_plus, psi_fn=psi,
                           _spline_neg=spline_neg, _spline_pos=spline_pos)
+
+
+def _half_line(s, chi, psi, bs_ends, mu, nu0, chi0):
+    """One branch of the jump problem, on the distance s from the layer point.
+
+    Solves -nu'' + B_s nu = psi for s > 0 with nu(0) = nu0 and decay at
+    infinity, where chi (decaying in s) is the homogeneous solution:
+
+        nu(s) = chi(s) [nu0 / chi0 + int_0^s chi^-2 int_t^inf chi psi].
+
+    The inner integral starts from the analytic tail of chi*psi past the
+    grid and is summed from the far end, so its exponentially small values
+    survive the chi^-2 weight; the outer one is summed outward from 0.
+    Returns the values (exactly nu0 at s = 0), the integral of chi*psi over
+    the half-line, and the spline on s, its end nu'' from the equation.
+    """
+    g = chi * psi
+    inner = cumtrapz_to_end(g, s) + g[-1] / (2.0 * mu)
+    outer = cumtrapz_from_zero(inner / (chi * chi), s)
+    val = chi * outer + (nu0 / chi0) * chi
+    val[0] = nu0
+    d2 = bs_ends * val[[0, -1]] - psi[[0, -1]]
+    spline = CubicSpline(s, val, bc_type=((2, d2[0]), (2, d2[1])))
+    return val, float(inner[0]), spline
 
 
 def _check_decay(xi_abs, psi, chi, label):

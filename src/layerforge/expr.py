@@ -21,6 +21,12 @@ import numpy as np
 FUNCTIONS = ("sin", "cos", "exp", "ln", "tanh", "sqrt")
 VARIABLES = ("x", "u")
 
+#: deepest nesting (brackets, calls, unary minus) and tallest tree that
+#: parse accepts: the parser and the tree walks (differentiation,
+#: evaluation, printing) recurse once per level.  The shipped and generated
+#: problems parse to at most 9 levels.
+MAX_DEPTH = 64
+
 
 class ParseError(ValueError):
     """Syntax or identifier error, with the byte offset of the offender."""
@@ -80,6 +86,33 @@ class Call(Expr):
 
 ZERO = Const(0.0)
 ONE = Const(1.0)
+
+
+def _children(e: Expr) -> tuple:
+    """The subtrees of a node (empty for a leaf)."""
+    if isinstance(e, BinOp):
+        return (e.left, e.right)
+    if isinstance(e, Pow):
+        return (e.base,)
+    if isinstance(e, (Neg, Call)):
+        return (e.arg,)
+    return ()
+
+
+def height(e: Expr) -> int:
+    """Levels of the tree (1 for a leaf), counted without recursion so that
+    trees too tall for the recursive walks can be measured."""
+    heights = {}
+    stack = [e]
+    while stack:
+        kids = _children(stack[-1])
+        todo = [k for k in kids if id(k) not in heights]
+        if todo:
+            stack.extend(todo)
+            continue
+        heights[id(stack.pop())] = 1 + max(
+            (heights[id(k)] for k in kids), default=0)
+    return heights[id(e)]
 
 
 def _is_const(e: Expr, value=None) -> bool:
@@ -206,6 +239,17 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.nesting = 0
+        self.heights = {}   # id(node) -> height, for the inner nodes built
+
+    def node(self, e: Expr, offset: int) -> Expr:
+        """A new inner node, refused when its tree grows past MAX_DEPTH."""
+        h = 1 + max(self.heights.get(id(k), 1) for k in _children(e))
+        if h > MAX_DEPTH:
+            raise ParseError(
+                f"expression nested deeper than {MAX_DEPTH} levels", offset)
+        self.heights[id(e)] = h
+        return e
 
     def peek(self):
         return self.tokens[self.pos]
@@ -231,31 +275,39 @@ class _Parser:
     def sum(self) -> Expr:
         e = self.product()
         while True:
-            kind, value, _ = self.peek()
+            kind, value, offset = self.peek()
             if kind == _TOK_OP and value in "+-":
                 self.advance()
                 rhs = self.product()
-                e = BinOp(value, e, rhs)
+                e = self.node(BinOp(value, e, rhs), offset)
             else:
                 return e
 
     def product(self) -> Expr:
         e = self.unary()
         while True:
-            kind, value, _ = self.peek()
+            kind, value, offset = self.peek()
             if kind == _TOK_OP and value in "*/":
                 self.advance()
                 rhs = self.unary()
-                e = BinOp(value, e, rhs)
+                e = self.node(BinOp(value, e, rhs), offset)
             else:
                 return e
 
     def unary(self) -> Expr:
-        kind, value, _ = self.peek()
+        # every recursive path of the grammar passes through here
+        kind, value, offset = self.peek()
+        self.nesting += 1
+        if self.nesting > MAX_DEPTH:
+            raise ParseError(
+                f"expression nested deeper than {MAX_DEPTH} levels", offset)
         if kind == _TOK_OP and value == "-":
             self.advance()
-            return Neg(self.unary())
-        return self.power()
+            e = self.node(Neg(self.unary()), offset)
+        else:
+            e = self.power()
+        self.nesting -= 1
+        return e
 
     def power(self) -> Expr:
         base = self.atom()
@@ -263,7 +315,7 @@ class _Parser:
             kind, value, offset = self.peek()
             if kind == _TOK_OP and value == "^":
                 self.advance()
-                base = Pow(base, self._int_exponent())
+                base = self.node(Pow(base, self._int_exponent()), offset)
             else:
                 return base
 
@@ -293,7 +345,7 @@ class _Parser:
                 self.expect_op("(")
                 arg = self.sum()
                 self.expect_op(")")
-                return Call(value, arg)
+                return self.node(Call(value, arg), offset)
             raise ParseError(f"unknown identifier {value!r}", offset)
         if kind == _TOK_OP and value == "(":
             e = self.sum()
@@ -411,15 +463,7 @@ def substitute(e: Expr, var: str, replacement: Expr) -> Expr:
 def uses_variable(e: Expr, var: str) -> bool:
     if isinstance(e, Var):
         return e.name == var
-    if isinstance(e, Neg):
-        return uses_variable(e.arg, var)
-    if isinstance(e, BinOp):
-        return uses_variable(e.left, var) or uses_variable(e.right, var)
-    if isinstance(e, Pow):
-        return uses_variable(e.base, var)
-    if isinstance(e, Call):
-        return uses_variable(e.arg, var)
-    return False
+    return any(uses_variable(k, var) for k in _children(e))
 
 
 # ---------------------------------------------------------------------------

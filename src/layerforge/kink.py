@@ -43,7 +43,8 @@ class AnchorOutOfRange(RuntimeError):
 
 
 class ProfileIntegrationFailed(RuntimeError):
-    """The profile quadrature met a non-positive or non-finite potential."""
+    """The profile quadrature met a non-positive or non-finite potential, or
+    the tabulated weight is not positive."""
 
 
 #: within this distance of a root the potential switches to its Taylor form
@@ -287,6 +288,12 @@ def build_kink(spec: ProblemSpec, loc: LayerLocation,
     # slope table from the first integral itself: this ties the tabulated
     # weight to the potential exactly at every node
     chi_table = np.sqrt(np.maximum(2.0 * pot.w(v_table), 0.0))
+    if not np.all(chi_table > 0.0):
+        bad = np.flatnonzero(~(chi_table > 0.0))
+        i = bad[np.argmin(np.abs(xi[bad]))]
+        raise ProfileIntegrationFailed(
+            f"profile weight is {chi_table[i]:.3e} at xi={xi[i]:.6g}: the "
+            "profile reaches a root inside the table")
     b_table = ex.evaluate(spec.b, t0, v_table)
 
     v_interp = CubicHermiteSpline(xi, v_table, chi_table)

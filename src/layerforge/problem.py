@@ -13,6 +13,13 @@ from . import expr as ex
 
 _REQUIRED_FIELDS = ("name", "b", "phi0", "phi1", "phi2", "g0", "g1", "epsilon")
 
+#: tallest derived tree (partial, root derivative, smooth correction) a
+#: problem may carry: evaluation and differentiation recurse once per level.
+#: Each derivative of a parsed tree (at most expr.MAX_DEPTH) can add a few
+#: levels per level of its input; the shipped and generated problems derive
+#: trees of at most 20 levels.
+MAX_DERIVED_DEPTH = 4 * ex.MAX_DEPTH
+
 #: the shipped instances, one per problems/<name>.json, in name order
 BUILTIN_PROBLEMS = {
     path.stem: json.loads(path.read_text(encoding="utf-8"))
@@ -61,23 +68,27 @@ class ProblemSpec:
             for i in range(total + 1):
                 j = total - i
                 if i > 0:
-                    partials[(i, j)] = ex.differentiate(partials[(i - 1, j)], "x")
+                    d = ex.differentiate(partials[(i - 1, j)], "x")
                 else:
-                    partials[(i, j)] = ex.differentiate(partials[(i, j - 1)], "u")
+                    d = ex.differentiate(partials[(i, j - 1)], "u")
+                partials[(i, j)] = _bounded(d, f"b partial {(i, j)}")
         object.__setattr__(self, "b_partials", partials)
         derivs = []
-        for root in (self.phi0, self.phi1, self.phi2):
+        for label, root in (("phi0", self.phi0), ("phi1", self.phi1),
+                            ("phi2", self.phi2)):
             chain = [root]
-            for _ in range(4):
-                chain.append(ex.differentiate(chain[-1], "x"))
+            for m in range(1, 5):
+                chain.append(_bounded(ex.differentiate(chain[-1], "x"),
+                                      f"derivative {m} of {label}"))
             derivs.append(tuple(chain))
         object.__setattr__(self, "phi_derivs", tuple(derivs))
         u2_exprs = []
         for k in (1, 2):
             den = ex.substitute(partials[(0, 1)], "u", derivs[k][0])
-            u2 = ex.div(derivs[k][2], den)
-            du2 = ex.differentiate(u2, "x")
-            u2_exprs.append((u2, du2, ex.differentiate(du2, "x")))
+            u2 = _bounded(ex.div(derivs[k][2], den), f"u2 of phi{k}")
+            du2 = _bounded(ex.differentiate(u2, "x"), f"u2' of phi{k}")
+            u2_exprs.append((u2, du2, _bounded(ex.differentiate(du2, "x"),
+                                               f"u2'' of phi{k}")))
         object.__setattr__(self, "u2_exprs", tuple(u2_exprs))
 
     # -- evaluators ---------------------------------------------------------
@@ -89,6 +100,15 @@ class ProblemSpec:
     def phi(self, k: int, x, order: int = 0):
         """Evaluate the order-th x-derivative of root k at x."""
         return ex.evaluate(self.phi_derivs[k][order], x, 0.0)
+
+
+def _bounded(e: ex.Expr, label: str) -> ex.Expr:
+    """e, unless its tree is taller than MAX_DERIVED_DEPTH."""
+    levels = ex.height(e)
+    if levels > MAX_DERIVED_DEPTH:
+        raise ProblemError(f"{label} is {levels} levels deep, above the "
+                           f"limit of {MAX_DERIVED_DEPTH}")
+    return e
 
 
 def _number(data: dict, key: str) -> float:

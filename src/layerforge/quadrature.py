@@ -25,12 +25,26 @@ def gl_fixed(f, a: float, b: float, n: int = 32) -> float:
     return half * float(np.dot(w, f(mid + half * x)))
 
 
+class QuadratureFailed(RuntimeError):
+    """Adaptive quadrature met a non-finite estimate or its depth cap."""
+
+
+#: bisection depth at which adaptive_gl gives up
+MAX_DEPTH = 40
+
+#: a gap within this many ulps of |left| + |right| is roundoff, which no
+#: bisection can reduce (one ulp of an integral of 1e13 is 2e-3)
+_ROUNDOFF_ULPS = 64
+
+
 def adaptive_gl(f, a: float, b: float, tol: float = 1e-12, _depth: int = 0) -> float:
     """Adaptive Gauss-Legendre integral with absolute tolerance `tol`.
 
     Bisects until the 15-point estimate of an interval agrees with the sum
-    of the two half-interval estimates.  Recursion depth is capped; smooth
-    integrands converge long before the cap.
+    of the two half-interval estimates, to within `tol` or to within the
+    roundoff floor of that sum.  Raises QuadratureFailed on a non-finite
+    estimate or when an interval still disagrees at depth MAX_DEPTH;
+    smooth integrands converge long before the cap.
     """
     if a == b:
         return 0.0
@@ -38,8 +52,17 @@ def adaptive_gl(f, a: float, b: float, tol: float = 1e-12, _depth: int = 0) -> f
     mid = 0.5 * (a + b)
     left = gl_fixed(f, a, mid, 15)
     right = gl_fixed(f, mid, b, 15)
-    if abs(whole - (left + right)) <= tol or _depth >= 40:
+    if not np.isfinite(whole + left + right):
+        raise QuadratureFailed(f"non-finite integral estimate on "
+                               f"[{a:.17g}, {b:.17g}]")
+    gap = abs(whole - (left + right))
+    floor = _ROUNDOFF_ULPS * np.finfo(float).eps * (abs(left) + abs(right))
+    if gap <= tol or gap <= floor:
         return left + right
+    if _depth >= MAX_DEPTH:
+        raise QuadratureFailed(
+            f"adaptive quadrature reached depth {MAX_DEPTH} on "
+            f"[{a:.17g}, {b:.17g}] with gap {gap:.3e} (tol {tol:.3e})")
     return (adaptive_gl(f, a, mid, 0.5 * tol, _depth + 1)
             + adaptive_gl(f, mid, b, 0.5 * tol, _depth + 1))
 

@@ -7,7 +7,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from layerforge import cli, kink, problem
+from layerforge import cli, corrections, kink, problem
+
+
+CUBIC_B = problem.BUILTIN_PROBLEMS["cubic"]["b"]
+
+
+def _cubic_with(**fields):
+    """The cubic's problem file with some fields replaced, as JSON text."""
+    return json.dumps(dict(problem.BUILTIN_PROBLEMS["cubic"], **fields))
 
 
 def run(capsys, *argv):
@@ -72,11 +80,14 @@ class TestUsageErrors:
         ["solve", "--c-tau", "nan", "--n", "64"],
         ["expand", "--pprime", "nan"],
         ["expand", "--hhat", "nan"],
+        ["dump-kink", "--eps", "0.5"],
+        ["residual", "--eps", "0.5"],
+        ["fbeta", "--eps", "0.5"],
     ], ids=["expand-n", "expand-pprime", "monotone-pprime", "expand-hhat",
             "monotone-hhat", "check-n-grid", "solve-n-zero",
             "solve-n-negative", "all-eps", "expand-p-nan", "monotone-p-nan",
             "decay-p-nan", "solve-c-tau-nan", "expand-pprime-nan",
-            "expand-hhat-nan"])
+            "expand-hhat-nan", "dump-kink-eps", "residual-eps", "fbeta-eps"])
     def test_out_of_range_argument_is_one_usage_line(self, capsys, argv):
         code = cli.main(argv + ["--problem", "cubic"])
         captured = capsys.readouterr()
@@ -105,16 +116,20 @@ class TestUsageErrors:
 
     @pytest.mark.parametrize("text, error", [
         ('{"name": "bad", "b": ', "ProblemError"),
-        (json.dumps(dict(problem.BUILTIN_PROBLEMS["cubic"], epsilon="abc")),
-         "ProblemError"),
-        (json.dumps(dict(problem.BUILTIN_PROBLEMS["cubic"],
-                         b="u*(u-(0.75-0.5*x))*(u-1)*sqrt(x-0.5)")),
-         "DomainError"),
-        (json.dumps(dict(problem.BUILTIN_PROBLEMS["cubic"],
-                         b="u*(u-(0.75-0.5*x))*(u-1)+0*(1e200^2)")),
-         "DomainError"),
-    ], ids=["malformed-json", "non-numeric-epsilon", "reaction-domain",
-            "scalar-power-overflow"])
+        (_cubic_with(b="+".join(["u"] * 3000)), "ParseError"),
+        (_cubic_with(b="(" * 200 + "u" + ")" * 200), "ParseError"),
+        (_cubic_with(b="-" * 2000 + "u"), "ParseError"),
+        (_cubic_with(b="u" + "^1" * 3000), "ParseError"),
+        (_cubic_with(b="/".join(["u"] * 40)), "ProblemError"),
+        (_cubic_with(b=CUBIC_B + "*exp(30*u)"), "NoSignChange"),
+        (_cubic_with(b=CUBIC_B + "*exp(3*u)"), "ProfileIntegrationFailed"),
+        (_cubic_with(epsilon="abc"), "ProblemError"),
+        (_cubic_with(b=CUBIC_B + "*sqrt(x-0.5)"), "DomainError"),
+        (_cubic_with(b=CUBIC_B + "+0*(1e200^2)"), "DomainError"),
+    ], ids=["malformed-json", "sum-of-3000-terms", "200-nested-brackets",
+            "2000-unary-minuses", "3000-powers", "deep-third-partial",
+            "large-area-integrand", "underflowing-weight",
+            "non-numeric-epsilon", "reaction-domain", "scalar-power-overflow"])
     def test_bad_problem_file_is_one_line(self, capsys, tmp_path, text, error):
         path = tmp_path / "bad.json"
         path.write_text(text)
@@ -135,8 +150,7 @@ class TestUsageErrors:
 class TestJsonStrings:
     def test_control_character_in_problem_name(self, capsys, tmp_path):
         path = tmp_path / "tab.json"
-        path.write_text(json.dumps(dict(problem.BUILTIN_PROBLEMS["cubic"],
-                                        name="cubic\tv2")))
+        path.write_text(_cubic_with(name="cubic\tv2"))
         code, out = run(capsys, "locate", "--problem", str(path))
         assert code == 0
         assert json.loads(out)["problem"] == "cubic\tv2"
@@ -164,6 +178,17 @@ class TestReports:
         code, out = run(capsys, "check", "--problem", str(path))
         assert code == 1
         assert json.loads(out)["checks"]["A6"]["passed"] is False
+
+    def test_dump_kink_builds_only_the_profile(self, capsys, monkeypatch):
+        _, expected = run(capsys, "dump-kink", "--problem", "cubic")
+
+        def unused(*args):
+            raise AssertionError("dump-kink ran the matching")
+
+        monkeypatch.setattr(corrections, "compute_matching", unused)
+        code, out = run(capsys, "dump-kink", "--problem", "cubic")
+        assert code == 0
+        assert out == expected
 
     def test_dump_kink_csv(self, capsys):
         code, out = run(capsys, "dump-kink", "--problem", "cubic")

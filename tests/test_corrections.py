@@ -60,6 +60,17 @@ class TestSolveJump:
                    lambda xi, side: cubic_aux.chi(xi) * (1.0 + xi ** 4),
                    0.0, 0.0)
 
+    def test_cubic_branches_keep_their_parity(self, cubic_terms):
+        """On the symmetric cubic v1, v2 and z are odd and vstar is even;
+        both branches are summed alike, so parity holds to roundoff."""
+        _, terms = cubic_terms
+        for label, parity in (("v1", -1), ("v2", -1), ("vstar", 1),
+                              ("z", -1)):
+            term = terms[label]
+            assert np.array_equal(term.xi_neg[::-1], -term.xi_pos)
+            gap = np.max(np.abs(term.val_neg[::-1] - parity * term.val_pos))
+            assert gap <= 5e-12, label
+
     def test_jump_data_exact_at_table_ends(self, cubic_terms):
         _, terms = cubic_terms
         v2 = terms["v2"]

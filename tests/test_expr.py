@@ -8,22 +8,10 @@ from layerforge import kernels
 B_CUBIC = "u*(u-(0.75-0.5*x))*(u-1)"
 
 
-def depth(e):
-    if isinstance(e, (ex.Const, ex.Var)):
-        return 1
-    if isinstance(e, ex.Neg):
-        return 1 + depth(e.arg)
-    if isinstance(e, ex.BinOp):
-        return 1 + max(depth(e.left), depth(e.right))
-    if isinstance(e, ex.Pow):
-        return 1 + depth(e.base)
-    return 1 + depth(e.arg)
-
-
 class TestParse:
     def test_cubic_reaction_parses(self):
         e = ex.parse("u*(u-1)*(u-(0.75-0.5*x))")
-        assert depth(e) >= 4
+        assert ex.height(e) == 5
 
     def test_double_star_rejected(self):
         with pytest.raises(ex.ParseError):
@@ -37,6 +25,31 @@ class TestParse:
         with pytest.raises(ex.ParseError) as err:
             ex.parse("x + @")
         assert err.value.offset == 4
+
+    @pytest.mark.parametrize("op", ["+", "*", "^"])
+    def test_chain_height_is_bounded_with_offset(self, op):
+        unit = op + ("1" if op == "^" else "u")
+        ex.parse("u" + unit * (ex.MAX_DEPTH - 1))
+        with pytest.raises(ex.ParseError, match="deeper") as err:
+            ex.parse("u" + unit * 3000)
+        # the operator that makes the tree one level too tall
+        assert err.value.offset == 1 + 2 * (ex.MAX_DEPTH - 1)
+
+    @pytest.mark.parametrize("opener, closer", [
+        ("-", ""), ("(", ")"), ("sin(", ")"),
+    ], ids=["unary-minus", "brackets", "calls"])
+    def test_nesting_is_bounded_with_offset(self, opener, closer):
+        ex.parse(opener * (ex.MAX_DEPTH - 1) + "u"
+                 + closer * (ex.MAX_DEPTH - 1))
+        with pytest.raises(ex.ParseError, match="deeper") as err:
+            ex.parse(opener * 2000 + "u" + closer * 2000)
+        assert err.value.offset == len(opener) * ex.MAX_DEPTH
+
+    def test_height_needs_no_recursion(self):
+        e = ex.Var("u")
+        for _ in range(5000):
+            e = ex.Neg(e)
+        assert ex.height(e) == 5001
 
     def test_empty_rejected(self):
         with pytest.raises(ex.ParseError):
