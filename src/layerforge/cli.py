@@ -30,7 +30,8 @@ _ERRORS = (ProblemError, ParseError, DomainError, locator.NoSignChange,
            kink.PotentialNegative, kink.AnchorOutOfRange,
            kink.ProfileIntegrationFailed,
            corrections.NonDecayingSource, QuadratureFailed,
-           solver.NoConvergence, solver.SingularJacobian, verify.AllZeros)
+           solver.NoConvergence, solver.SingularJacobian, verify.AllZeros,
+           FloatingPointError)
 
 
 class UsageError(ValueError):
@@ -447,7 +448,9 @@ def main(argv=None) -> int:
         print(f"usage error: {err}", file=sys.stderr)
         return 2
     try:
-        return args.fn(args)
+        # float faults end the run as one typed line, not numpy warnings
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            return args.fn(args)
     except UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return 2

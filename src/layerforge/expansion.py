@@ -168,7 +168,6 @@ class PerturbedExpansion:
     vstar: CorrectionTerm = field(repr=False)
     z: CorrectionTerm = field(repr=False)
     C0: float
-    C5: float
 
     @property
     def eps(self) -> float:
@@ -213,8 +212,7 @@ class PerturbedExpansion:
                      + self.hhat ** 2 * self.z.phi_value)
 
 
-def estimate_C0(aux: LayerAuxiliary, kink: KinkProfile,
-                eps: float | None = None):
+def estimate_C0(aux: LayerAuxiliary, eps: float | None = None):
     """(C5, C0): bound on the curvature ratio of the shifted reaction and
     the perturbation offset it dictates.
 
@@ -227,7 +225,7 @@ def estimate_C0(aux: LayerAuxiliary, kink: KinkProfile,
     t0 = aux.t0
     if eps is None:
         eps = spec.eps
-    half = graded_half_grid(kink.xi_max, 400, 1e-2)[1:]
+    half = graded_half_grid(aux.kink.xi_max, 400, 1e-2)[1:]
     xi = np.concatenate([-half[::-1], half])
     x_layer = t0 + eps * xi
     x = np.unique(np.concatenate([np.linspace(1e-4, 1.0 - 1e-4, 801),
@@ -264,7 +262,6 @@ def build_perturbed(base: Expansion, pprime: float,
             f"{HHAT_CAP * base.eps:.3g}")
     vstar = build_vstar(base.aux)
     z = build_z(base.aux)
-    C5, C0 = estimate_C0(base.aux, base.kink, eps=base.eps)
+    _, C0 = estimate_C0(base.aux, eps=base.eps)
     return PerturbedExpansion(base=base, pprime=float(pprime),
-                              hhat=float(hhat), vstar=vstar, z=z,
-                              C0=C0, C5=C5)
+                              hhat=float(hhat), vstar=vstar, z=z, C0=C0)

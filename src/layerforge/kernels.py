@@ -1,8 +1,8 @@
-"""Numeric kernels: the potential, the kink nodes and the tridiagonal solve.
+"""Numeric kernels: the kink nodes and the tridiagonal solve.
 
-The reaction term is evaluated by the expression tree walk of expr.evaluate;
-the potential and the kink nodes are computed in one batched numpy pass
-each; the tridiagonal solve is LAPACK's LU with partial pivoting.
+The kink nodes are computed in one batched numpy pass over the potential
+table of kink.py; the tridiagonal solve is LAPACK's LU with partial
+pivoting.
 """
 
 from __future__ import annotations
@@ -18,52 +18,6 @@ from .quadrature import gl_rule
 
 #: no kernel is compiled; perfbench/run.py records this flag with each run
 USE_NUMBA = False
-
-
-# ---------------------------------------------------------------------------
-# Two-sided potential evaluation from precomputed panel integrals.
-#
-# The potential integrates the reaction term at the layer point from the
-# lower reduced root.  Panels cover [root_lo, root_hi]; prefix[j] sums the
-# panels below edge j and suffix[j] sums the panels from edge j upward
-# (accumulated top-down so the upper tail keeps full relative accuracy).
-# Values above the interval midpoint are assembled from the top, as minus
-# the integral up to the upper root, so the potential stays relatively
-# accurate where it vanishes quadratically.  That takes the structural zero
-# W(root_hi) = 0 as exact: the located layer point leaves an O(1e-16)
-# residual in the whole integral, far below every tolerance, which as an
-# absolute offset would swamp the quadratic vanishing.  Within `taylor_dist`
-# of either root the value switches to the quartic Taylor expansion with the
-# exact derivative coefficients `taylor` = (c1-, c2-, c3-, c1+, c2+, c3+).
-
-
-def eval_potential(b, t0, edges, prefix, suffix, taylor,
-                   taylor_dist, glx, glw, v):
-    """W(v) at every point of v, as a 1-D array, for the reaction Expr b."""
-    v = np.atleast_1d(np.asarray(v, dtype=float))
-    m = edges.size - 1
-    j = np.clip(np.searchsorted(edges, v) - 1, 0, m - 1)
-    upper = v > 0.5 * (edges[0] + edges[m])
-    a = np.where(upper, edges[j + 1], edges[j])
-    half = 0.5 * np.where(upper, a - v, v - a)
-    mid = 0.5 * (a + v)
-    pts = mid[:, None] + half[:, None] * glx[None, :]
-    seg = half * (eval_program_array(b, t0, pts) @ glw)
-    out = np.where(upper, -(seg + suffix[j + 1]), prefix[j] + seg)
-
-    d_lo = v - edges[0]
-    near = np.abs(d_lo) < taylor_dist
-    if near.any():
-        d = d_lo[near]
-        out[near] = d * d * (0.5 * taylor[0]
-                             + d * (taylor[1] / 6.0 + d * taylor[2] / 24.0))
-    d_hi = edges[m] - v
-    near = np.abs(d_hi) < taylor_dist
-    if near.any():
-        d = d_hi[near]
-        out[near] = d * d * (0.5 * taylor[3]
-                             - d * (taylor[4] / 6.0 - d * taylor[5] / 24.0))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -86,9 +40,9 @@ KINK_INTERVALS = 600
 KINK_GL_ORDER = 8
 
 
-def integrate_kink(b, t0, edges, prefix, suffix, taylor,
-                   taylor_dist, glx, glw, anchor, target, switch_eps):
-    """Profile nodes from the anchor toward `target`.
+def integrate_kink(pot, anchor, target, switch_eps):
+    """Profile nodes from the anchor toward `target` on the potential table
+    `pot` (a kink.PotentialTable).
 
     Returns (s, v, chi, b(t0, v), count, status): `count` nodes with s
     strictly increasing from 0 at the anchor, the last node switch_eps from
@@ -103,8 +57,7 @@ def integrate_kink(b, t0, edges, prefix, suffix, taylor,
     d = np.exp(np.concatenate([tau, tau_q.ravel()]))
     v_all = target - direction * d
     v_all[0] = anchor
-    w = eval_potential(b, t0, edges, prefix, suffix, taylor,
-                       taylor_dist, glx, glw, v_all)
+    w = pot.w(v_all)
     empty = np.empty(0)
     if not np.all(np.isfinite(w)):
         return empty, empty, empty, empty, 0, 2
@@ -117,7 +70,7 @@ def integrate_kink(b, t0, edges, prefix, suffix, taylor,
     ds = -half * ((d[n:] / chi_all[n:]).reshape(tau_q.shape) @ qw)
     s = np.concatenate([[0.0], np.cumsum(ds)])
     v = v_all[:n]
-    return s, v, chi_all[:n], eval_program_array(b, t0, v), n, 0
+    return s, v, chi_all[:n], eval_program_array(pot.b, pot.t0, v), n, 0
 
 
 def thomas_solve(lower, diag, upper, rhs, pivot_tol):

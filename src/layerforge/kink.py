@@ -19,7 +19,7 @@ from scipy.interpolate import CubicHermiteSpline
 
 from . import expr as ex
 from .grids import graded_half_grid
-from .kernels import eval_potential, eval_program_array, integrate_kink
+from .kernels import eval_program_array, integrate_kink
 from .locator import LayerLocation
 from .problem import ProblemSpec
 from .quadrature import gl_fixed, gl_rule
@@ -55,12 +55,20 @@ _TAYLOR_DIST = 1e-5
 class PotentialTable:
     """Panel-decomposed potential W(v) between the outer roots.
 
-    Panel integrals are accumulated both bottom-up and top-down so W keeps
-    full relative accuracy near both roots, where it vanishes quadratically.
-    Within _TAYLOR_DIST of a root even that is not enough (the quadratic is
-    below the quadrature roundoff), so the value switches to the quartic
-    Taylor expansion at the root, whose coefficients are exact symbolic
-    partials of the reaction term.
+    W integrates the reaction term at the layer point from the lower root.
+    Panels cover [root_lo, root_hi]; prefix[j] sums the panels below edge j
+    and suffix[j] the panels from edge j upward (accumulated top-down so the
+    upper tail keeps full relative accuracy).  Values above the interval
+    midpoint are assembled from the top, as minus the integral up to the
+    upper root, so W stays relatively accurate where it vanishes
+    quadratically.  That takes the structural zero W(root_hi) = 0 as exact:
+    the located layer point leaves an O(1e-16) residual in the whole
+    integral, far below every tolerance, which as an absolute offset would
+    swamp the quadratic vanishing.  Within _TAYLOR_DIST of a root even that
+    is not enough (the quadratic is below the quadrature roundoff), so the
+    value switches to the quartic Taylor expansion in the signed distance
+    d = v - root, whose coefficients are exact symbolic partials of the
+    reaction term.
     """
 
     b: ex.Expr
@@ -68,31 +76,40 @@ class PotentialTable:
     edges: np.ndarray
     prefix: np.ndarray
     suffix: np.ndarray
-    total: float
-    glx: np.ndarray
-    glw: np.ndarray
-    taylor: np.ndarray  # (b_u, b_uu, b_uuu) at the lower, then upper root
-
-    def kernel_args(self) -> tuple:
-        """The table as the leading arguments of the potential kernels."""
-        return (self.b, self.t0, self.edges, self.prefix,
-                self.suffix, self.taylor, _TAYLOR_DIST, self.glx, self.glw)
+    taylor: np.ndarray  # rows (b_u, b_uu, b_uuu) at the lower, upper root
 
     def w(self, v):
         """W(v) for scalar or array v."""
-        return ex.shaped_like(eval_potential(*self.kernel_args(), v), v)
+        a = np.atleast_1d(np.asarray(v, dtype=float))
+        edges = self.edges
+        m = edges.size - 1
+        j = np.clip(np.searchsorted(edges, a) - 1, 0, m - 1)
+        upper = a > 0.5 * (edges[0] + edges[m])
+        start = np.where(upper, edges[j + 1], edges[j])
+        half = 0.5 * np.where(upper, start - a, a - start)
+        mid = 0.5 * (start + a)
+        glx, glw = gl_rule(_GL_ORDER)
+        pts = mid[:, None] + half[:, None] * glx[None, :]
+        seg = half * (eval_program_array(self.b, self.t0, pts) @ glw)
+        out = np.where(upper, -(seg + self.suffix[j + 1]), self.prefix[j] + seg)
+        for root, (b_u, b_uu, b_uuu) in zip((edges[0], edges[m]), self.taylor):
+            d = a - root
+            near = np.abs(d) < _TAYLOR_DIST
+            if near.any():
+                d = d[near]
+                out[near] = d * d * (0.5 * b_u
+                                     + d * (b_uu / 6.0 + d * b_uuu / 24.0))
+        return ex.shaped_like(out, v)
 
 
 @dataclass(frozen=True)
 class KinkProfile:
     """Tabulated monotone profile with analytic exponential tails."""
 
-    spec: ProblemSpec = field(repr=False)
     potential: PotentialTable = field(repr=False)
     t0: float
     phi1_t0: float
     phi2_t0: float
-    anchor: float          # profile value at argument 0 (the middle root)
     mu_minus: float        # tail rate toward the lower root
     mu_plus: float         # tail rate toward the upper root
     gamma_bar: float
@@ -111,34 +128,29 @@ class KinkProfile:
 
     def value(self, s):
         """Profile value at unshifted argument s (scalar or array)."""
-        a = np.atleast_1d(np.asarray(s, dtype=float))
-        out = np.empty_like(a)
-        left = a < -self.xi_max
-        right = a > self.xi_max
-        mid = ~(left | right)
-        if mid.any():
-            out[mid] = self._v_interp(a[mid])
-        if left.any():
-            out[left] = self.phi1_t0 + self.A_minus * np.exp(self.mu_minus * a[left])
-        if right.any():
-            out[right] = self.phi2_t0 - self.A_plus * np.exp(-self.mu_plus * a[right])
-        return ex.shaped_like(out, s)
+        return self._table_or_tail(s, self._v_interp,
+                                   (self.phi1_t0, self.A_minus),
+                                   (self.phi2_t0, -self.A_plus))
 
     def slope(self, s):
         """Profile derivative (the positive layer weight) at argument s."""
+        return self._table_or_tail(s, self._chi_interp,
+                                   (0.0, self.mu_minus * self.A_minus),
+                                   (0.0, self.mu_plus * self.A_plus))
+
+    def _table_or_tail(self, s, interp, lower, upper):
+        """interp(s) on [-xi_max, xi_max], and base + scale exp(-mu |s|)
+        with (base, scale) = lower or upper beyond each end."""
         a = np.atleast_1d(np.asarray(s, dtype=float))
         out = np.empty_like(a)
-        left = a < -self.xi_max
-        right = a > self.xi_max
-        mid = ~(left | right)
+        below, above = a < -self.xi_max, a > self.xi_max
+        mid = ~(below | above)  # NaN is in neither end: the table maps it
         if mid.any():
-            out[mid] = self._chi_interp(a[mid])
-        if left.any():
-            out[left] = (self.mu_minus * self.A_minus
-                         * np.exp(self.mu_minus * a[left]))
-        if right.any():
-            out[right] = (self.mu_plus * self.A_plus
-                          * np.exp(-self.mu_plus * a[right]))
+            out[mid] = interp(a[mid])
+        for end, (base, scale), mu in ((below, lower, self.mu_minus),
+                                       (above, upper, self.mu_plus)):
+            if end.any():
+                out[end] = base + scale * np.exp(-mu * np.abs(a[end]))
         return ex.shaped_like(out, s)
 
 
@@ -155,12 +167,10 @@ def build_potential(spec: ProblemSpec, loc: LayerLocation) -> PotentialTable:
     panels = half * (bv @ glw)
     prefix = np.concatenate([[0.0], np.cumsum(panels)])
     suffix = np.concatenate([np.cumsum(panels[::-1])[::-1], [0.0]])
-    taylor = np.array([float(spec.b_val(t0, root, du=k))
-                       for root in (lo, hi) for k in (1, 2, 3)])
-    return PotentialTable(b=spec.b, t0=t0, edges=edges,
-                          prefix=prefix, suffix=suffix,
-                          total=float(prefix[-1]), glx=glx, glw=glw,
-                          taylor=taylor)
+    taylor = np.array([[float(spec.b_val(t0, root, du=k)) for k in (1, 2, 3)]
+                       for root in (lo, hi)])
+    return PotentialTable(b=spec.b, t0=t0, edges=edges, prefix=prefix,
+                          suffix=suffix, taylor=taylor)
 
 
 def _hermite_quintic(s_t, s_k, v_k, d1_k, d2_k):
@@ -183,8 +193,52 @@ def _hermite_quintic(s_t, s_k, v_k, d1_k, d2_k):
             + h * h * d2_k[idx + 1] * h21)
 
 
-def build_kink(spec: ProblemSpec, loc: LayerLocation,
-               xi_max: float | None = None) -> KinkProfile:
+def _profile_side(pot: PotentialTable, anchor: float, root: float,
+                  sign: float, mu: float, s_t: np.ndarray):
+    """One side of the profile on s_t = |xi|, and its tail amplitude.
+
+    sign is +1 toward the upper root and -1 toward the lower one, so that
+    d = sign (root - v) is the distance to the approached root and
+    V = root - sign A exp(-mu s) in the tail.
+    """
+    s_k, v_k, c_k, b_k, _, status = integrate_kink(pot, anchor, root,
+                                                   SWITCH_EPS)
+    if status != 0:
+        raise ProfileIntegrationFailed(
+            f"profile quadrature toward {root:.15g} failed with "
+            f"status {status} (1: potential <= 0, 2: non-finite)")
+
+    # Tail amplitude.  A node's own rounding (~1e-16 in V) is a poor
+    # *relative* error on the root distance deep in the tail, so the
+    # amplitude is read off at moderate depth (distance ~1e-4) and
+    # transported to infinity with the exact first-integral correction
+    # int_0^d* (1/chi(delta) - 1/(mu delta)) d delta.
+    dist = sign * (root - v_k)
+    idx = int(np.nonzero(dist >= 1e-4)[0][-1])
+    d_star, s_star = float(dist[idx]), float(s_k[idx])
+
+    def correction_integrand(delta):
+        # subtract at the distance the potential sees: the rounding of
+        # vv is a relative error of ~1e-16 / delta in 1/chi, which the
+        # exact delta would leave unmatched next to the root
+        vv = root - sign * delta
+        seen = sign * (root - vv)
+        chi_tilde = np.sqrt(np.maximum(2.0 * pot.w(vv), 0.0))
+        return 1.0 / chi_tilde - 1.0 / (mu * seen)
+
+    g_inf = gl_fixed(correction_integrand, 0.0, d_star, n=32)
+    amp = d_star * float(np.exp(mu * (s_star + g_inf)))
+    # below this depth the pure exponential is accurate to ~1e-6 relative
+    s_tail = float(np.log(amp / 1e-6) / mu)
+
+    inside = s_t <= min(s_tail, float(s_k[-1]))
+    vals = np.empty_like(s_t)
+    vals[inside] = _hermite_quintic(s_t[inside], s_k, v_k, sign * c_k, b_k)
+    vals[~inside] = root - sign * amp * np.exp(-mu * s_t[~inside])
+    return vals, amp
+
+
+def build_kink(spec: ProblemSpec, loc: LayerLocation) -> KinkProfile:
     """Construct the profile table from the first integral.
 
     Computes xi(V) = int dv / sqrt(2 W(v)) from the anchor toward both roots
@@ -213,77 +267,19 @@ def build_kink(spec: ProblemSpec, loc: LayerLocation,
             f"potential is {np.min(wvals):.3e} at v={bad:.15g}; "
             "no monotone connecting profile exists")
 
-    mu_minus = float(np.sqrt(spec.b_val(t0, phi1_t0, du=1)))
-    mu_plus = float(np.sqrt(spec.b_val(t0, phi2_t0, du=1)))
+    mu_minus, mu_plus = (float(mu) for mu in np.sqrt(pot.taylor[:, 0]))
     gamma_bar = min(mu_minus, mu_plus)
-    if xi_max is None:
-        xi_max = 20.0 / gamma_bar
-    elif xi_max < 20.0 / gamma_bar:
-        raise ValueError(f"xi_max must be at least 20/gamma_bar "
-                         f"= {20.0 / gamma_bar:.6g}")
+    xi_max = 20.0 / gamma_bar
 
-    sides = {}
-    for direction, target in ((1.0, phi2_t0), (-1.0, phi1_t0)):
-        s, v, c, b, _, status = integrate_kink(*pot.kernel_args(), anchor,
-                                               target, SWITCH_EPS)
-        if status != 0:
-            raise ProfileIntegrationFailed(
-                f"profile quadrature toward {target:.15g} failed with "
-                f"status {status} (1: potential <= 0, 2: non-finite)")
-        sides[direction] = (s, v, c, b)
-
+    # each side is tabulated on s = |xi| over the same graded half grid; the
+    # lower side's s = 0 repeats the anchor and is dropped
     half_grid = graded_half_grid(xi_max, 3000, 1e-3)
+    v_upper, A_plus = _profile_side(pot, anchor, phi2_t0, 1.0, mu_plus,
+                                    half_grid)
+    v_lower, A_minus = _profile_side(pot, anchor, phi1_t0, -1.0, mu_minus,
+                                     half_grid)
     xi = np.concatenate([-half_grid[::-1], half_grid[1:]])
-
-    # Tail amplitudes.  A node's own rounding (~1e-16 in V) is a poor
-    # *relative* error on the root distance deep in the tail, so the
-    # amplitude is read off at moderate depth (distance ~1e-4) and
-    # transported to infinity with the exact first-integral correction
-    # int_0^d* (1/chi(delta) - 1/(mu delta)) d delta.
-    v_table = np.empty_like(xi)
-    for direction in (1.0, -1.0):
-        s_k, v_k, c_k, b_k = sides[direction]
-        if direction > 0:
-            mu = mu_plus
-            dist = phi2_t0 - v_k
-        else:
-            mu = mu_minus
-            dist = v_k - phi1_t0
-        deep = np.nonzero(dist >= 1e-4)[0]
-        idx = int(deep[-1])
-        d_star, s_star = float(dist[idx]), float(s_k[idx])
-
-        def correction_integrand(delta, _mu=mu, _dir=direction):
-            # subtract at the distance the potential sees: the rounding of
-            # vv is a relative error of ~1e-16 / delta in 1/chi, which the
-            # exact delta would leave unmatched next to the root
-            vv = phi2_t0 - delta if _dir > 0 else phi1_t0 + delta
-            seen = phi2_t0 - vv if _dir > 0 else vv - phi1_t0
-            chi_tilde = np.sqrt(np.maximum(2.0 * pot.w(vv), 0.0))
-            return 1.0 / chi_tilde - 1.0 / (_mu * seen)
-
-        g_inf = gl_fixed(correction_integrand, 0.0, d_star, n=32)
-        amp = d_star * float(np.exp(mu * (s_star + g_inf)))
-        # below this depth the pure exponential is accurate to ~1e-6 relative
-        s_tail = float(np.log(amp / 1e-6) / mu)
-
-        if direction > 0:
-            nodes = xi >= 0.0
-            s_t = xi[nodes]
-        else:
-            nodes = xi < 0.0
-            s_t = -xi[nodes]
-        inside = s_t <= min(s_tail, float(s_k[-1]))
-        vals = np.empty_like(s_t)
-        vals[inside] = _hermite_quintic(s_t[inside], s_k, v_k,
-                                        direction * c_k, b_k)
-        if direction > 0:
-            vals[~inside] = phi2_t0 - amp * np.exp(-mu * s_t[~inside])
-            A_plus = amp
-        else:
-            vals[~inside] = phi1_t0 + amp * np.exp(-mu * s_t[~inside])
-            A_minus = amp
-        v_table[nodes] = vals
+    v_table = np.concatenate([v_lower[:0:-1], v_upper])
 
     # slope table from the first integral itself: this ties the tabulated
     # weight to the potential exactly at every node
@@ -295,14 +291,10 @@ def build_kink(spec: ProblemSpec, loc: LayerLocation,
             f"profile weight is {chi_table[i]:.3e} at xi={xi[i]:.6g}: the "
             "profile reaches a root inside the table")
     b_table = ex.evaluate(spec.b, t0, v_table)
-
-    v_interp = CubicHermiteSpline(xi, v_table, chi_table)
-    chi_interp = CubicHermiteSpline(xi, chi_table, b_table)
-
-    return KinkProfile(spec=spec, potential=pot, t0=t0, phi1_t0=phi1_t0,
-                       phi2_t0=phi2_t0, anchor=anchor, mu_minus=mu_minus,
-                       mu_plus=mu_plus, gamma_bar=gamma_bar,
-                       xi_max=float(xi_max), xi=xi, v_table=v_table,
-                       chi_table=chi_table, A_minus=float(A_minus),
-                       A_plus=float(A_plus), _v_interp=v_interp,
-                       _chi_interp=chi_interp)
+    return KinkProfile(
+        potential=pot, t0=t0, phi1_t0=phi1_t0, phi2_t0=phi2_t0,
+        mu_minus=mu_minus, mu_plus=mu_plus, gamma_bar=gamma_bar,
+        xi_max=xi_max, xi=xi, v_table=v_table, chi_table=chi_table,
+        A_minus=A_minus, A_plus=A_plus,
+        _v_interp=CubicHermiteSpline(xi, v_table, chi_table),
+        _chi_interp=CubicHermiteSpline(xi, chi_table, b_table))

@@ -139,6 +139,20 @@ class TestUsageErrors:
         assert err.startswith(error + ": ")
         assert err.count("\n") == 1
 
+    def test_float_overflow_is_one_line(self, tmp_path):
+        # numpy warnings would print ahead of the error line; pytest captures
+        # them in-process, so the stderr of a real run is checked
+        path = tmp_path / "overflow.json"
+        path.write_text(_cubic_with(b=CUBIC_B + "*exp(1000*u)"))
+        src = str(Path(cli.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "layerforge", "locate", "--problem",
+             str(path)], capture_output=True, text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=src))
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("FloatingPointError: ")
+        assert proc.stderr.count("\n") == 1
+
     def test_unreadable_problem_path_is_one_line(self, capsys, tmp_path):
         code = cli.main(["locate", "--problem", str(tmp_path)])
         err = capsys.readouterr().err

@@ -125,7 +125,7 @@ class TestBeta:
 class TestCurvatureBound:
     def test_cubic_bound_matches_reaction_curvature(self, cubic_e, cubic):
         spec, loc, kk = cubic
-        C5, C0 = expansion.estimate_C0(cubic_e.aux, kk)
+        C5, C0 = expansion.estimate_C0(cubic_e.aux)
         # coarse cross-check: the ratio cannot exceed the curvature sup
         u = np.linspace(0.0, 1.0, 401)
         x = np.linspace(0.0, 1.0, 101)
@@ -147,7 +147,7 @@ class TestCurvatureBound:
             u0_side=(kk.phi1_t0, kk.phi2_t0), du0_side=(0.0, 0.0),
             ddu0_side=(0.0, 0.0), u2_side=(0.0, 0.0), bs0_side=(1.0, 1.0),
             grid=cubic_e.aux.grid)
-        C5, C0 = expansion.estimate_C0(aux, kk)
+        C5, C0 = expansion.estimate_C0(aux)
         assert C5 == 1e-8
         assert C0 == 1e8
 
@@ -157,7 +157,7 @@ class TestCurvatureBound:
         for eps in (1e-2, 1e-3):
             e = expansion.build_expansion(spec, p=0.0, eps=eps, loc=loc,
                                           kink=kk)
-            values.append(expansion.estimate_C0(e.aux, kk, eps=eps)[1])
+            values.append(expansion.estimate_C0(e.aux, eps=eps)[1])
         assert abs(values[0] / values[1] - 1.0) <= 1e-2
 
 

@@ -57,7 +57,7 @@ class TestBuild:
     def test_potential_vanishes_at_upper_root(self, cubic):
         _, _, kk = cubic
         # the located layer point drives the full area to quadrature level
-        assert abs(kk.potential.total) <= 1e-12
+        assert abs(kk.potential.prefix[-1]) <= 1e-12
 
     def test_potential_positive_inside(self, cubic):
         _, _, kk = cubic
@@ -69,11 +69,6 @@ class TestBuild:
         _, loc, kk = cubic
         assert kk.xi.size >= 2000
         assert kk.xi_max == pytest.approx(20.0 / kk.gamma_bar)
-
-    def test_small_range_rejected(self, cubic):
-        spec, loc, _ = cubic
-        with pytest.raises(ValueError, match="xi_max"):
-            kink.build_kink(spec, loc, xi_max=5.0)
 
 
 class TestTailAmplitudes:
@@ -103,9 +98,63 @@ def _sides(spec, loc):
     """integrate_kink's result toward each root, with its target."""
     pot = kink.build_potential(spec, loc)
     anchor = float(spec.phi(0, loc.t0))
-    return [(target, kernels.integrate_kink(*pot.kernel_args(), anchor,
-                                            target, kink.SWITCH_EPS))
+    return [(target, kernels.integrate_kink(pot, anchor, target,
+                                            kink.SWITCH_EPS))
             for target in (pot.edges[-1], pot.edges[0])]
+
+
+class TestPotentialBranches:
+    def test_taylor_meets_panels_at_both_roots(self, cubic, wavy):
+        """Across _TAYLOR_DIST, the Taylor branch and the panel branch give
+        the same W / d^2 (W itself vanishes quadratically there)."""
+        for _, _, kk in (cubic, wavy):
+            pot = kk.potential
+            for root, inward in ((pot.edges[0], 1.0), (pot.edges[-1], -1.0)):
+                v = root + inward * kink._TAYLOR_DIST * (
+                    1.0 + np.arange(-3, 4) * 1e-9)
+                d = v - root
+                taylor = np.abs(d) < kink._TAYLOR_DIST
+                assert taylor.any() and not taylor.all()
+                scaled = pot.w(v) / (d * d)
+                # the nearest point on each side of the switch
+                inner = scaled[taylor][np.argmax(np.abs(d[taylor]))]
+                outer = scaled[~taylor][np.argmin(np.abs(d[~taylor]))]
+                assert abs(inner - outer) <= 1e-10 * abs(outer)
+
+
+class TestTableAndTails:
+    def test_beyond_the_table_are_the_closed_tails(self, cubic, wavy):
+        for _, _, kk in (cubic, wavy):
+            s = kk.xi_max * np.array([1.01, 1.5, 3.0])
+            lo = kk.A_minus * np.exp(-kk.mu_minus * s)
+            hi = kk.A_plus * np.exp(-kk.mu_plus * s)
+            np.testing.assert_allclose(kk.value(-s), kk.phi1_t0 + lo,
+                                       rtol=1e-15)
+            np.testing.assert_allclose(kk.value(s), kk.phi2_t0 - hi,
+                                       rtol=1e-15)
+            np.testing.assert_allclose(kk.slope(-s), kk.mu_minus * lo,
+                                       rtol=1e-14)
+            np.testing.assert_allclose(kk.slope(s), kk.mu_plus * hi,
+                                       rtol=1e-14)
+
+    def test_continuous_at_the_table_ends(self, cubic, wavy):
+        for _, _, kk in (cubic, wavy):
+            for end, root in ((-kk.xi_max, kk.phi1_t0),
+                              (kk.xi_max, kk.phi2_t0)):
+                beyond = np.nextafter(end, 2.0 * end)
+                dist = abs(kk.value(beyond) - root)
+                assert abs(kk.value(end) - kk.value(beyond)) <= 1e-6 * dist
+                assert (abs(kk.slope(end) - kk.slope(beyond))
+                        <= 1e-6 * kk.slope(beyond))
+
+    def test_nan_argument_gives_nan(self, cubic):
+        _, _, kk = cubic
+        assert math.isnan(kk.value(float("nan")))
+        assert math.isnan(kk.slope(float("nan")))
+        out = kk.value(np.array([np.nan, 0.0, 1e3]))
+        assert math.isnan(out[0]) and np.all(np.isfinite(out[1:]))
+        out = kk.slope(np.array([-1e3, np.nan]))
+        assert np.isfinite(out[0]) and math.isnan(out[1])
 
 
 class TestIntegrateKink:
