@@ -44,11 +44,11 @@ class AcceptanceContext:
             self._cache[name] = (spec, *corrections.locate_and_match(spec))
         return self._cache[name]
 
-    def terms(self, name: str, p: float = 0.0):
-        key = (name, "terms", p)
+    def terms(self, name: str):
+        key = (name, "terms")
         if key not in self._cache:
             spec, loc, kk = self.pipeline(name)
-            aux = corrections.make_auxiliary(spec, kk, loc, p=p)
+            aux = corrections.make_auxiliary(spec, kk, loc, p=0.0)
             self._cache[key] = (aux, corrections.build_terms(aux))
         return self._cache[key]
 

@@ -87,8 +87,12 @@ def _write(path, text: str):
     if path is None or path == "-":
         sys.stdout.write(text)
     else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as err:
+            raise UsageError(
+                f"cannot write {path}: {err.strerror or err}") from err
 
 
 def _write_csv(path, header, rows):

@@ -201,16 +201,16 @@ class CorrectionTerm:
 
 
 def solve_jump(aux: LayerAuxiliary, psi, nu0_minus: float, nu0_plus: float,
-               label: str, grid: np.ndarray | None = None) -> CorrectionTerm:
+               label: str) -> CorrectionTerm:
     """Solve the two-branch jump problem of one configuration.
 
-    The weight chi, its derivative, the coefficient B_s and the tail rates
-    come from `aux`; psi is a callable of (xi, side).  `grid` holds the
-    distances s = |xi| from the layer point, ascending from 0 (default
-    `aux.grid`); xi -> -xi maps one branch's problem onto the other's, so
-    each branch is one _half_line solve on xi = side * s.
+    The weight chi, its derivative, the coefficient B_s, the tail rates and
+    the grid `aux.grid` of distances s = |xi| from the layer point come from
+    `aux`; psi is a callable of (xi, side).  xi -> -xi maps one branch's
+    problem onto the other's, so each branch is one _half_line solve on
+    xi = side * s.
     """
-    s = np.asarray(aux.grid if grid is None else grid, dtype=float)
+    s = np.asarray(aux.grid, dtype=float)
     chi0 = float(aux.chi(0.0))
     dchi0 = float(aux.chi_prime(0.0))
     branch = {}

@@ -1,11 +1,12 @@
 """Assembled expansions.
 
 The full expansion stitches the piecewise smooth part (outer roots plus
-their second-order correction) to the layer terms living on the stretched
-coordinate.  All derivatives used for residual work are analytic: symbolic
-x-derivatives for the smooth part, governing-equation substitution for the
-layer terms, so residual orders are never polluted by numeric
-differentiation error.
+their second-order correction) to a weighted sum of layer terms on the
+stretched coordinate: eps v1 + eps^2 v2, plus p' (v* + C0) + hhat^2 z for
+the bracketing perturbation.  All derivatives used for residual work are
+analytic: symbolic x-derivatives for the smooth part, governing-equation
+substitution for the layer terms, so residual orders are never polluted by
+numeric differentiation error.
 """
 
 from __future__ import annotations
@@ -74,57 +75,58 @@ class Expansion:
 
     # -- assembled values ----------------------------------------------------
 
-    def u_as(self, x, side=None):
-        """Expansion value; `side` picks the branch (scalar or per point)."""
+    def _pairs(self, extra):
+        return ((self.eps, self.v1), (self.eps * self.eps, self.v2), *extra)
+
+    def _assemble(self, x, side=None, extra=(), offset=0.0, defect=False):
+        """Value u0 + eps^2 u2 + V0 - u0(t0) + sum(w nu) + offset over the
+        pairs (w, nu) = (eps, v1), (eps^2, v2) and `extra`, or with `defect`
+        the operator defect -eps^2 u'' + b(x, u).  u'' is exact: symbolic for
+        the smooth part and, in xi, V0'' = b(t0, V0) and nu'' = B_s nu - psi.
+        """
         a = np.atleast_1d(np.asarray(x, dtype=float))
         xi = self.xi_of(a)
         sides = sides_of(xi, side)
         eps = self.eps
-        out = (self.u0(a, sides) + eps * eps * self.u2(a, sides)
-               + self.aux.V0(xi))
-        out += (-at_side(self.aux.u0_side, sides)
-                + eps * self.v1.value(xi, sides)
-                + eps * eps * self.v2.value(xi, sides))
+        terms = [(w, t, t.value(xi, sides)) for w, t in self._pairs(extra)]
+        V0 = self.aux.V0(xi)
+        out = (self.u0(a, sides) + eps * eps * self.u2(a, sides) + V0)
+        out += sum((w * nu for w, _, nu in terms),
+                   -at_side(self.aux.u0_side, sides))
+        out += offset
+        if defect:
+            t0, b_val = self.t0, self.spec.b_val
+            bs = b_val(t0, V0, du=1)
+            d2_layer = sum((w * (bs * nu - t.psi_fn(xi, sides))
+                            for w, t, nu in terms), b_val(t0, V0))
+            out = (-eps * eps * (self.u0(a, sides, order=2)
+                                 + eps * eps * self.u2(a, sides, order=2))
+                   - d2_layer + b_val(a, out))
         return ex.shaped_like(out, x)
 
-    def u_as_second_derivative(self, x, side=None):
-        """Exact second derivative via the layer governing equations."""
-        a = np.atleast_1d(np.asarray(x, dtype=float))
-        xi = self.xi_of(a)
-        sides = sides_of(xi, side)
-        eps = self.eps
-        out = (self.u0(a, sides, order=2)
-               + eps * eps * self.u2(a, sides, order=2)
-               + self.spec.b_val(self.t0, self.aux.V0(xi)) / (eps * eps))
-        bs = self.aux.B_s(xi)
-        out += ((bs * self.v1.value(xi, sides) - self.v1.psi_fn(xi, sides))
-                / eps
-                + (bs * self.v2.value(xi, sides) - self.v2.psi_fn(xi, sides)))
-        return ex.shaped_like(out, x)
+    def _jump(self, extra=()) -> float:
+        """Scaled derivative jump at the layer point of the sum _assemble
+        values: the outer roots jump their slope, the smooth second-order
+        correction at third order, V0 and the offset not at all, and each
+        layer term by its quadrature-formula jump."""
+        t0, eps, spec = self.t0, self.eps, self.spec
+        phi_u0 = spec.phi(1, t0, order=1) - spec.phi(2, t0, order=1)
+        phi_u2 = (ex.evaluate(spec.u2_exprs[0][1], t0, 0.0)
+                  - ex.evaluate(spec.u2_exprs[1][1], t0, 0.0))
+        return float(sum((w * t.phi_value for w, t in self._pairs(extra)),
+                         eps * phi_u0 + eps ** 3 * phi_u2))
+
+    def u_as(self, x, side=None):
+        """Expansion value; `side` picks the branch (scalar or per point)."""
+        return self._assemble(x, side)
 
     def residual(self, x, side=None):
         """Defect of the expansion in the differential operator."""
-        a = np.atleast_1d(np.asarray(x, dtype=float))
-        val = self.u_as(a, side)
-        d2 = self.u_as_second_derivative(a, side)
-        return ex.shaped_like(-self.eps ** 2 * d2 + self.spec.b_val(a, val), x)
+        return self._assemble(x, side, defect=True)
 
     def phi_u_as(self) -> float:
-        """Scaled derivative jump of the expansion at the layer point.
-
-        Assembled from parts: the outer roots jump their slope, the smooth
-        second-order correction contributes at third order, the profile
-        itself is smooth (no jump), and the layer corrections contribute
-        their quadrature-formula jumps at first and second order.
-        """
-        t0 = self.t0
-        eps = self.eps
-        phi_u0 = self.spec.phi(1, t0, order=1) - self.spec.phi(2, t0, order=1)
-        u2_exprs = self.spec.u2_exprs
-        phi_u2 = (ex.evaluate(u2_exprs[0][1], t0, 0.0)
-                  - ex.evaluate(u2_exprs[1][1], t0, 0.0))
-        return float(eps * phi_u0 + eps ** 3 * phi_u2
-                     + eps * self.v1.phi_value + eps * eps * self.v2.phi_value)
+        """Scaled derivative jump of the expansion at the layer point."""
+        return self._jump()
 
     def truncated(self, x, N: int, C_tau: float):
         """Two-piece reduced representation: profile inside the transition
@@ -170,46 +172,28 @@ class PerturbedExpansion:
     C0: float
 
     @property
-    def eps(self) -> float:
-        return self.base.eps
+    def _extra(self):
+        """The perturbation's (weight, term) pairs: p' v* + hhat^2 z."""
+        return ((self.pprime, self.vstar), (self.hhat ** 2, self.z))
 
     def beta(self, x, side=None):
-        a = np.atleast_1d(np.asarray(x, dtype=float))
-        xi = self.base.xi_of(a)
-        sides = sides_of(xi, side)
-        out = self.base.u_as(a, sides)
-        out += (self.pprime * (self.vstar.value(xi, sides) + self.C0)
-                + self.hhat ** 2 * self.z.value(xi, sides))
-        return ex.shaped_like(out, x)
-
-    def f_beta(self, x, side=None):
-        """Operator defect of the perturbed expansion (analytic)."""
-        a = np.atleast_1d(np.asarray(x, dtype=float))
-        xi = self.base.xi_of(a)
-        sides = sides_of(xi, side)
-        bs = self.base.aux.B_s(xi)
-        val = self.beta(a, sides)
-        vstar_d2 = (bs * self.vstar.value(xi, sides)
-                    - self.vstar.psi_fn(xi, sides))
-        z_d2 = bs * self.z.value(xi, sides) - self.z.psi_fn(xi, sides)
-        d2_layer = self.pprime * vstar_d2 + self.hhat ** 2 * z_d2
-        d2_base = self.base.u_as_second_derivative(a, sides)
-        out = (-self.eps ** 2 * d2_base - d2_layer
-               + self.base.spec.b_val(a, val))
-        return ex.shaped_like(out, x)
+        """u_as + p' (v* + C0) + hhat^2 z."""
+        return self.base._assemble(x, side, self._extra,
+                                   self.pprime * self.C0)
 
     def f_beta_centered(self, x, side=None):
-        """f_beta minus the truncation-compensation source term, the
-        combination whose sign the bracketing argument controls."""
+        """Operator defect of beta minus the truncation-compensation source
+        hhat^2 psi_z, the combination whose sign the bracketing argument
+        controls."""
         a = np.atleast_1d(np.asarray(x, dtype=float))
         xi = self.base.xi_of(a)
-        out = (self.f_beta(a, side)
-               - self.hhat ** 2 / 12.0 * self.base.aux.chi_ppp(xi))
+        out = (self.base._assemble(a, side, self._extra,
+                                   self.pprime * self.C0, defect=True)
+               - self.hhat ** 2 * self.z.psi_fn(xi, sides_of(xi, side)))
         return ex.shaped_like(out, x)
 
     def phi_beta(self) -> float:
-        return float(self.base.phi_u_as() + self.pprime * self.vstar.phi_value
-                     + self.hhat ** 2 * self.z.phi_value)
+        return self.base._jump(self._extra)
 
 
 def estimate_C0(aux: LayerAuxiliary, eps: float | None = None):

@@ -39,7 +39,7 @@ def graded_x_grid(t0: float, eps: float, n: int, xi_max: float = 30.0) -> np.nda
     n_layer = n // 2
     half = graded_half_grid(min(xi_max, 0.45 / eps), max(n_layer // 2, 8), 1e-2)[1:]
     layer = np.concatenate([t0 - eps * half[::-1], t0 + eps * half])
-    outer = np.linspace(0.0, 1.0, n - layer.size + 2)[1:-1]
+    outer = np.linspace(0.0, 1.0, max(n - layer.size, 0) + 2)[1:-1]
     x = np.unique(np.concatenate([layer, outer]))
     x = x[(x > 0.0) & (x < 1.0) & (x != t0)]
     return x

@@ -321,11 +321,16 @@ def truncation_check(spec: ProblemSpec, loc: LayerLocation,
     distance grows in both epsilon and log N relative to the envelope), then
     validated at the requested combinations.
     """
+    xs = np.linspace(0.0, 1.0, 10000)
+    xs = xs[(xs != loc.t0)]
+    built = {}
+
     def distance(eps, N):
-        e = build_expansion(spec, p=0.0, eps=eps, loc=loc, kink=kink)
-        xs = np.linspace(0.0, 1.0, 10000)
-        xs = xs[(xs != loc.t0)]
-        return float(np.max(np.abs(e.u_as(xs) - e.truncated(xs, N, C_TAU))))
+        if eps not in built:
+            e = build_expansion(spec, p=0.0, eps=eps, loc=loc, kink=kink)
+            built[eps] = (e, e.u_as(xs))
+        e, u_as = built[eps]
+        return float(np.max(np.abs(u_as - e.truncated(xs, N, C_TAU))))
 
     def envelope(eps, N):
         return eps * np.log(N) + N ** -2

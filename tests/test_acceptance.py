@@ -13,7 +13,8 @@ import pytest
 from layerforge import verify
 from layerforge.acceptance import (CRITERIA, AcceptanceContext,
                                    criterion_07_phi_linearity,
-                                   criterion_08_sign_inequalities)
+                                   criterion_08_sign_inequalities,
+                                   criterion_10_truncation)
 
 
 @pytest.mark.parametrize("criterion", CRITERIA,
@@ -50,3 +51,20 @@ def test_c07_and_c08_build_each_ladder_cell_once(monkeypatch):
     criterion_07_phi_linearity(ctx)
     criterion_08_sign_inequalities(ctx)
     assert calls == {"expansion": 168, "perturbed": 148}
+
+
+def test_c10_builds_one_expansion_per_epsilon(monkeypatch, actx):
+    """Per problem: one expansion at each of the two epsilons (the fit one,
+    1e-2, and 1e-3), which the N ladder reuses.  Stand-ins replace the
+    builds, so only the count is checked here."""
+    built = []
+
+    def expansion(spec, p, eps, loc, kink):
+        built.append((spec.name, eps))
+        return SimpleNamespace(u_as=np.zeros_like,
+                               truncated=lambda xs, N, C_tau: 0.0 * xs)
+
+    monkeypatch.setattr(verify, "build_expansion", expansion)
+    criterion_10_truncation(actx)
+    assert sorted(built) == sorted((name, eps) for name in actx.problem_names
+                                   for eps in (1e-2, 1e-3))

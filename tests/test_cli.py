@@ -96,6 +96,19 @@ class TestUsageErrors:
         assert captured.err.startswith(f"usage error: {argv[1]}")
         assert captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["expand", "--out"],
+        ["residual", "--csv"],
+    ], ids=["expand-out", "residual-csv"])
+    def test_unwritable_output_is_one_usage_line(self, capsys, tmp_path,
+                                                 argv):
+        path = tmp_path / "missing" / "x"
+        code = cli.main(argv + [str(path), "--problem", "cubic"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"usage error: cannot write {path}: ")
+        assert err.count("\n") == 1
+
     def test_unknown_subcommand(self):
         with pytest.raises(SystemExit) as exc:
             cli.main(["frobnicate"])
@@ -245,6 +258,12 @@ class TestReports:
 
     def test_monotone_report(self, capsys):
         code, out = run(capsys, "monotone", "--problem", "cubic")
+        assert code == 0
+        assert json.loads(out)["passed"] is True
+
+    def test_monotone_on_two_points(self, capsys):
+        code, out = run(capsys, "monotone", "--problem", "cubic",
+                        "--points", "2")
         assert code == 0
         assert json.loads(out)["passed"] is True
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,7 +22,8 @@ def small_grid(aux):
 
 
 def jump_solve(aux, psi, jm, jp):
-    return corrections.solve_jump(aux, psi, jm, jp, "nu", small_grid(aux))
+    return corrections.solve_jump(replace(aux, grid=small_grid(aux)), psi,
+                                  jm, jp, "nu")
 
 
 class TestSolveJump:

@@ -122,6 +122,72 @@ class TestBeta:
             assert np.all(ratio[half:] <= C)
 
 
+class TestSharedAssembly:
+    """beta and f_beta_centered are the expansion's own value and defect
+    with two more weighted layer terms and an offset."""
+
+    def test_unperturbed_defect_is_the_residual(self, wavy):
+        spec, loc, kk = wavy
+        e = expansion.build_expansion(spec, p=0.003, eps=1e-2, loc=loc,
+                                      kink=kk)
+        pe = expansion.build_perturbed(e, pprime=0.0, hhat=0.0)
+        xs = graded_x_grid(loc.t0, e.eps, 1000)
+        assert np.array_equal(pe.f_beta_centered(xs), e.residual(xs))
+
+    @pytest.mark.parametrize("name", ["cubic", "cubic-wavy"])
+    def test_beta_adds_the_perturbation_terms(self, actx, name):
+        """beta - u_as = p' (v* + C0) + hhat^2 z to 4 ulp of the solution
+        scale: the layer sum adds O(1) summands that cancel where beta is
+        small, so a per-point ulp would not bound it."""
+        spec, loc, kk = actx.pipeline(name)
+        eps, p = 1e-2, -0.01
+        e = expansion.build_expansion(spec, p=p, eps=eps, loc=loc, kink=kk)
+        pe = expansion.build_perturbed(e, pprime=eps * p, hhat=math.sqrt(eps))
+        xs = graded_x_grid(loc.t0, eps, 2000)
+        xi = e.xi_of(xs)
+        u_as = e.u_as(xs)
+        extra = (pe.pprime * (pe.vstar.value(xi) + pe.C0)
+                 + pe.hhat ** 2 * pe.z.value(xi))
+        ulp = np.spacing(np.max(np.abs(u_as)))
+        assert np.max(np.abs(pe.beta(xs) - u_as - extra)) <= 4.0 * ulp
+
+    def test_each_layer_term_is_evaluated_once(self, wavy, monkeypatch):
+        """v1, v2 (and v*, z) once per call, plus v1 once inside v2's
+        source for the defect."""
+        spec, loc, kk = wavy
+        eps = 2.0 ** -6
+        e = expansion.build_expansion(spec, p=0.003, eps=eps, loc=loc,
+                                      kink=kk)
+        pe = expansion.build_perturbed(e, pprime=eps * 0.003,
+                                       hhat=math.sqrt(eps))
+        xs = graded_x_grid(loc.t0, eps, 500)
+        value = corrections.CorrectionTerm.value
+        calls = []
+
+        def counted(term, *args, **kwargs):
+            calls.append(term.label)
+            return value(term, *args, **kwargs)
+
+        monkeypatch.setattr(corrections.CorrectionTerm, "value", counted)
+        counts = {}
+        for fn in (e.u_as, e.residual, pe.beta, pe.f_beta_centered):
+            calls.clear()
+            fn(xs)
+            counts[fn.__name__] = len(calls)
+        assert counts == {"u_as": 2, "residual": 3, "beta": 4,
+                          "f_beta_centered": 5}
+
+
+class TestGradedXGrid:
+    @pytest.mark.parametrize("n", [2, 13])
+    def test_few_points(self, cubic, n):
+        _, loc, _ = cubic
+        xs = graded_x_grid(loc.t0, 1e-2, n)
+        assert np.all(np.diff(xs) > 0.0)
+        assert xs[0] > 0.0 and xs[-1] < 1.0
+        assert loc.t0 not in xs
+
+
 class TestCurvatureBound:
     def test_cubic_bound_matches_reaction_curvature(self, cubic_e, cubic):
         spec, loc, kk = cubic
