@@ -125,7 +125,9 @@ def criterion_04_jump_oracle(ctx: AcceptanceContext) -> CriterionResult:
         aux, terms = ctx.terms(name)
         for label, term in terms.items():
             (xn, fdn), (xp, fdp) = solver.solve_jump_fd_numerov(
-                aux.B_s, term.psi_fn, term.jump_minus, term.jump_plus)
+                lambda xi: aux.at(xi).B(0, 1),
+                lambda xi, side: term.psi_fn(aux.at(xi, side)),
+                term.jump_minus, term.jump_plus)
             gap = max(float(np.max(np.abs(fdn - term.value(xn, side=-1)))),
                       float(np.max(np.abs(fdp - term.value(xp, side=1)))))
             dphi = abs(term.phi_value - corrections.phi_from_tables(term))
@@ -198,11 +200,14 @@ def criterion_08_sign_inequalities(ctx: AcceptanceContext) -> CriterionResult:
                                                 ctx.ladder(name))
         rep3 = verify.fbeta_check(spec, loc, kk)
         ok = ok and rep1.passed and rep2.passed and rep3.passed
+        gap = rep2.details["C1"] - rep2.details["C3"]
+        vacuous = ("" if gap > 0.0
+                   else ", not positive: a wrong-sign jump can pass")
         details.append(
             f"{name}: base bound {rep1.passed} (C1={rep1.details['C1']:.3g}, "
             f"C2={rep1.details['C2']:.3g}); perturbed bound {rep2.passed} "
-            f"(C3={rep2.details['C3']:.3g}); defect margin {rep3.passed} "
-            f"(C4={rep3.details['C4']:.3g})")
+            f"(C3={rep2.details['C3']:.3g}, C1 - C3={gap:.3g}{vacuous}); "
+            f"defect margin {rep3.passed} (C4={rep3.details['C4']:.3g})")
     return CriterionResult(8, "signed lower bounds", ok, details)
 
 
@@ -252,17 +257,12 @@ def criterion_12_decay_rates(ctx: AcceptanceContext) -> CriterionResult:
     details = []
     ok = True
     for name in ctx.problem_names:
-        spec, loc, kk = ctx.pipeline(name)
-        floor = kk.gamma_bar - 0.1
-        chi_rate = verify.decay_fit(kk.xi, kk.chi_table)
-        ok = ok and chi_rate >= floor
-        rates = [f"chi {chi_rate:.4f}"]
-        _, terms = ctx.terms(name)
-        for label, term in terms.items():
-            rate = verify.term_decay_rate(term)
-            ok = ok and rate >= floor
-            rates.append(f"{label} {rate:.4f}")
-        details.append(f"{name}: rates {', '.join(rates)} (floor {floor:.4f})")
+        _, _, kk = ctx.pipeline(name)
+        rates, floor, passed = verify.decay_rates(kk, ctx.terms(name)[1])
+        ok = ok and passed
+        listed = ", ".join(f"{label} {rate:.4f}"
+                           for label, rate in rates.items())
+        details.append(f"{name}: rates {listed} (floor {floor:.4f})")
     return CriterionResult(12, "exponential tail rates", ok, details)
 
 

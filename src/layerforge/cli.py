@@ -267,11 +267,7 @@ def cmd_decay(args) -> int:
     spec, loc, kk = _pipeline(args)
     terms = corrections.build_terms(
         corrections.make_auxiliary(spec, kk, loc, p=args.p))
-    floor = kk.gamma_bar - 0.1
-    rates = {"chi": verify.decay_fit(kk.xi, kk.chi_table)}
-    for label, term in terms.items():
-        rates[label] = verify.term_decay_rate(term)
-    passed = all(r >= floor for r in rates.values())
+    rates, floor, passed = verify.decay_rates(kk, terms)
     _print_json({"schema_version": SCHEMA_VERSION, "command": "decay",
                  "problem": spec.name, "gamma_bar": kk.gamma_bar,
                  "floor": floor, "rates": rates, "passed": passed})

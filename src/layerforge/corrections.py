@@ -19,6 +19,7 @@ never from numerically differentiating nu.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -58,17 +59,19 @@ def at_side(pair, side):
 
 
 # ---------------------------------------------------------------------------
-# Auxiliary evaluators around one (p, shift) configuration
+# One (p, shift) configuration and its layer points
 
 
 @dataclass(frozen=True)
 class LayerAuxiliary:
-    """Shifted-profile evaluators and partials of B(x,s) = b(x, u0(x)+s).
+    """The data every layer term of one (p, shift) configuration shares.
 
-    Because the profile value V0 equals u0 at the layer point plus the layer
-    component, every partial of B at the layer point collapses to partials
-    of b evaluated at (t0, V0(xi)), with the side entering only through the
-    one-sided derivatives of the outer roots (`side`: see sides_of).
+    `at(xi, side)` gives the layer point: the shifted profile and the
+    partials of B(x,s) = b(x, u0(x)+s) there.  Because the profile value V0
+    equals u0 at the layer point plus the layer component, every partial of
+    B at the layer point collapses to partials of b at (t0, V0(xi)), with
+    the side entering only through the one-sided derivatives of the outer
+    roots.
     """
 
     spec: ProblemSpec = field(repr=False)
@@ -86,56 +89,63 @@ class LayerAuxiliary:
     def t0(self) -> float:
         return self.kink.t0
 
-    def V0(self, xi):
-        return self.kink.value(np.asarray(xi, dtype=float) - self.tbar1 + self.p)
+    def at(self, xi, side=None) -> LayerPoint:
+        """The layer point at xi on the branches sides_of(xi, side)."""
+        return LayerPoint(self, xi, side)
 
-    def chi(self, xi):
-        return self.kink.slope(np.asarray(xi, dtype=float) - self.tbar1 + self.p)
 
-    def chi_prime(self, xi):
-        # chi' equals the reaction at the profile
-        return self.spec.b_val(self.t0, self.V0(xi))
+class LayerPoint:
+    """Layer quantities at xi on one configuration's branches.
 
-    def chi_ppp(self, xi):
-        v = self.V0(xi)
-        chi = self.chi(xi)
-        return (self.spec.b_val(self.t0, v, du=2) * chi * chi
-                + self.spec.b_val(self.t0, v, du=1) * self.spec.b_val(self.t0, v))
+    The profile V0 and weight chi are looked up, and each partial of b at
+    (t0, V0) evaluated, at most once, on first use.
+    """
 
-    def v0(self, xi, side):
-        return self.V0(xi) - at_side(self.u0_side, side)
+    def __init__(self, aux: LayerAuxiliary, xi, side=None):
+        self.aux = aux
+        self.xi = np.asarray(xi, dtype=float)
+        self.side = sides_of(self.xi, side)
+        self._b = {}
 
-    def B_s(self, xi):
-        return self.spec.b_val(self.t0, self.V0(xi), du=1)
+    @cached_property
+    def V0(self):
+        """The shifted profile."""
+        return self.aux.kink.value(self.xi - self.aux.tbar1 + self.aux.p)
 
-    def B_x(self, xi, side):
-        v = self.V0(xi)
-        du0 = at_side(self.du0_side, side)
-        return (self.spec.b_val(self.t0, v, dx=1)
-                + du0 * self.spec.b_val(self.t0, v, du=1))
+    @cached_property
+    def chi(self):
+        """The profile weight V0'."""
+        return self.aux.kink.slope(self.xi - self.aux.tbar1 + self.aux.p)
 
-    def B_xx(self, xi, side):
-        v = self.V0(xi)
-        du0 = at_side(self.du0_side, side)
-        ddu0 = at_side(self.ddu0_side, side)
-        return (self.spec.b_val(self.t0, v, dx=2)
-                + 2.0 * du0 * self.spec.b_val(self.t0, v, dx=1, du=1)
-                + du0 * du0 * self.spec.b_val(self.t0, v, du=2)
-                + ddu0 * self.spec.b_val(self.t0, v, du=1))
+    @property
+    def v0(self):
+        """The layer component V0 - u0(t0) on each point's side."""
+        return self.V0 - at_side(self.aux.u0_side, self.side)
 
-    def B_xs(self, xi, side):
-        v = self.V0(xi)
-        du0 = at_side(self.du0_side, side)
-        return (self.spec.b_val(self.t0, v, dx=1, du=1)
-                + du0 * self.spec.b_val(self.t0, v, du=2))
+    def _b_at(self, dx, du):
+        if (dx, du) not in self._b:
+            self._b[dx, du] = self.aux.spec.b_val(self.aux.t0, self.V0,
+                                                  dx=dx, du=du)
+        return self._b[dx, du]
 
-    def B_ss(self, xi):
-        return self.spec.b_val(self.t0, self.V0(xi), du=2)
+    def B(self, nx: int = 0, ns: int = 0):
+        """d^{nx+ns} B / dx^nx ds^ns at the layer point (nx <= 2): the chain
+        rule through u0(x) + s, with u0's one-sided derivatives at t0."""
+        b = self._b_at
+        if nx == 0:
+            return b(0, ns)
+        du0 = at_side(self.aux.du0_side, self.side)
+        if nx == 1:
+            return b(1, ns) + du0 * b(0, ns + 1)
+        ddu0 = at_side(self.aux.ddu0_side, self.side)
+        return (b(2, ns) + 2.0 * du0 * b(1, ns + 1)
+                + du0 * du0 * b(0, ns + 2) + ddu0 * b(0, ns + 1))
 
 
 def make_auxiliary(spec: ProblemSpec, kink: KinkProfile, loc: LayerLocation,
                    p: float, tbar1: float | None = None) -> LayerAuxiliary:
-    """Bundle the evaluators for one (p, shift) configuration.
+    """The shared data of one (p, shift) configuration: the outer roots'
+    one-sided values and derivatives at t0 and the correction grid.
 
     tbar1 defaults to the location's matched shift; the matching pass itself
     supplies explicit intermediate values.
@@ -204,23 +214,25 @@ def solve_jump(aux: LayerAuxiliary, psi, nu0_minus: float, nu0_plus: float,
                label: str) -> CorrectionTerm:
     """Solve the two-branch jump problem of one configuration.
 
-    The weight chi, its derivative, the coefficient B_s, the tail rates and
-    the grid `aux.grid` of distances s = |xi| from the layer point come from
-    `aux`; psi is a callable of (xi, side).  xi -> -xi maps one branch's
-    problem onto the other's, so each branch is one _half_line solve on
-    xi = side * s.
+    The weight chi, its derivative chi' = B, the coefficient B_s, the tail
+    rates and the grid `aux.grid` of distances s = |xi| from the layer
+    point come from `aux`; psi is a callable of a LayerPoint.  xi -> -xi
+    maps one branch's problem onto the other's, so each branch is one
+    _half_line solve on the layer point xi = side * s.
     """
     s = np.asarray(aux.grid, dtype=float)
-    chi0 = float(aux.chi(0.0))
-    dchi0 = float(aux.chi_prime(0.0))
+    anchor = aux.at(0.0)
+    chi0 = float(anchor.chi)
+    dchi0 = float(anchor.B())
     branch = {}
     for side, mu, nu0 in ((1, aux.kink.mu_plus, nu0_plus),
                           (-1, aux.kink.mu_minus, nu0_minus)):
-        xi = side * s
-        chi = np.asarray(aux.chi(xi), dtype=float)
-        psi_s = np.asarray(psi(xi, side), dtype=float)
+        pt = aux.at(side * s, side)
+        chi = np.asarray(pt.chi, dtype=float)
+        psi_s = np.asarray(psi(pt), dtype=float)
         _check_decay(s, psi_s, chi, label)
-        bs_ends = np.asarray(aux.B_s(xi[[0, -1]]), dtype=float)
+        bs_ends = np.asarray(pt.B(0, 1)[[0, -1]], dtype=float)
+        del pt  # its tables are not needed through the spline build
         branch[side] = _half_line(s, chi, psi_s, bs_ends, mu, nu0, chi0)
     val_neg, inner_neg, spline_neg = branch[-1]
     val_pos, inner_pos, spline_pos = branch[1]
@@ -292,8 +304,8 @@ def phi_from_tables(term: CorrectionTerm) -> float:
 
 def build_v1(aux: LayerAuxiliary) -> CorrectionTerm:
     """First-order layer correction: source -xi * B_x, zero jumps."""
-    def psi(xi, side):
-        return -xi * aux.B_x(xi, side)
+    def psi(pt):
+        return -pt.xi * pt.B(1, 0)
 
     return solve_jump(aux, psi, 0.0, 0.0, "v1")
 
@@ -307,13 +319,13 @@ def build_v2(aux: LayerAuxiliary, v1: CorrectionTerm) -> CorrectionTerm:
     """
     u2 = aux.u2_side
 
-    def psi(xi, side):
-        w1 = v1.value(xi, side)
-        return (-0.5 * xi * xi * aux.B_xx(xi, side)
-                - xi * w1 * aux.B_xs(xi, side)
-                - 0.5 * w1 * w1 * aux.B_ss(xi)
-                - at_side(u2, side)
-                * (aux.B_s(xi) - at_side(aux.bs0_side, side)))
+    def psi(pt):
+        xi, w1 = pt.xi, v1.value(pt.xi, pt.side)
+        return (-0.5 * xi * xi * pt.B(2, 0)
+                - xi * w1 * pt.B(1, 1)
+                - 0.5 * w1 * w1 * pt.B(0, 2)
+                - at_side(u2, pt.side)
+                * (pt.B(0, 1) - at_side(aux.bs0_side, pt.side)))
 
     return solve_jump(aux, psi, -u2[0], -u2[1], "v2")
 
@@ -324,17 +336,18 @@ def build_vstar(aux: LayerAuxiliary) -> CorrectionTerm:
     The absolute value is non-smooth only at xi = 0, which is already the
     branch boundary.
     """
-    def psi(xi, side):
-        return np.abs(aux.v0(xi, side))
+    def psi(pt):
+        return np.abs(pt.v0)
 
     return solve_jump(aux, psi, 0.0, 0.0, "vstar")
 
 
 def build_z(aux: LayerAuxiliary) -> CorrectionTerm:
     """Truncation-error compensation shape: source is a twelfth of the
-    fourth profile derivative (analytically: the third weight derivative)."""
-    def psi(xi, side):
-        return aux.chi_ppp(xi) / 12.0
+    fourth profile derivative, the third weight derivative
+    chi''' = B_ss chi^2 + B_s B (chi' = B along the profile)."""
+    def psi(pt):
+        return (pt.B(0, 2) * pt.chi * pt.chi + pt.B(0, 1) * pt.B()) / 12.0
 
     return solve_jump(aux, psi, 0.0, 0.0, "z")
 

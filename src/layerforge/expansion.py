@@ -51,6 +51,10 @@ class Expansion:
     def xi_of(self, x):
         return (np.asarray(x, dtype=float) - self.t0) / self.eps
 
+    def at(self, x, side=None):
+        """The layer point of the points x (see corrections.LayerPoint)."""
+        return self.aux.at(np.atleast_1d(self.xi_of(x)), side)
+
     # -- smooth part ---------------------------------------------------------
 
     def _outer(self, x, side, root):
@@ -78,30 +82,27 @@ class Expansion:
     def _pairs(self, extra):
         return ((self.eps, self.v1), (self.eps * self.eps, self.v2), *extra)
 
-    def _assemble(self, x, side=None, extra=(), offset=0.0, defect=False):
-        """Value u0 + eps^2 u2 + V0 - u0(t0) + sum(w nu) + offset over the
-        pairs (w, nu) = (eps, v1), (eps^2, v2) and `extra`, or with `defect`
-        the operator defect -eps^2 u'' + b(x, u).  u'' is exact: symbolic for
-        the smooth part and, in xi, V0'' = b(t0, V0) and nu'' = B_s nu - psi.
+    def _assemble(self, x, pt, extra=(), offset=0.0, defect=False):
+        """Value u0 + eps^2 u2 + V0 - u0(t0) + sum(w nu) + offset at the
+        points x with layer point pt = self.at(x, side), over the pairs
+        (w, nu) = (eps, v1), (eps^2, v2) and `extra`, or with `defect` the
+        operator defect -eps^2 u'' + b(x, u).  u'' is exact: symbolic for
+        the smooth part and, in xi, V0'' = B and nu'' = B_s nu - psi.
         """
         a = np.atleast_1d(np.asarray(x, dtype=float))
-        xi = self.xi_of(a)
-        sides = sides_of(xi, side)
+        sides = pt.side
         eps = self.eps
-        terms = [(w, t, t.value(xi, sides)) for w, t in self._pairs(extra)]
-        V0 = self.aux.V0(xi)
-        out = (self.u0(a, sides) + eps * eps * self.u2(a, sides) + V0)
+        terms = [(w, t, t.value(pt.xi, sides)) for w, t in self._pairs(extra)]
+        out = (self.u0(a, sides) + eps * eps * self.u2(a, sides) + pt.V0)
         out += sum((w * nu for w, _, nu in terms),
                    -at_side(self.aux.u0_side, sides))
         out += offset
         if defect:
-            t0, b_val = self.t0, self.spec.b_val
-            bs = b_val(t0, V0, du=1)
-            d2_layer = sum((w * (bs * nu - t.psi_fn(xi, sides))
-                            for w, t, nu in terms), b_val(t0, V0))
+            d2_layer = sum((w * (pt.B(0, 1) * nu - t.psi_fn(pt))
+                            for w, t, nu in terms), pt.B())
             out = (-eps * eps * (self.u0(a, sides, order=2)
                                  + eps * eps * self.u2(a, sides, order=2))
-                   - d2_layer + b_val(a, out))
+                   - d2_layer + self.spec.b_val(a, out))
         return ex.shaped_like(out, x)
 
     def _jump(self, extra=()) -> float:
@@ -118,11 +119,11 @@ class Expansion:
 
     def u_as(self, x, side=None):
         """Expansion value; `side` picks the branch (scalar or per point)."""
-        return self._assemble(x, side)
+        return self._assemble(x, self.at(x, side))
 
     def residual(self, x, side=None):
         """Defect of the expansion in the differential operator."""
-        return self._assemble(x, side, defect=True)
+        return self._assemble(x, self.at(x, side), defect=True)
 
     def phi_u_as(self) -> float:
         """Scaled derivative jump of the expansion at the layer point."""
@@ -178,18 +179,17 @@ class PerturbedExpansion:
 
     def beta(self, x, side=None):
         """u_as + p' (v* + C0) + hhat^2 z."""
-        return self.base._assemble(x, side, self._extra,
+        return self.base._assemble(x, self.base.at(x, side), self._extra,
                                    self.pprime * self.C0)
 
     def f_beta_centered(self, x, side=None):
         """Operator defect of beta minus the truncation-compensation source
         hhat^2 psi_z, the combination whose sign the bracketing argument
         controls."""
-        a = np.atleast_1d(np.asarray(x, dtype=float))
-        xi = self.base.xi_of(a)
-        out = (self.base._assemble(a, side, self._extra,
+        pt = self.base.at(x, side)
+        out = (self.base._assemble(x, pt, self._extra,
                                    self.pprime * self.C0, defect=True)
-               - self.hhat ** 2 * self.z.psi_fn(xi, sides_of(xi, side)))
+               - self.hhat ** 2 * self.z.psi_fn(pt))
         return ex.shaped_like(out, x)
 
     def phi_beta(self) -> float:
@@ -215,10 +215,9 @@ def estimate_C0(aux: LayerAuxiliary, eps: float | None = None):
     x = np.unique(np.concatenate([np.linspace(1e-4, 1.0 - 1e-4, 801),
                                   x_layer]))
     x = x[(x > 0.0) & (x < 1.0) & (x != t0)]
-    xi = (x - t0) / eps
-    sides = sides_of(xi)
-    u0 = at_side((spec.phi(1, x), spec.phi(2, x)), sides)
-    v0 = aux.v0(xi, sides)
+    pt = aux.at((x - t0) / eps)
+    u0 = at_side((spec.phi(1, x), spec.phi(2, x)), pt.side)
+    v0 = pt.v0
     bs_zero = spec.b_val(x, u0, du=1)
     bs_v0 = spec.b_val(x, u0 + v0, du=1)
     small = np.abs(v0) < 1e-8

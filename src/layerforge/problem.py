@@ -20,6 +20,11 @@ _REQUIRED_FIELDS = ("name", "b", "phi0", "phi1", "phi2", "g0", "g1", "epsilon")
 #: trees of at most 20 levels.
 MAX_DERIVED_DEPTH = 4 * ex.MAX_DEPTH
 
+#: the partials d^{i+j} b / dx^i du^j, besides b itself, that the pipeline
+#: reads: the layer terms' chain rule (nx + ns <= 2) and the potential's
+#: quartic Taylor form (du <= 3)
+B_PARTIALS = ((1, 0), (0, 1), (2, 0), (1, 1), (0, 2), (0, 3))
+
 #: the shipped instances, one per problems/<name>.json, in name order
 BUILTIN_PROBLEMS = {
     path.stem: json.loads(path.read_text(encoding="utf-8"))
@@ -36,12 +41,12 @@ class ProblemSpec:
     """A complete problem instance with derivative caches.
 
     b_partials[(i, j)] is the exact symbolic d^{i+j} b / dx^i du^j for
-    i + j <= 3; phi_derivs[k][m] is the m-th x-derivative of root k for
-    m <= 4 (the smooth second-order correction needs four derivatives of
-    the outer roots); u2_exprs[side] holds (u2, u2', u2'') in x for the
+    (0, 0) and each (i, j) of B_PARTIALS; phi_derivs[k][m] is the m-th
+    x-derivative of root k, for m <= 2 on the outer roots (k = 1, 2) and
+    m = 0 on phi0; u2_exprs[side] holds (u2, u2', u2'') in x for the
     smooth second-order correction u2 = phi_k'' / b_u(x, phi_k) of the
-    left (phi1) and right (phi2) outer root.  All three are derived in
-    __post_init__, never passed in.
+    left (phi1) and right (phi2) outer root, differentiated from the u2
+    tree.  All three are derived in __post_init__, never passed in.
     """
 
     name: str
@@ -64,20 +69,17 @@ class ProblemSpec:
             if ex.uses_variable(root, "u"):
                 raise ProblemError(f"root {label} may not reference u")
         partials = {(0, 0): self.b}
-        for total in range(1, 4):
-            for i in range(total + 1):
-                j = total - i
-                if i > 0:
-                    d = ex.differentiate(partials[(i - 1, j)], "x")
-                else:
-                    d = ex.differentiate(partials[(i, j - 1)], "u")
-                partials[(i, j)] = _bounded(d, f"b partial {(i, j)}")
+        for i, j in B_PARTIALS:
+            if i > 0:
+                d = ex.differentiate(partials[(i - 1, j)], "x")
+            else:
+                d = ex.differentiate(partials[(i, j - 1)], "u")
+            partials[(i, j)] = _bounded(d, f"b partial {(i, j)}")
         object.__setattr__(self, "b_partials", partials)
-        derivs = []
-        for label, root in (("phi0", self.phi0), ("phi1", self.phi1),
-                            ("phi2", self.phi2)):
+        derivs = [(self.phi0,)]
+        for label, root in (("phi1", self.phi1), ("phi2", self.phi2)):
             chain = [root]
-            for m in range(1, 5):
+            for m in (1, 2):
                 chain.append(_bounded(ex.differentiate(chain[-1], "x"),
                                       f"derivative {m} of {label}"))
             derivs.append(tuple(chain))

@@ -287,11 +287,22 @@ def term_decay_rate(term: CorrectionTerm) -> float:
                decay_fit(term.xi_pos, term.val_pos))
 
 
+def decay_rates(kink: KinkProfile, terms: dict) -> tuple[dict, float, bool]:
+    """Tail rates of the weight chi and of each layer term, the floor
+    gamma_bar - 0.1 they must reach, and whether every rate reaches it."""
+    floor = kink.gamma_bar - 0.1
+    rates = {"chi": decay_fit(kink.xi, kink.chi_table)}
+    rates.update((label, term_decay_rate(t)) for label, t in terms.items())
+    return rates, floor, all(r >= floor for r in rates.values())
+
+
 def monotonicity_check(spec: ProblemSpec, loc: LayerLocation,
                        kink: KinkProfile, eps: float, p: float,
                        pprime: float, hhat: float,
                        n_points: int = 1000) -> SweepReport:
-    """Ordering of the oppositely-signed perturbed expansions."""
+    """Ordering of the oppositely-signed perturbed expansions on
+    graded_x_grid(t0, eps, n_points), which keeps at least 16 layer points;
+    the report gives the number of points evaluated."""
     up = build_perturbed(build_expansion(spec, p=p, eps=eps, loc=loc,
                                          kink=kink), pprime, hhat)
     dn = build_perturbed(build_expansion(spec, p=-p, eps=eps, loc=loc,
@@ -305,7 +316,7 @@ def monotonicity_check(spec: ProblemSpec, loc: LayerLocation,
                        passed=passed,
                        details={"worst_x": float(xs[i]), "p": p,
                                 "pprime": pprime, "hhat2": hhat ** 2,
-                                "n_points": n_points})
+                                "n_points": int(xs.size)})
 
 
 # ---------------------------------------------------------------------------

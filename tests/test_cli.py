@@ -265,7 +265,11 @@ class TestReports:
         code, out = run(capsys, "monotone", "--problem", "cubic",
                         "--points", "2")
         assert code == 0
-        assert json.loads(out)["passed"] is True
+        payload = json.loads(out)
+        assert payload["passed"] is True
+        # the graded grid keeps at least 16 layer points; the report counts
+        # the points it evaluated, not the ones asked for
+        assert payload["details"]["n_points"] == 16
 
     def test_dump_corrections_json(self, capsys):
         code, out = run(capsys, "dump-corrections", "--problem", "cubic",

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from layerforge import corrections, solver
+from layerforge import expr as ex
 from layerforge.grids import graded_half_grid, local_poly_derivative
 from layerforge.quadrature import adaptive_gl
 
@@ -28,26 +29,26 @@ def jump_solve(aux, psi, jm, jp):
 
 class TestSolveJump:
     def test_zero_source_zero_jumps(self, cubic_aux):
-        term = jump_solve(cubic_aux, lambda xi, side: 0.0 * xi, 0.0, 0.0)
+        term = jump_solve(cubic_aux, lambda pt: 0.0 * pt.xi, 0.0, 0.0)
         assert np.all(term.val_neg == 0.0)
         assert np.all(term.val_pos == 0.0)
         assert term.phi_value == 0.0
 
     def test_homogeneous_solution_is_the_weight(self, cubic_aux):
-        term = jump_solve(cubic_aux, lambda xi, side: 0.0 * xi, 1.0, 0.0)
-        chi = cubic_aux.chi(term.xi_neg)
+        term = jump_solve(cubic_aux, lambda pt: 0.0 * pt.xi, 1.0, 0.0)
+        chi = cubic_aux.at(term.xi_neg).chi
         assert np.allclose(term.val_neg, chi / term.chi0, rtol=0, atol=1e-14)
         assert np.all(term.val_pos == 0.0)
         assert term.phi_value == pytest.approx(term.dchi0 / term.chi0,
                                                abs=1e-14)
 
     def test_equal_jumps_cancel_in_phi(self, cubic_aux):
-        term = jump_solve(cubic_aux, lambda xi, side: 0.0 * xi, 0.7, 0.7)
+        term = jump_solve(cubic_aux, lambda pt: 0.0 * pt.xi, 0.7, 0.7)
         assert term.phi_value == pytest.approx(0.0, abs=1e-14)
 
     def test_sign_preservation(self, cubic_aux):
-        def psi(xi, side):
-            return cubic_aux.chi(xi) * (1.0 + xi * xi)
+        def psi(pt):
+            return pt.chi * (1.0 + pt.xi * pt.xi)
 
         term = jump_solve(cubic_aux, psi, 0.3, 0.1)
         assert np.all(term.val_neg >= 0.0)
@@ -56,10 +57,10 @@ class TestSolveJump:
     def test_non_decaying_source_rejected(self, cubic_aux):
         with pytest.raises(corrections.NonDecayingSource):
             jump_solve(cubic_aux,
-                       lambda xi, side: cubic_aux.chi(xi) * xi ** 8, 0.0, 0.0)
+                       lambda pt: pt.chi * pt.xi ** 8, 0.0, 0.0)
         # polynomial growth below the sixth power is admissible
         jump_solve(cubic_aux,
-                   lambda xi, side: cubic_aux.chi(xi) * (1.0 + xi ** 4),
+                   lambda pt: pt.chi * (1.0 + pt.xi ** 4),
                    0.0, 0.0)
 
     def test_cubic_branches_keep_their_parity(self, cubic_terms):
@@ -105,8 +106,9 @@ class TestGoverningEquation:
             keep = _subsample(xi)
             xs, vs = xi[keep], val[keep]
             probes = np.arange(2, xs.size - 2, 29)
-            psi = term.psi_fn(xs[probes], side)
-            bs = aux.B_s(xs[probes])
+            pt = aux.at(xs[probes], side)
+            psi = term.psi_fn(pt)
+            bs = pt.B(0, 1)
             for j, i in enumerate(probes):
                 d2 = local_poly_derivative(xs, vs, int(i), order=2)
                 resid = abs(-d2 + bs[j] * vs[i] - psi[j])
@@ -118,7 +120,7 @@ class TestBounds:
         """|v1| <= C (1 + xi^2) chi with a finite fitted constant."""
         aux, terms = cubic_terms
         v1 = terms["v1"]
-        chi = aux.chi(v1.xi_pos)
+        chi = aux.at(v1.xi_pos).chi
         ratio = np.abs(v1.val_pos) / ((1.0 + v1.xi_pos ** 2) * chi)
         assert np.max(ratio) < 10.0
 
@@ -136,8 +138,8 @@ class TestBounds:
         dn = corrections.make_auxiliary(spec, kk, loc, p=-h)
         xi = np.linspace(-8.0, 8.0, 41)
         for side in (-1, 1):
-            fd = (up.v0(xi, side) - dn.v0(xi, side)) / (2 * h)
-            chi = corrections.make_auxiliary(spec, kk, loc, p=0.0).chi(xi)
+            fd = (up.at(xi, side).v0 - dn.at(xi, side).v0) / (2 * h)
+            chi = corrections.make_auxiliary(spec, kk, loc, p=0.0).at(xi).chi
             assert np.max(np.abs(fd - chi)) <= 1e-6
 
 
@@ -161,10 +163,11 @@ class TestPhi:
         t0 = loc.t0
 
         def integrand(xi):
-            return (xi * spec.b_val(t0, aux.V0(xi), dx=1) * aux.chi(xi))
+            pt = aux.at(xi)
+            return (xi * spec.b_val(t0, pt.V0, dx=1) * pt.chi)
 
         moment = adaptive_gl(integrand, -kk.xi_max, kk.xi_max, tol=1e-12)
-        chi0 = float(np.atleast_1d(aux.chi(np.array([0.0])))[0])
+        chi0 = float(np.atleast_1d(aux.at(np.array([0.0])).chi)[0])
         expected = (moment / chi0
                     - (spec.phi(1, t0, order=1) - spec.phi(2, t0, order=1)))
         assert terms["v1"].phi_value == pytest.approx(expected, abs=1e-6)
@@ -174,8 +177,8 @@ class TestPhi:
         jumps over twice the anchor weight (equals -sqrt(2) on the cubic)."""
         aux, terms = cubic_terms
         vs = terms["vstar"]
-        v0m = float(np.atleast_1d(aux.v0(0.0, -1))[0])
-        v0p = float(np.atleast_1d(aux.v0(0.0, 1))[0])
+        v0m = float(np.atleast_1d(aux.at(0.0, -1).v0)[0])
+        v0p = float(np.atleast_1d(aux.at(0.0, 1).v0)[0])
         closed = -(v0m ** 2 + v0p ** 2) / (2.0 * vs.chi0)
         assert vs.phi_value == pytest.approx(closed, abs=1e-6)
         assert vs.phi_value == pytest.approx(-SQ2, abs=1e-6)
@@ -238,6 +241,34 @@ class TestBranchRule:
         assert len(calls) == 1
 
 
+class TestLayerPoint:
+    @pytest.mark.parametrize("name", ["cubic", "cubic-wavy"])
+    def test_chain_rule_matches_symbolic_partials(self, actx, name):
+        """B(nx, ns) at the layer point is the partial of the symbolic
+        B_k(x, s) = b(x, phi_k(x) + s) at (t0, v0) on each side, to 1e-12
+        of the largest partial on the probe grid (some vanish exactly)."""
+        spec, loc, kk = actx.pipeline(name)
+        aux = corrections.make_auxiliary(spec, kk, loc, p=0.003)
+        xi = np.linspace(-8.0, 8.0, 33)
+        orders = ((0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (2, 0))
+        for k, side in ((1, -1), (2, 1)):
+            shifted = ex.substitute(spec.b, "u",
+                                    ex.add(getattr(spec, f"phi{k}"),
+                                           ex.Var("u")))
+            pt = aux.at(xi, side)
+            exact = {}
+            for nx, ns in orders:
+                tree = shifted
+                for var, n in (("x", nx), ("u", ns)):
+                    for _ in range(n):
+                        tree = ex.differentiate(tree, var)
+                exact[nx, ns] = ex.evaluate(tree, loc.t0, pt.v0)
+            scale = max(np.max(np.abs(v)) for v in exact.values())
+            for nx, ns in orders:
+                gap = np.max(np.abs(pt.B(nx, ns) - exact[nx, ns]))
+                assert gap <= 1e-12 * scale, (side, nx, ns)
+
+
 class TestMatching:
     def test_symmetry_kills_first_moment(self, cubic):
         _, loc, _ = cubic
@@ -248,7 +279,9 @@ class TestMatching:
         for aux, terms in (cubic_terms, wavy_terms):
             for term in terms.values():
                 (xn, fdn), (xp, fdp) = solver.solve_jump_fd_numerov(
-                    aux.B_s, term.psi_fn, term.jump_minus, term.jump_plus)
+                    lambda xi: aux.at(xi).B(0, 1),
+                    lambda xi, side: term.psi_fn(aux.at(xi, side)),
+                    term.jump_minus, term.jump_plus)
                 gap = max(np.max(np.abs(fdn - term.value(xn, side=-1))),
                           np.max(np.abs(fdp - term.value(xp, side=1))))
                 assert gap <= 1e-6

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from layerforge import corrections, expansion
+from layerforge import corrections, expansion, kink, problem
 from layerforge.grids import graded_x_grid
 
 SQ2 = math.sqrt(2.0)
@@ -176,6 +176,35 @@ class TestSharedAssembly:
             counts[fn.__name__] = len(calls)
         assert counts == {"u_as": 2, "residual": 3, "beta": 4,
                           "f_beta_centered": 5}
+
+    def test_one_layer_point_per_call(self, wavy, monkeypatch):
+        """Each call looks the profile up once; the defect reads the six b
+        partials at the layer point once each, plus b(x, u)."""
+        spec, loc, kk = wavy
+        eps = 2.0 ** -6
+        e = expansion.build_expansion(spec, p=0.003, eps=eps, loc=loc,
+                                      kink=kk)
+        pe = expansion.build_perturbed(e, pprime=eps * 0.003,
+                                       hhat=math.sqrt(eps))
+        xs = graded_x_grid(loc.t0, eps, 500)
+        calls = []
+
+        def counting(name, original):
+            def counted(self, *args, **kwargs):
+                calls.append(name)
+                return original(self, *args, **kwargs)
+            return counted
+
+        for cls, name in ((kink.KinkProfile, "value"),
+                          (problem.ProblemSpec, "b_val")):
+            monkeypatch.setattr(cls, name,
+                                counting(name, getattr(cls, name)))
+        for fn, most_b in ((e.u_as, 0), (pe.beta, 0), (e.residual, 7),
+                           (pe.f_beta_centered, 7)):
+            calls.clear()
+            fn(xs)
+            assert calls.count("value") == 1, fn.__name__
+            assert calls.count("b_val") <= most_b, fn.__name__
 
 
 class TestGradedXGrid:

@@ -247,19 +247,19 @@ class TestEvaluators:
     def test_anchor_at_zero_shift(self, cubic):
         spec, loc, kk = cubic
         aux = corrections.make_auxiliary(spec, kk, loc, 0.0, tbar1=0.0)
-        assert aux.V0(0.0) == pytest.approx(spec.phi(0, loc.t0), abs=1e-12)
+        assert aux.at(0.0).V0 == pytest.approx(spec.phi(0, loc.t0), abs=1e-12)
 
     def test_logistic_inversion_point(self, cubic):
         spec, loc, kk = cubic
         aux = corrections.make_auxiliary(spec, kk, loc, 0.0, tbar1=0.0)
-        assert aux.V0(SQ2 * math.log(3.0)) == pytest.approx(0.75, abs=1e-9)
+        assert aux.at(SQ2 * math.log(3.0)).V0 == pytest.approx(0.75, abs=1e-9)
 
     def test_shift_identity(self, cubic):
         spec, loc, kk = cubic
         for delta in (0.03, -0.02):
-            a = corrections.make_auxiliary(spec, kk, loc, 0.05).V0(1.3)
+            a = corrections.make_auxiliary(spec, kk, loc, 0.05).at(1.3).V0
             b = corrections.make_auxiliary(spec, kk, loc,
-                                           0.05 - delta).V0(1.3 + delta)
+                                           0.05 - delta).at(1.3 + delta).V0
             assert a == pytest.approx(b, abs=1e-12)
 
     def test_shift_cap(self, cubic):
@@ -276,12 +276,13 @@ class TestEvaluators:
         spec, loc, kk = cubic
         aux = corrections.make_auxiliary(spec, kk, loc, 0.0, tbar1=0.0)
         # extremal slope at the anchor
-        assert aux.chi_prime(0.0) == pytest.approx(0.0, abs=1e-12)
+        assert aux.at(0.0).B() == pytest.approx(0.0, abs=1e-12)
         # curvature of the weight at the anchor: chi'' = B_s chi
         expected = -0.25 / (4.0 * SQ2)
-        assert aux.B_s(0.0) * aux.chi(0.0) == pytest.approx(expected, abs=1e-9)
+        anchor = aux.at(0.0)
+        assert anchor.B(0, 1) * anchor.chi == pytest.approx(expected, abs=1e-9)
         # chi''/chi = B_s approaches the squared tail rate
-        assert aux.B_s(18.0) == pytest.approx(kk.gamma_bar ** 2, rel=1e-4)
+        assert aux.at(18.0).B(0, 1) == pytest.approx(kk.gamma_bar ** 2, rel=1e-4)
 
 
 class TestFailureModes:

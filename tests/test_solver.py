@@ -263,9 +263,10 @@ class TestJumpOracle:
             # manufactured source: -(exact)'' + B_s * exact
             h = 1e-5
             d2 = (exact(xi + h) - 2 * exact(xi) + exact(xi - h)) / h ** 2
-            return -d2 + aux.B_s(xi) * exact(xi)
+            return -d2 + aux.at(xi).B(0, 1) * exact(xi)
 
         (xn, fn), (xp, fp) = solver.solve_jump_fd_numerov(
-            aux.B_s, psi, 0.0, 0.0, half_width=30.0, n=3000)
+            lambda xi: aux.at(xi).B(0, 1), psi, 0.0, 0.0, half_width=30.0,
+            n=3000)
         assert np.max(np.abs(fn - exact(xn))) <= 1e-4
         assert np.max(np.abs(fp - exact(xp))) <= 1e-4
