@@ -4,7 +4,7 @@ Every subcommand prints a deterministic report: floats are rendered with 17
 significant digits, so identical inputs give byte-identical output.  CSV
 columns are documented per subcommand in --help.  Exit codes: 0 success, 1 a
 failed check or a typed problem or numerical error (one line on stderr), 2 a
-usage error.
+usage error, among them an array size over SIZE_CAP.
 """
 
 from __future__ import annotations
@@ -24,6 +24,11 @@ from .problem import ProblemError
 from .quadrature import QuadratureFailed
 
 SCHEMA_VERSION = 1
+
+#: largest value of an option that sizes an array (--n of solve and compare,
+#: --points, --n-grid): larger ones are usage errors, checked before any
+#: allocation
+SIZE_CAP = 2 ** 22
 
 _ERRORS = (ProblemError, ParseError, DomainError, locator.NoSignChange,
            locator.WrongOrientation, locator.DegenerateRoot,
@@ -354,7 +359,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("check", cmd_check, "verify the structural assumptions")
     p.add_argument("--n-grid", type=int, default=256,
-                   help="check-grid resolution (default 256)")
+                   help=f"check-grid resolution (default 256, at most "
+                        f"{SIZE_CAP})")
 
     add("locate", cmd_locate, "layer point and matching constants (JSON)")
 
@@ -376,7 +382,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hhat", type=float, default=0.0)
     p.add_argument("--n", type=int, default=64, help="truncation N")
     p.add_argument("--c-tau", type=float, default=2.5)
-    p.add_argument("--points", type=int, default=1001)
+    p.add_argument("--points", type=int, default=1001,
+                   help=f"grid points (at most {SIZE_CAP})")
     p.add_argument("--out", default=None, help="output path (default stdout)")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
 
@@ -395,12 +402,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help="default eps * p")
     p.add_argument("--hhat", type=float, default=None,
                    help="default sqrt(eps)")
-    p.add_argument("--points", type=int, default=1000)
+    p.add_argument("--points", type=int, default=1000,
+                   help=f"points evaluated (at most {SIZE_CAP})")
 
     add("fbeta", cmd_fbeta, "operator-defect margin report (JSON)")
 
     p = add("solve", cmd_solve, "nonlinear FD solve seeded by the expansion")
-    p.add_argument("--n", type=int, default=512, help="mesh cells (even)")
+    p.add_argument("--n", type=int, default=512,
+                   help=f"mesh cells (even, at most {SIZE_CAP})")
     p.add_argument("--c-tau", type=float, default=2.5)
     p.add_argument("--mesh", choices=("layer-adapted", "uniform"),
                    default="layer-adapted")
@@ -408,7 +417,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("csv", "json"), default="csv")
 
     p = add("compare", cmd_compare, "distance of the FD solve to the expansion")
-    p.add_argument("--n", type=int, default=512)
+    p.add_argument("--n", type=int, default=512,
+                   help=f"mesh cells (even, at most {SIZE_CAP})")
     p.add_argument("--c-tau", type=float, default=2.5)
 
     add("all", cmd_all, "run the acceptance suite (use --problem all for "
@@ -437,6 +447,14 @@ def _validate(args):
         raise UsageError(f"--p magnitude must not exceed {kink.P_STAR}")
     if getattr(args, "points", None) is not None and args.points < 2:
         raise UsageError(f"--points must be at least 2, got {args.points}")
+    sized = ["n_grid", "points"]
+    if args.command in ("solve", "compare"):
+        sized.append("n")  # expand's --n only enters log N
+    for name in sized:
+        value = getattr(args, name, None)
+        if value is not None and value > SIZE_CAP:
+            raise UsageError(f"--{name.replace('_', '-')} must not exceed "
+                             f"{SIZE_CAP}, got {value}")
 
 
 def main(argv=None) -> int:

@@ -13,7 +13,9 @@ derivative jump at 0 comes from the quadrature identity
 
     Phi[nu] = ( -int psi chi + (jump_minus - jump_plus) chi'(0) ) / chi(0),
 
-never from numerically differentiating nu.
+never from numerically differentiating nu.  The same solution gives nu' at
+every node, and the equation gives nu'', so each branch is tabulated with
+its exact node derivatives and interpolated by quintic Hermite.
 """
 
 from __future__ import annotations
@@ -22,10 +24,9 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from . import expr as ex
-from .grids import graded_half_grid, one_sided_derivative
+from .grids import graded_half_grid, hermite_quintic, one_sided_derivative
 from .kink import KinkProfile, P_STAR, build_kink
 from .locator import DegenerateRoot, LayerLocation, locate_t0
 from .problem import ProblemSpec
@@ -93,12 +94,19 @@ class LayerAuxiliary:
         """The layer point at xi on the branches sides_of(xi, side)."""
         return LayerPoint(self, xi, side)
 
+    def branches(self) -> tuple[LayerPoint, LayerPoint]:
+        """The layer points xi = -s and xi = s of the correction grid s: one
+        pair serves every term a build solves, so the profile and the b
+        partials there are looked up once per build."""
+        return self.at(-self.grid, -1), self.at(self.grid, 1)
+
 
 class LayerPoint:
     """Layer quantities at xi on one configuration's branches.
 
     The profile V0 and weight chi are looked up, and each partial of b at
-    (t0, V0) evaluated, at most once, on first use.
+    (t0, V0) and each layer term's value evaluated, at most once, on first
+    use.
     """
 
     def __init__(self, aux: LayerAuxiliary, xi, side=None):
@@ -106,16 +114,38 @@ class LayerPoint:
         self.xi = np.asarray(xi, dtype=float)
         self.side = sides_of(self.xi, side)
         self._b = {}
+        self._nu = {}
+
+    @cached_property
+    def shifted(self):
+        """The profile's own argument xi - tbar1 + p."""
+        return self.xi - self.aux.tbar1 + self.aux.p
 
     @cached_property
     def V0(self):
         """The shifted profile."""
-        return self.aux.kink.value(self.xi - self.aux.tbar1 + self.aux.p)
+        return self.aux.kink.value(self.shifted)
 
     @cached_property
     def chi(self):
         """The profile weight V0'."""
-        return self.aux.kink.slope(self.xi - self.aux.tbar1 + self.aux.p)
+        return self.aux.kink.slope(self.shifted)
+
+    @cached_property
+    def dchi(self):
+        """The weight's xi-derivative as the profile lookup defines it:
+        chi' = B on the profile table, and the tail's own -+mu chi past it,
+        where V0 has rounded onto a root and B has lost the decay."""
+        kk, a = self.aux.kink, self.shifted
+        return np.where(a > kk.xi_max, -kk.mu_plus * self.chi,
+                        np.where(a < -kk.xi_max, kk.mu_minus * self.chi,
+                                 self.B()))
+
+    def nu(self, term: CorrectionTerm):
+        """The layer term's value at the point."""
+        if term not in self._nu:
+            self._nu[term] = term.value(self.xi, self.side)
+        return self._nu[term]
 
     @property
     def v0(self):
@@ -171,15 +201,20 @@ def make_auxiliary(spec: ProblemSpec, kink: KinkProfile, loc: LayerLocation,
 # The generic jump problem
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CorrectionTerm:
-    """Two-branch solution of the jump problem with its jump data."""
+    """Two-branch solution of the jump problem with its jump data.
+
+    Each branch is the table (s, nu, nu', nu'') on the distance s = |xi|
+    from the layer point, derivatives taken in s: exact node values of the
+    explicit solution, of its derivative, and of the equation's
+    nu'' = B_s nu - psi.  Terms compare and hash by identity, so a layer
+    point can hold their values.
+    """
 
     label: str
-    xi_neg: np.ndarray = field(repr=False)   # ascending, [-Xi .. 0]
-    val_neg: np.ndarray = field(repr=False)
-    xi_pos: np.ndarray = field(repr=False)   # ascending, [0 .. Xi]
-    val_pos: np.ndarray = field(repr=False)
+    neg: tuple = field(repr=False)   # xi = -s
+    pos: tuple = field(repr=False)   # xi = s
     jump_minus: float
     jump_plus: float
     phi_numerator: float
@@ -188,87 +223,106 @@ class CorrectionTerm:
     dchi0: float
     mu_minus: float
     mu_plus: float
-    psi_fn: object = field(repr=False, compare=False)
-    _spline_neg: CubicSpline = field(repr=False, compare=False)  # on -xi
-    _spline_pos: CubicSpline = field(repr=False, compare=False)
+    psi_fn: object = field(repr=False)
+
+    @property
+    def xi_neg(self):
+        """The negative branch's nodes, ascending over [-Xi .. 0]."""
+        return -self.neg[0][::-1]
+
+    @property
+    def val_neg(self):
+        return self.neg[1][::-1]
+
+    @property
+    def xi_pos(self):
+        """The positive branch's nodes, ascending over [0 .. Xi]."""
+        return self.pos[0]
+
+    @property
+    def val_pos(self):
+        return self.pos[1]
 
     def value(self, xi, side=None):
-        """nu(xi) on the branch `sides_of(xi, side)` picks at each point;
-        past its table end a branch continues with its exponential tail."""
+        """nu(xi) on the branch `sides_of(xi, side)` picks at each point:
+        quintic Hermite in s on its table, and past the table end its
+        exponential tail."""
         a = np.atleast_1d(np.asarray(xi, dtype=float))
-        xi_max = float(self.xi_pos[-1])
-        sides = sides_of(a, side)
-        neg = sides < 0
-        far = np.where(neg, a < -xi_max, a > xi_max)
+        left = sides_of(a, side) < 0
+        s = np.where(left, -a, a)
+        s_max = float(self.pos[0][-1])
+        far = s > s_max
         out = np.empty_like(a)
-        out[neg & ~far] = self._spline_neg(-a[neg & ~far])
-        out[~neg & ~far] = self._spline_pos(a[~neg & ~far])
-        s = sides[far]
-        out[far] = (at_side((self.val_neg[0], self.val_pos[-1]), s)
-                    * np.exp(-at_side((self.mu_minus, self.mu_plus), s)
-                             * (np.abs(a[far]) - xi_max)))
+        for on, table, mu in ((left, self.neg, self.mu_minus),
+                              (~left, self.pos, self.mu_plus)):
+            near, tail = on & ~far, on & far
+            out[near] = hermite_quintic(s[near], *table)
+            out[tail] = table[1][-1] * np.exp(-mu * (s[tail] - s_max))
         return ex.shaped_like(out, xi)
 
 
 def solve_jump(aux: LayerAuxiliary, psi, nu0_minus: float, nu0_plus: float,
-               label: str) -> CorrectionTerm:
+               label: str, points: tuple | None = None) -> CorrectionTerm:
     """Solve the two-branch jump problem of one configuration.
 
-    The weight chi, its derivative chi' = B, the coefficient B_s, the tail
-    rates and the grid `aux.grid` of distances s = |xi| from the layer
-    point come from `aux`; psi is a callable of a LayerPoint.  xi -> -xi
-    maps one branch's problem onto the other's, so each branch is one
-    _half_line solve on the layer point xi = side * s.
+    The weight chi, its derivative, the coefficient B_s, the tail rates and
+    the grid `aux.grid` of distances s = |xi| from the layer point come from
+    `aux`; psi is a callable of a LayerPoint.  xi -> -xi maps one branch's
+    problem onto the other's, so each branch is one _half_line solve on the
+    layer point xi = side * s.  `points` are those two layer points,
+    `aux.branches()` by default; a build passes one pair to all its terms,
+    and each term leaves its node values there for the sources that read
+    it.
     """
     s = np.asarray(aux.grid, dtype=float)
+    neg_pt, pos_pt = aux.branches() if points is None else points
     anchor = aux.at(0.0)
     chi0 = float(anchor.chi)
     dchi0 = float(anchor.B())
     branch = {}
-    for side, mu, nu0 in ((1, aux.kink.mu_plus, nu0_plus),
-                          (-1, aux.kink.mu_minus, nu0_minus)):
-        pt = aux.at(side * s, side)
+    for side, pt, mu, nu0 in ((1, pos_pt, aux.kink.mu_plus, nu0_plus),
+                              (-1, neg_pt, aux.kink.mu_minus, nu0_minus)):
         chi = np.asarray(pt.chi, dtype=float)
         psi_s = np.asarray(psi(pt), dtype=float)
         _check_decay(s, psi_s, chi, label)
-        bs_ends = np.asarray(pt.B(0, 1)[[0, -1]], dtype=float)
-        del pt  # its tables are not needed through the spline build
-        branch[side] = _half_line(s, chi, psi_s, bs_ends, mu, nu0, chi0)
-    val_neg, inner_neg, spline_neg = branch[-1]
-    val_pos, inner_pos, spline_pos = branch[1]
+        branch[side] = _half_line(s, chi, side * pt.dchi, psi_s, pt.B(0, 1),
+                                  mu, nu0, chi0)
+    (neg, inner_neg), (pos, inner_pos) = branch[-1], branch[1]
     phi_numerator = -(inner_neg + inner_pos) + (nu0_minus - nu0_plus) * dchi0
-    return CorrectionTerm(label=label, xi_neg=-s[::-1], val_neg=val_neg[::-1],
-                          xi_pos=s, val_pos=val_pos,
+    term = CorrectionTerm(label=label, neg=neg, pos=pos,
                           jump_minus=float(nu0_minus), jump_plus=float(nu0_plus),
                           phi_numerator=float(phi_numerator),
                           phi_value=float(phi_numerator / chi0), chi0=chi0,
                           dchi0=dchi0, mu_minus=aux.kink.mu_minus,
-                          mu_plus=aux.kink.mu_plus, psi_fn=psi,
-                          _spline_neg=spline_neg, _spline_pos=spline_pos)
+                          mu_plus=aux.kink.mu_plus, psi_fn=psi)
+    for pt, table in ((neg_pt, neg), (pos_pt, pos)):
+        pt._nu[term] = table[1]
+    return term
 
 
-def _half_line(s, chi, psi, bs_ends, mu, nu0, chi0):
+def _half_line(s, chi, dchi, psi, bs, mu, nu0, chi0):
     """One branch of the jump problem, on the distance s from the layer point.
 
     Solves -nu'' + B_s nu = psi for s > 0 with nu(0) = nu0 and decay at
-    infinity, where chi (decaying in s) is the homogeneous solution:
+    infinity, where chi (decaying in s, with s-derivative dchi) is the
+    homogeneous solution:
 
         nu(s) = chi(s) [nu0 / chi0 + int_0^s chi^-2 int_t^inf chi psi].
 
     The inner integral starts from the analytic tail of chi*psi past the
     grid and is summed from the far end, so its exponentially small values
     survive the chi^-2 weight; the outer one is summed outward from 0.
-    Returns the values (exactly nu0 at s = 0), the integral of chi*psi over
-    the half-line, and the spline on s, its end nu'' from the equation.
+    Returns the table (s, nu, nu', nu'') of the CorrectionTerm branch, its
+    values exactly nu0 at s = 0, and the integral of chi*psi over the
+    half-line.
     """
     g = chi * psi
     inner = cumtrapz_to_end(g, s) + g[-1] / (2.0 * mu)
     outer = cumtrapz_from_zero(inner / (chi * chi), s)
     val = chi * outer + (nu0 / chi0) * chi
     val[0] = nu0
-    d2 = bs_ends * val[[0, -1]] - psi[[0, -1]]
-    spline = CubicSpline(s, val, bc_type=((2, d2[0]), (2, d2[1])))
-    return val, float(inner[0]), spline
+    d1 = dchi * outer + (nu0 / chi0) * dchi + inner / chi
+    return (s, val, d1, bs * val - psi), float(inner[0])
 
 
 def _check_decay(xi_abs, psi, chi, label):
@@ -302,15 +356,16 @@ def phi_from_tables(term: CorrectionTerm) -> float:
 # The four concrete corrections
 
 
-def build_v1(aux: LayerAuxiliary) -> CorrectionTerm:
+def build_v1(aux: LayerAuxiliary, points=None) -> CorrectionTerm:
     """First-order layer correction: source -xi * B_x, zero jumps."""
     def psi(pt):
         return -pt.xi * pt.B(1, 0)
 
-    return solve_jump(aux, psi, 0.0, 0.0, "v1")
+    return solve_jump(aux, psi, 0.0, 0.0, "v1", points)
 
 
-def build_v2(aux: LayerAuxiliary, v1: CorrectionTerm) -> CorrectionTerm:
+def build_v2(aux: LayerAuxiliary, v1: CorrectionTerm,
+             points=None) -> CorrectionTerm:
     """Second-order layer correction.
 
     Source assembled termwise from the B partials and the first-order term;
@@ -320,17 +375,17 @@ def build_v2(aux: LayerAuxiliary, v1: CorrectionTerm) -> CorrectionTerm:
     u2 = aux.u2_side
 
     def psi(pt):
-        xi, w1 = pt.xi, v1.value(pt.xi, pt.side)
+        xi, w1 = pt.xi, pt.nu(v1)
         return (-0.5 * xi * xi * pt.B(2, 0)
                 - xi * w1 * pt.B(1, 1)
                 - 0.5 * w1 * w1 * pt.B(0, 2)
                 - at_side(u2, pt.side)
                 * (pt.B(0, 1) - at_side(aux.bs0_side, pt.side)))
 
-    return solve_jump(aux, psi, -u2[0], -u2[1], "v2")
+    return solve_jump(aux, psi, -u2[0], -u2[1], "v2", points)
 
 
-def build_vstar(aux: LayerAuxiliary) -> CorrectionTerm:
+def build_vstar(aux: LayerAuxiliary, points=None) -> CorrectionTerm:
     """Nonnegative perturbation shape: source |v0|, zero jumps.
 
     The absolute value is non-smooth only at xi = 0, which is already the
@@ -339,24 +394,25 @@ def build_vstar(aux: LayerAuxiliary) -> CorrectionTerm:
     def psi(pt):
         return np.abs(pt.v0)
 
-    return solve_jump(aux, psi, 0.0, 0.0, "vstar")
+    return solve_jump(aux, psi, 0.0, 0.0, "vstar", points)
 
 
-def build_z(aux: LayerAuxiliary) -> CorrectionTerm:
+def build_z(aux: LayerAuxiliary, points=None) -> CorrectionTerm:
     """Truncation-error compensation shape: source is a twelfth of the
     fourth profile derivative, the third weight derivative
     chi''' = B_ss chi^2 + B_s B (chi' = B along the profile)."""
     def psi(pt):
         return (pt.B(0, 2) * pt.chi * pt.chi + pt.B(0, 1) * pt.B()) / 12.0
 
-    return solve_jump(aux, psi, 0.0, 0.0, "z")
+    return solve_jump(aux, psi, 0.0, 0.0, "z", points)
 
 
 def build_terms(aux: LayerAuxiliary) -> dict:
     """The four corrections of one configuration: v1, v2, vstar, z."""
-    v1 = build_v1(aux)
-    return {"v1": v1, "v2": build_v2(aux, v1), "vstar": build_vstar(aux),
-            "z": build_z(aux)}
+    points = aux.branches()
+    v1 = build_v1(aux, points)
+    return {"v1": v1, "v2": build_v2(aux, v1, points),
+            "vstar": build_vstar(aux, points), "z": build_z(aux, points)}
 
 
 # ---------------------------------------------------------------------------
@@ -383,8 +439,9 @@ def compute_matching(spec: ProblemSpec, kink: KinkProfile,
     t1 = C_II / loc.C_I
 
     aux0 = make_auxiliary(spec, kink, loc, p=0.0, tbar1=t1)
-    v1 = build_v1(aux0)
-    v2 = build_v2(aux0, v1)
+    points = aux0.branches()
+    v1 = build_v1(aux0, points)
+    v2 = build_v2(aux0, v1, points)
     C_III = v2.phi_numerator
     t2 = C_III / loc.C_I
     return loc.with_matching(float(C_II), float(C_III), float(t1), float(t2))

@@ -92,7 +92,7 @@ class Expansion:
         a = np.atleast_1d(np.asarray(x, dtype=float))
         sides = pt.side
         eps = self.eps
-        terms = [(w, t, t.value(pt.xi, sides)) for w, t in self._pairs(extra)]
+        terms = [(w, t, pt.nu(t)) for w, t in self._pairs(extra)]
         out = (self.u0(a, sides) + eps * eps * self.u2(a, sides) + pt.V0)
         out += sum((w * nu for w, _, nu in terms),
                    -at_side(self.aux.u0_side, sides))
@@ -155,8 +155,9 @@ def build_expansion(spec: ProblemSpec, p: float, eps: float,
     epsilon-independent work that a parameter sweep reuses.
     """
     aux = make_auxiliary(spec, kink, loc, p=p, tbar1=loc.shift(eps))
-    v1 = build_v1(aux)
-    v2 = build_v2(aux, v1)
+    points = aux.branches()
+    v1 = build_v1(aux, points)
+    v2 = build_v2(aux, v1, points)
     return Expansion(spec=spec, loc=loc, kink=kink, aux=aux, v1=v1, v2=v2,
                      eps=float(eps), p=float(p))
 
@@ -243,8 +244,9 @@ def build_perturbed(base: Expansion, pprime: float,
         raise ValueError(
             f"hhat^2 = {hhat ** 2:.3g} exceeds {HHAT_CAP} * eps = "
             f"{HHAT_CAP * base.eps:.3g}")
-    vstar = build_vstar(base.aux)
-    z = build_z(base.aux)
+    points = base.aux.branches()
+    vstar = build_vstar(base.aux, points)
+    z = build_z(base.aux, points)
     _, C0 = estimate_C0(base.aux, eps=base.eps)
     return PerturbedExpansion(base=base, pprime=float(pprime),
                               hhat=float(hhat), vstar=vstar, z=z, C0=C0)

@@ -45,6 +45,30 @@ def graded_x_grid(t0: float, eps: float, n: int, xi_max: float = 30.0) -> np.nda
     return x
 
 
+def hermite_quintic(s_t, s_k, v_k, d1_k, d2_k):
+    """Two-point quintic Hermite interpolation of node values v_k, first
+    derivatives d1_k and second derivatives d2_k on the ascending nodes s_k
+    onto s_t.  At a node every basis term but its own value's is exactly
+    0, so the node value comes back bitwise; outside [s_k[0], s_k[-1]] the
+    end cell's quintic extrapolates."""
+    idx = np.clip(np.searchsorted(s_k, s_t) - 1, 0, s_k.size - 2)
+    h = s_k[idx + 1] - s_k[idx]
+    t = (s_t - s_k[idx]) / h
+    t2 = t * t
+    t3 = t2 * t
+    t4 = t3 * t
+    t5 = t4 * t
+    h00 = 1.0 - 10.0 * t3 + 15.0 * t4 - 6.0 * t5
+    h10 = t - 6.0 * t3 + 8.0 * t4 - 3.0 * t5
+    h20 = 0.5 * t2 - 1.5 * t3 + 1.5 * t4 - 0.5 * t5
+    h01 = 10.0 * t3 - 15.0 * t4 + 6.0 * t5
+    h11 = -4.0 * t3 + 7.0 * t4 - 3.0 * t5
+    h21 = 0.5 * t3 - t4 + 0.5 * t5
+    return (v_k[idx] * h00 + h * d1_k[idx] * h10 + h * h * d2_k[idx] * h20
+            + v_k[idx + 1] * h01 + h * d1_k[idx + 1] * h11
+            + h * h * d2_k[idx + 1] * h21)
+
+
 def local_poly_derivative(x: np.ndarray, y: np.ndarray, i: int,
                           order: int, width: int = 5) -> float:
     """Derivative of given order at node i from a local polynomial fit.

@@ -18,7 +18,7 @@ import numpy as np
 from scipy.interpolate import CubicHermiteSpline
 
 from . import expr as ex
-from .grids import graded_half_grid
+from .grids import graded_half_grid, hermite_quintic
 from .kernels import eval_program_array, integrate_kink
 from .locator import LayerLocation
 from .problem import ProblemSpec
@@ -173,26 +173,6 @@ def build_potential(spec: ProblemSpec, loc: LayerLocation) -> PotentialTable:
                           suffix=suffix, taylor=taylor)
 
 
-def _hermite_quintic(s_t, s_k, v_k, d1_k, d2_k):
-    """Two-point quintic Hermite interpolation of node data onto s_t."""
-    idx = np.clip(np.searchsorted(s_k, s_t) - 1, 0, s_k.size - 2)
-    h = s_k[idx + 1] - s_k[idx]
-    t = (s_t - s_k[idx]) / h
-    t2 = t * t
-    t3 = t2 * t
-    t4 = t3 * t
-    t5 = t4 * t
-    h00 = 1.0 - 10.0 * t3 + 15.0 * t4 - 6.0 * t5
-    h10 = t - 6.0 * t3 + 8.0 * t4 - 3.0 * t5
-    h20 = 0.5 * t2 - 1.5 * t3 + 1.5 * t4 - 0.5 * t5
-    h01 = 10.0 * t3 - 15.0 * t4 + 6.0 * t5
-    h11 = -4.0 * t3 + 7.0 * t4 - 3.0 * t5
-    h21 = 0.5 * t3 - t4 + 0.5 * t5
-    return (v_k[idx] * h00 + h * d1_k[idx] * h10 + h * h * d2_k[idx] * h20
-            + v_k[idx + 1] * h01 + h * d1_k[idx + 1] * h11
-            + h * h * d2_k[idx + 1] * h21)
-
-
 def _profile_side(pot: PotentialTable, anchor: float, root: float,
                   sign: float, mu: float, s_t: np.ndarray):
     """One side of the profile on s_t = |xi|, and its tail amplitude.
@@ -233,7 +213,7 @@ def _profile_side(pot: PotentialTable, anchor: float, root: float,
 
     inside = s_t <= min(s_tail, float(s_k[-1]))
     vals = np.empty_like(s_t)
-    vals[inside] = _hermite_quintic(s_t[inside], s_k, v_k, sign * c_k, b_k)
+    vals[inside] = hermite_quintic(s_t[inside], s_k, v_k, sign * c_k, b_k)
     vals[~inside] = root - sign * amp * np.exp(-mu * s_t[~inside])
     return vals, amp
 

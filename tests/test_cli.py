@@ -97,6 +97,30 @@ class TestUsageErrors:
         assert captured.err.count("\n") == 1
 
     @pytest.mark.parametrize("argv", [
+        ["solve", "--n", "100000000000"],
+        ["compare", "--n", "100000000000"],
+        ["expand", "--points", "100000000000"],
+        ["monotone", "--points", "100000000000"],
+        ["check", "--n-grid", "100000000000"],
+    ], ids=["solve-n", "compare-n", "expand-points", "monotone-points",
+            "check-n-grid"])
+    def test_size_over_the_cap_is_one_usage_line(self, capsys, argv):
+        """Checked before anything is allocated: 1e11 would need up to
+        745 GiB."""
+        code = cli.main(argv + ["--problem", "cubic"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (f"usage error: {argv[1]} must not exceed "
+                                f"{cli.SIZE_CAP}, got {argv[2]}\n")
+
+    def test_expand_truncation_n_has_no_cap(self, capsys):
+        code = cli.main(["expand", "--problem", "cubic", "--points", "3",
+                         "--n", "100000000000"])
+        assert code == 0
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("argv", [
         ["expand", "--out"],
         ["residual", "--csv"],
     ], ids=["expand-out", "residual-csv"])

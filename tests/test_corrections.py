@@ -211,6 +211,48 @@ class TestV2:
         assert abs(left - right) <= 1e-10
 
 
+class TestHermiteTables:
+    """Each branch tabulates nu, nu' and nu'' at its nodes, and `value`
+    interpolates them by quintic Hermite."""
+
+    def test_value_at_the_nodes_is_the_table(self, cubic_terms, wavy_terms):
+        for _, terms in (cubic_terms, wavy_terms):
+            for term in terms.values():
+                assert np.array_equal(term.value(term.xi_neg, -1),
+                                      term.val_neg)
+                assert np.array_equal(term.value(term.xi_pos, 1),
+                                      term.val_pos)
+
+    @pytest.mark.parametrize("name", ["cubic", "cubic-wavy"])
+    @pytest.mark.parametrize("side", [-1, 1])
+    def test_homogeneous_term_is_the_weight_between_nodes(self, actx, name,
+                                                          side):
+        """psi = 0 with a unit jump on one side is chi / chi0 there, also
+        past the profile table, where the weight's slope is the tail's
+        -mu chi (b(t0, V0) has lost the decay once V0 rounds onto the
+        root).  The cell across the profile's table end is left out: the
+        looked-up weight itself jumps there by up to 3e-8 relative."""
+        aux, _ = actx.terms(name)
+        term = corrections.solve_jump(aux, lambda pt: 0.0 * pt.xi,
+                                      float(side < 0), float(side > 0), "nu")
+        s = term.pos[0]
+        seam = aux.kink.xi_max + side * (aux.tbar1 - aux.p)
+        keep = (s[1:] < 60.0) & ~((s[:-1] < seam) & (seam < s[1:]))
+        xi = side * 0.5 * (s[:-1] + s[1:])[keep]
+        exact = aux.at(xi, side).chi / term.chi0
+        assert np.max(np.abs(term.value(xi, side) / exact - 1.0)) <= 1e-8
+
+    def test_node_slopes_carry_the_jump(self, cubic_terms, wavy_terms):
+        """nu'(0-) - nu'(0+) from the stored s-derivatives (nu' = -dnu/ds on
+        the negative branch) is Phi[nu], to 1e-15 of the one-sided slopes:
+        on the symmetric cubic Phi[v1] and Phi[v2] are roundoff."""
+        for _, terms in (cubic_terms, wavy_terms):
+            for term in terms.values():
+                left, right = -term.neg[2][0], term.pos[2][0]
+                gap = abs(left - right - term.phi_value)
+                assert gap <= 1e-15 * (abs(left) + abs(right)), term.label
+
+
 class TestBranchRule:
     def test_sides_of(self):
         xi = np.array([-2.0, -0.0, 0.0, 3.0])

@@ -152,8 +152,8 @@ class TestSharedAssembly:
         assert np.max(np.abs(pe.beta(xs) - u_as - extra)) <= 4.0 * ulp
 
     def test_each_layer_term_is_evaluated_once(self, wavy, monkeypatch):
-        """v1, v2 (and v*, z) once per call, plus v1 once inside v2's
-        source for the defect."""
+        """v1, v2 (and v*, z) once per call: v2's source in the defect
+        reads the value of v1 the layer point already holds."""
         spec, loc, kk = wavy
         eps = 2.0 ** -6
         e = expansion.build_expansion(spec, p=0.003, eps=eps, loc=loc,
@@ -174,8 +174,39 @@ class TestSharedAssembly:
             calls.clear()
             fn(xs)
             counts[fn.__name__] = len(calls)
-        assert counts == {"u_as": 2, "residual": 3, "beta": 4,
-                          "f_beta_centered": 5}
+        assert counts == {"u_as": 2, "residual": 2, "beta": 4,
+                          "f_beta_centered": 4}
+
+    def test_one_branch_pair_per_build(self, wavy, monkeypatch):
+        """build_expansion (v1, v2) and build_perturbed (v*, z) each look
+        the profile up once per branch on the correction grid, and v2's
+        source reads v1's node values instead of evaluating v1."""
+        spec, loc, kk = wavy
+        eps = 2.0 ** -6
+        grid_size = corrections.GRID_N_PER_SIDE + 1
+        calls = []
+
+        def counting(name, original, on_grid):
+            def counted(self, *args, **kwargs):
+                if not on_grid or np.size(args[0]) == grid_size:
+                    calls.append(name)
+                return original(self, *args, **kwargs)
+            return counted
+
+        for cls, name, on_grid in ((kink.KinkProfile, "value", True),
+                                   (kink.KinkProfile, "slope", True),
+                                   (corrections.CorrectionTerm, "value",
+                                    False)):
+            monkeypatch.setattr(cls, name, counting(
+                f"{cls.__name__}.{name}", getattr(cls, name), on_grid))
+        e = expansion.build_expansion(spec, p=0.003, eps=eps, loc=loc,
+                                      kink=kk)
+        built = sorted(calls)
+        calls.clear()
+        expansion.build_perturbed(e, pprime=eps * 0.003, hhat=math.sqrt(eps))
+        twice_each = ["KinkProfile.slope"] * 2 + ["KinkProfile.value"] * 2
+        assert built == twice_each
+        assert sorted(calls) == twice_each
 
     def test_one_layer_point_per_call(self, wavy, monkeypatch):
         """Each call looks the profile up once; the defect reads the six b

@@ -1,0 +1,106 @@
+"""Compare the checked CLI outputs of this tree with a parent checkout.
+
+    python tools/cmp_outputs.py PARENT_CHECKOUT
+
+runs every command of RUNS with `python -m layerforge` once on this tree's
+`src/` and once on PARENT_CHECKOUT's `src/`, and prints one line per run:
+"identical" when stdout, stderr and exit code match byte for byte, else the
+largest absolute and relative difference over the numbers of stdout (the
+text around the numbers must match), or what else differs.  The exit
+status is 0 when every run is identical and 1 otherwise.
+"""
+
+from __future__ import annotations
+
+import argparse
+import math
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+BUILTINS = ("cubic", "cubic-wavy")
+
+#: per built-in problem, the arguments after `--problem NAME`
+PER_PROBLEM = (
+    ("check",),
+    ("locate",),
+    ("dump-kink",),
+    ("dump-corrections", "--p", "0.003"),
+    ("expand",),
+    ("expand", "--p", "0.003", "--pprime", "0.0003", "--hhat", "0.1"),
+    ("phi",),
+    ("decay",),
+    ("residual",),
+    ("fbeta",),
+    ("monotone",),
+    ("solve", "--n", "2048", "--format", "json"),
+    ("compare", "--n", "4096"),
+)
+
+RUNS = (("all", "--problem", "all"),
+        *((cmd[0], "--problem", name, *cmd[1:])
+          for name in BUILTINS for cmd in PER_PROBLEM))
+
+_NUMBER = re.compile(r"(?<![\w.])[-+]?(?:(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?"
+                     r"|inf|nan)(?![\w.])")
+
+
+def number_diff(a: str, b: str):
+    """(max absolute, max relative) difference over the numbers of two
+    texts that match once their numbers are blanked out, else None.  NaN
+    equals NaN, and the relative difference is taken against the larger
+    magnitude (0 where both numbers are 0)."""
+    if _NUMBER.sub("#", a) != _NUMBER.sub("#", b):
+        return None
+    worst_abs = worst_rel = 0.0
+    for x, y in zip(_NUMBER.findall(a), _NUMBER.findall(b)):
+        u, v = float(x), float(y)
+        if u == v or (math.isnan(u) and math.isnan(v)):
+            continue
+        gap = abs(u - v)
+        worst_abs = max(worst_abs, gap)
+        worst_rel = max(worst_rel, gap / max(abs(u), abs(v)))
+    return worst_abs, worst_rel
+
+
+def run(src: Path, args) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=str(src))
+    return subprocess.run([sys.executable, "-m", "layerforge", *args],
+                          env=env, capture_output=True, text=True,
+                          check=False)
+
+
+def compare(old: subprocess.CompletedProcess,
+            new: subprocess.CompletedProcess) -> str:
+    """One verdict line for a parent run and this tree's run."""
+    if old.returncode != new.returncode:
+        return f"exit code {old.returncode} -> {new.returncode}"
+    if old.stderr != new.stderr:
+        return "stderr differs"
+    if old.stdout == new.stdout:
+        return "identical"
+    diff = number_diff(old.stdout, new.stdout)
+    if diff is None:
+        return "text differs"
+    return f"max abs {diff[0]:.3g}, max rel {diff[1]:.3g}"
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent", type=Path,
+                        help="checkout of the parent commit")
+    args = parser.parse_args(argv)
+    here = Path(__file__).resolve().parent.parent / "src"
+    there = args.parent.resolve() / "src"
+    same = True
+    for cmd in RUNS:
+        verdict = compare(run(there, cmd), run(here, cmd))
+        same &= verdict == "identical"
+        print(f"{' '.join(cmd)}: {verdict}", flush=True)
+    return 0 if same else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
