@@ -134,12 +134,13 @@ class LayerPoint:
     @cached_property
     def dchi(self):
         """The weight's xi-derivative as the profile lookup defines it:
-        chi' = B on the profile table, and the tail's own -+mu chi past it,
-        where V0 has rounded onto a root and B has lost the decay."""
+        chi' = B on the profile table, and the tail's own -+mu chi past
+        its ends, where V0 has rounded onto a root and B has lost the
+        decay."""
         kk, a = self.aux.kink, self.shifted
-        return np.where(a > kk.xi_max, -kk.mu_plus * self.chi,
-                        np.where(a < -kk.xi_max, kk.mu_minus * self.chi,
-                                 self.B()))
+        lo, hi = kk.ends
+        return np.where(a > hi, -kk.mu_plus * self.chi,
+                        np.where(a < lo, kk.mu_minus * self.chi, self.B()))
 
     def nu(self, term: CorrectionTerm):
         """The layer term's value at the point."""

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import numpy as np
+from scipy.interpolate import PPoly
 from scipy.optimize import brentq
 
 
@@ -67,6 +68,21 @@ def hermite_quintic(s_t, s_k, v_k, d1_k, d2_k):
     return (v_k[idx] * h00 + h * d1_k[idx] * h10 + h * h * d2_k[idx] * h20
             + v_k[idx + 1] * h01 + h * d1_k[idx + 1] * h11
             + h * h * d2_k[idx + 1] * h21)
+
+
+def quintic_pieces(s_k, v_k, d1_k, d2_k) -> PPoly:
+    """hermite_quintic's interpolant as one PPoly: per cell the power-form
+    coefficients of the quintic with the end values v_k, first derivatives
+    d1_k and second derivatives d2_k."""
+    h = np.diff(s_k)
+    r0 = v_k[1:] - v_k[:-1] - h * (d1_k[:-1] + 0.5 * h * d2_k[:-1])
+    r1 = h * (d1_k[1:] - d1_k[:-1] - h * d2_k[:-1])
+    r2 = h * h * (d2_k[1:] - d2_k[:-1])
+    c = np.array([(6.0 * r0 - 3.0 * r1 + 0.5 * r2) / h ** 5,
+                  (-15.0 * r0 + 7.0 * r1 - r2) / h ** 4,
+                  (10.0 * r0 - 4.0 * r1 + 0.5 * r2) / h ** 3,
+                  0.5 * d2_k[:-1], d1_k[:-1], v_k[:-1]])
+    return PPoly(c, s_k)
 
 
 def local_poly_derivative(x: np.ndarray, y: np.ndarray, i: int,

@@ -31,12 +31,12 @@ USE_NUMBA = False
 # d = switch_eps.  The nodes are uniform in tau from the anchor to
 # d = switch_eps; each interval carries a Gauss-Legendre rule and a
 # cumulative sum gives s at the nodes.  Every W value comes from one
-# batched potential call.  The node data (s, V, chi = V', b = V'') feed the
-# quintic Hermite fill of the profile table.
+# batched potential call.  The node data (s, V, chi = V', b = V'') are the
+# profile table, read between the nodes by quintic Hermite pieces.
 # Status: 0 ok, 1 W <= 0 at a node or quadrature point, 2 a non-finite W.
 
 #: tau-intervals per side of the profile, and Gauss-Legendre points on each
-KINK_INTERVALS = 600
+KINK_INTERVALS = 1000
 KINK_GL_ORDER = 8
 
 

@@ -5,9 +5,10 @@ connecting profile satisfies dV/dxi = sqrt(2 W(V)) with W the running
 integral of the reaction term at the layer point.  Its inverse,
 xi(V) = int_anchor^V dv / sqrt(2 W(v)), is a plain quadrature from the
 anchor (kernels.integrate_kink), so no boundary condition at infinity has to
-be shot for.  The quadrature stops `SWITCH_EPS` from each root, the table
-between its nodes is filled by quintic Hermite interpolation, and the
-exponential tails are attached analytically.
+be shot for.  The quadrature nodes, which stop `SWITCH_EPS` from each root,
+are the profile table: V and chi = V' are read between them by quintic
+Hermite pieces on their exact derivatives (V'' = b(V), chi'' = b_u chi),
+and the exponential tails are attached analytically past each side's end.
 """
 
 from __future__ import annotations
@@ -15,10 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicHermiteSpline
+from scipy.interpolate import PPoly
 
 from . import expr as ex
-from .grids import graded_half_grid, hermite_quintic
+from .grids import quintic_pieces
 from .kernels import eval_program_array, integrate_kink
 from .locator import LayerLocation
 from .problem import ProblemSpec
@@ -27,8 +28,8 @@ from .quadrature import gl_fixed, gl_rule
 #: largest admissible profile shift parameter
 P_STAR = 0.1
 
-#: switch to the linearized tail once the profile is this close to a root
-SWITCH_EPS = 1e-8
+#: the quadrature nodes stop this close to each root
+SWITCH_EPS = 1e-10
 
 _N_PANELS = 64
 _GL_ORDER = 16
@@ -43,8 +44,7 @@ class AnchorOutOfRange(RuntimeError):
 
 
 class ProfileIntegrationFailed(RuntimeError):
-    """The profile quadrature met a non-positive or non-finite potential, or
-    the tabulated weight is not positive."""
+    """The profile quadrature met a non-positive or non-finite potential."""
 
 
 #: within this distance of a root the potential switches to its Taylor form
@@ -104,7 +104,8 @@ class PotentialTable:
 
 @dataclass(frozen=True)
 class KinkProfile:
-    """Tabulated monotone profile with analytic exponential tails."""
+    """The profile's quadrature nodes as its table, with analytic
+    exponential tails past each side's end."""
 
     potential: PotentialTable = field(repr=False)
     t0: float
@@ -119,12 +120,19 @@ class KinkProfile:
     chi_table: np.ndarray = field(repr=False)
     A_minus: float
     A_plus: float
-    _v_interp: CubicHermiteSpline = field(repr=False)
-    _chi_interp: CubicHermiteSpline = field(repr=False)
+    _v_interp: PPoly = field(repr=False)
+    _chi_interp: PPoly = field(repr=False)
 
     @property
     def chi_at_zero(self) -> float:
         return float(self.chi_table[self.xi.size // 2])
+
+    @property
+    def ends(self) -> tuple[float, float]:
+        """The table's lower and upper end: each side's last node, or
+        -+xi_max where that comes first."""
+        return max(-self.xi_max, float(self.xi[0])), min(self.xi_max,
+                                                         float(self.xi[-1]))
 
     def value(self, s):
         """Profile value at unshifted argument s (scalar or array)."""
@@ -139,11 +147,12 @@ class KinkProfile:
                                    (0.0, self.mu_plus * self.A_plus))
 
     def _table_or_tail(self, s, interp, lower, upper):
-        """interp(s) on [-xi_max, xi_max], and base + scale exp(-mu |s|)
-        with (base, scale) = lower or upper beyond each end."""
+        """interp(s) between the table's ends, and base + scale
+        exp(-mu |s|) with (base, scale) = lower or upper beyond each."""
         a = np.atleast_1d(np.asarray(s, dtype=float))
         out = np.empty_like(a)
-        below, above = a < -self.xi_max, a > self.xi_max
+        lo, hi = self.ends
+        below, above = a < lo, a > hi
         mid = ~(below | above)  # NaN is in neither end: the table maps it
         if mid.any():
             out[mid] = interp(a[mid])
@@ -174,8 +183,9 @@ def build_potential(spec: ProblemSpec, loc: LayerLocation) -> PotentialTable:
 
 
 def _profile_side(pot: PotentialTable, anchor: float, root: float,
-                  sign: float, mu: float, s_t: np.ndarray):
-    """One side of the profile on s_t = |xi|, and its tail amplitude.
+                  sign: float, mu: float):
+    """One side of the profile: its quadrature nodes (s, V, chi, b) on
+    s = |xi|, and its tail amplitude.
 
     sign is +1 toward the upper root and -1 toward the lower one, so that
     d = sign (root - v) is the distance to the approached root and
@@ -208,24 +218,18 @@ def _profile_side(pot: PotentialTable, anchor: float, root: float,
 
     g_inf = gl_fixed(correction_integrand, 0.0, d_star, n=32)
     amp = d_star * float(np.exp(mu * (s_star + g_inf)))
-    # below this depth the pure exponential is accurate to ~1e-6 relative
-    s_tail = float(np.log(amp / 1e-6) / mu)
-
-    inside = s_t <= min(s_tail, float(s_k[-1]))
-    vals = np.empty_like(s_t)
-    vals[inside] = hermite_quintic(s_t[inside], s_k, v_k, sign * c_k, b_k)
-    vals[~inside] = root - sign * amp * np.exp(-mu * s_t[~inside])
-    return vals, amp
+    return (s_k, v_k, c_k, b_k), amp
 
 
 def build_kink(spec: ProblemSpec, loc: LayerLocation) -> KinkProfile:
     """Construct the profile table from the first integral.
 
     Computes xi(V) = int dv / sqrt(2 W(v)) from the anchor toward both roots
-    down to SWITCH_EPS from each, switches to the linearized exponential
-    tail, and fills a graded table (clustered at 0) via quintic Hermite
-    interpolation of the quadrature nodes, which carry exact first and
-    second derivatives of the profile.
+    down to SWITCH_EPS from each.  Those nodes, which carry the exact
+    derivatives chi = V', b = V'' and b_u chi = chi'', are the table; V and
+    chi are read between them by one quintic Hermite PPoly each, and past
+    each side's end (its last node, or xi_max = 20 / gamma_bar where that
+    comes first) by the linearized exponential tail.
     """
     t0 = loc.t0
     phi1_t0 = float(spec.phi(1, t0))
@@ -249,32 +253,19 @@ def build_kink(spec: ProblemSpec, loc: LayerLocation) -> KinkProfile:
 
     mu_minus, mu_plus = (float(mu) for mu in np.sqrt(pot.taylor[:, 0]))
     gamma_bar = min(mu_minus, mu_plus)
-    xi_max = 20.0 / gamma_bar
 
-    # each side is tabulated on s = |xi| over the same graded half grid; the
-    # lower side's s = 0 repeats the anchor and is dropped
-    half_grid = graded_half_grid(xi_max, 3000, 1e-3)
-    v_upper, A_plus = _profile_side(pot, anchor, phi2_t0, 1.0, mu_plus,
-                                    half_grid)
-    v_lower, A_minus = _profile_side(pot, anchor, phi1_t0, -1.0, mu_minus,
-                                     half_grid)
-    xi = np.concatenate([-half_grid[::-1], half_grid[1:]])
-    v_table = np.concatenate([v_lower[:0:-1], v_upper])
-
-    # slope table from the first integral itself: this ties the tabulated
-    # weight to the potential exactly at every node
-    chi_table = np.sqrt(np.maximum(2.0 * pot.w(v_table), 0.0))
-    if not np.all(chi_table > 0.0):
-        bad = np.flatnonzero(~(chi_table > 0.0))
-        i = bad[np.argmin(np.abs(xi[bad]))]
-        raise ProfileIntegrationFailed(
-            f"profile weight is {chi_table[i]:.3e} at xi={xi[i]:.6g}: the "
-            "profile reaches a root inside the table")
-    b_table = ex.evaluate(spec.b, t0, v_table)
+    upper, A_plus = _profile_side(pot, anchor, phi2_t0, 1.0, mu_plus)
+    lower, A_minus = _profile_side(pot, anchor, phi1_t0, -1.0, mu_minus)
+    # the lower side's nodes in ascending xi = -s; its s = 0 repeats the
+    # anchor and is dropped
+    xi, v_table, chi_table, b_table = (
+        np.concatenate([sign * lo[:0:-1], up])
+        for sign, lo, up in zip((-1.0, 1.0, 1.0, 1.0), lower, upper))
+    d2chi = spec.b_val(t0, v_table, du=1) * chi_table
     return KinkProfile(
         potential=pot, t0=t0, phi1_t0=phi1_t0, phi2_t0=phi2_t0,
         mu_minus=mu_minus, mu_plus=mu_plus, gamma_bar=gamma_bar,
-        xi_max=xi_max, xi=xi, v_table=v_table, chi_table=chi_table,
+        xi_max=20.0 / gamma_bar, xi=xi, v_table=v_table, chi_table=chi_table,
         A_minus=A_minus, A_plus=A_plus,
-        _v_interp=CubicHermiteSpline(xi, v_table, chi_table),
-        _chi_interp=CubicHermiteSpline(xi, chi_table, b_table))
+        _v_interp=quintic_pieces(xi, v_table, chi_table, b_table),
+        _chi_interp=quintic_pieces(xi, chi_table, b_table, d2chi))

@@ -69,6 +69,52 @@ class TestBuild:
         _, loc, kk = cubic
         assert kk.xi.size >= 2000
         assert kk.xi_max == pytest.approx(20.0 / kk.gamma_bar)
+        assert kk.ends == (-kk.xi_max, kk.xi_max)
+
+    def test_table_is_the_quadrature_nodes(self, cubic, wavy):
+        for spec, loc, kk in (cubic, wavy):
+            (_, up), (_, lo) = _sides(spec, loc)
+            assert np.array_equal(kk.xi, np.concatenate([-lo[0][:0:-1],
+                                                         up[0]]))
+            for table, k in ((kk.v_table, 1), (kk.chi_table, 2)):
+                assert np.array_equal(table, np.concatenate([lo[k][:0:-1],
+                                                             up[k]]))
+
+
+#: bistable with tail rates 0.94 and 10.8: the upper side's nodes reach
+#: SWITCH_EPS from the root at xi = 2.08, well inside xi_max = 20 / 0.94
+UNEQUAL = dict(problem.BUILTIN_PROBLEMS["cubic"],
+               b="u*(u-(0.88426-0.1*(x-0.5)))*(u-1)*(1+1000*u^20)",
+               phi0="0.88426-0.1*(x-0.5)")
+
+
+class TestUnequalRates:
+    @pytest.fixture(scope="class")
+    def unequal(self):
+        spec = problem.problem_from_dict(UNEQUAL)
+        loc = locator.locate_t0(spec)
+        return spec, loc, kink.build_kink(spec, loc)
+
+    def test_builds_with_the_node_end_above(self, unequal):
+        _, _, kk = unequal
+        assert kk.mu_plus > 10.0 * kk.mu_minus
+        lo, hi = kk.ends
+        assert lo == -kk.xi_max
+        assert hi == kk.xi[-1] == pytest.approx(2.08, abs=0.01)
+        assert np.all(kk.chi_table > 0.0)
+
+    def test_table_solves_the_profile_equation(self, unequal):
+        """V'' = b(t0, V) at the nodes inside the ends, by local polynomial
+        second derivatives of the table, as for the cubic."""
+        spec, loc, kk = unequal
+        xi, v = kk.xi, kk.v_table
+        lo, hi = kk.ends
+        inside = np.nonzero((xi >= lo) & (xi <= hi))[0][2:-2]
+        for i in inside[::5]:
+            d2 = local_poly_derivative(xi, v, int(i), order=2)
+            target = spec.b_val(loc.t0, v[i])
+            gap = np.max(np.abs(np.diff(xi[i - 2:i + 3])))
+            assert abs(d2 - target) <= 1e-8 + 0.5 * gap ** 2
 
 
 class TestTailAmplitudes:
@@ -138,14 +184,26 @@ class TestTableAndTails:
                                        rtol=1e-14)
 
     def test_continuous_at_the_table_ends(self, cubic, wavy):
+        """Across each end the value moves by at most 1e-7 of the root
+        distance plus one rounding of the root (2.2e-16 at cubic-wavy's
+        root 1.1 is 1.1e-7 of its distance 2.1e-9), and the slope by at
+        most 1e-7 relative."""
         for _, _, kk in (cubic, wavy):
-            for end, root in ((-kk.xi_max, kk.phi1_t0),
-                              (kk.xi_max, kk.phi2_t0)):
+            for end, root in zip(kk.ends, (kk.phi1_t0, kk.phi2_t0)):
                 beyond = np.nextafter(end, 2.0 * end)
                 dist = abs(kk.value(beyond) - root)
-                assert abs(kk.value(end) - kk.value(beyond)) <= 1e-6 * dist
+                assert (abs(kk.value(end) - kk.value(beyond))
+                        <= 1e-7 * dist + np.spacing(root))
                 assert (abs(kk.slope(end) - kk.slope(beyond))
-                        <= 1e-6 * kk.slope(beyond))
+                        <= 1e-7 * kk.slope(beyond))
+
+    def test_slope_matches_the_logistic_slope(self, cubic):
+        _, _, kk = cubic
+        xi = np.linspace(-kk.xi_max, kk.xi_max, 200001)
+        rate = 1.0 / SQ2
+        e = np.exp(-rate * np.abs(xi))
+        exact = rate * e / (1.0 + e) ** 2
+        assert np.max(np.abs(kk.slope(xi) / exact - 1.0)) <= 2e-7
 
     def test_nan_argument_gives_nan(self, cubic):
         _, _, kk = cubic

@@ -1,4 +1,5 @@
 import importlib.util
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -30,3 +31,20 @@ class TestNumberDiff:
         diff = cmp_outputs.number_diff
         assert diff("c06 cubic-wavy", "c07 cubic-wavy") is None
         assert diff("eps 2^-6", "eps 2^-7") == (1.0, 1.0 / 7.0)
+
+
+class TestCompare:
+    @staticmethod
+    def _run(stdout, code=0, stderr=""):
+        return subprocess.CompletedProcess([], code, stdout, stderr)
+
+    def test_text_that_differs_gives_the_line_counts(self):
+        old = self._run("xi,V0,chi\n" + "0,0.5,0.2\n" * 3)
+        new = self._run("xi,V0,chi\n0,0.5,0.2\n")
+        assert (cmp_outputs.compare(old, new)
+                == "text differs, lines 4 -> 2")
+
+    def test_numbers_that_differ_give_the_gaps(self):
+        old, new = self._run("t1 1.5\n"), self._run("t1 1.25\n")
+        assert cmp_outputs.compare(old, new) == "max abs 0.25, max rel 0.167"
+        assert cmp_outputs.compare(old, old) == "identical"

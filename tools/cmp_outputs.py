@@ -6,8 +6,9 @@ runs every command of RUNS with `python -m layerforge` once on this tree's
 `src/` and once on PARENT_CHECKOUT's `src/`, and prints one line per run:
 "identical" when stdout, stderr and exit code match byte for byte, else the
 largest absolute and relative difference over the numbers of stdout (the
-text around the numbers must match), or what else differs.  The exit
-status is 0 when every run is identical and 1 otherwise.
+text around the numbers must match), or what else differs; a text that
+differs comes with the line counts of both stdouts.  The exit status is 0
+when every run is identical and 1 otherwise.
 """
 
 from __future__ import annotations
@@ -83,7 +84,8 @@ def compare(old: subprocess.CompletedProcess,
         return "identical"
     diff = number_diff(old.stdout, new.stdout)
     if diff is None:
-        return "text differs"
+        lines = [len(proc.stdout.splitlines()) for proc in (old, new)]
+        return f"text differs, lines {lines[0]} -> {lines[1]}"
     return f"max abs {diff[0]:.3g}, max rel {diff[1]:.3g}"
 
 
