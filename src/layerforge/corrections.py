@@ -21,7 +21,7 @@ its exact node derivatives and interpolated by quintic Hermite.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property, partial
 
 import numpy as np
 
@@ -29,7 +29,7 @@ from . import expr as ex
 from .grids import graded_half_grid, hermite_quintic, one_sided_derivative
 from .kink import KinkProfile, P_STAR, build_kink
 from .locator import DegenerateRoot, LayerLocation, locate_t0
-from .problem import ProblemSpec
+from .problem import ProblemSpec, chain_rule
 from .quadrature import adaptive_gl, cumtrapz_from_zero, cumtrapz_to_end
 
 #: default graded grid for correction tables; the range runs far beyond the
@@ -113,7 +113,6 @@ class LayerPoint:
         self.aux = aux
         self.xi = np.asarray(xi, dtype=float)
         self.side = sides_of(self.xi, side)
-        self._b = {}
         self._nu = {}
 
     @cached_property
@@ -153,24 +152,19 @@ class LayerPoint:
         """The layer component V0 - u0(t0) on each point's side."""
         return self.V0 - at_side(self.aux.u0_side, self.side)
 
-    def _b_at(self, dx, du):
-        if (dx, du) not in self._b:
-            self._b[dx, du] = self.aux.spec.b_val(self.aux.t0, self.V0,
-                                                  dx=dx, du=du)
-        return self._b[dx, du]
+    @cached_property
+    def _chain(self):
+        """chain_rule's b partials at (t0, V0), each evaluated at most once,
+        and u0's one-sided slope and curvature at t0."""
+        aux = self.aux
+        return (cache(partial(aux.spec.b_val, aux.t0, self.V0)),
+                at_side(aux.du0_side, self.side),
+                at_side(aux.ddu0_side, self.side))
 
     def B(self, nx: int = 0, ns: int = 0):
         """d^{nx+ns} B / dx^nx ds^ns at the layer point (nx <= 2): the chain
-        rule through u0(x) + s, with u0's one-sided derivatives at t0."""
-        b = self._b_at
-        if nx == 0:
-            return b(0, ns)
-        du0 = at_side(self.aux.du0_side, self.side)
-        if nx == 1:
-            return b(1, ns) + du0 * b(0, ns + 1)
-        ddu0 = at_side(self.aux.ddu0_side, self.side)
-        return (b(2, ns) + 2.0 * du0 * b(1, ns + 1)
-                + du0 * du0 * b(0, ns + 2) + ddu0 * b(0, ns + 1))
+        rule through u0(x) + s."""
+        return chain_rule(*self._chain, nx, ns)
 
 
 def make_auxiliary(spec: ProblemSpec, kink: KinkProfile, loc: LayerLocation,
@@ -186,11 +180,10 @@ def make_auxiliary(spec: ProblemSpec, kink: KinkProfile, loc: LayerLocation,
     if tbar1 is None:
         tbar1 = loc.tbar1
     t0 = loc.t0
-    u0 = (float(spec.phi(1, t0)), float(spec.phi(2, t0)))
-    du0 = (float(spec.phi(1, t0, order=1)), float(spec.phi(2, t0, order=1)))
-    ddu0 = (float(spec.phi(1, t0, order=2)), float(spec.phi(2, t0, order=2)))
-    bs0 = (float(spec.b_val(t0, u0[0], du=1)), float(spec.b_val(t0, u0[1], du=1)))
-    u2 = (ddu0[0] / bs0[0], ddu0[1] / bs0[1])
+    u0, du0, ddu0 = (tuple(spec.phi(k, t0, order=m) for k in (1, 2))
+                     for m in range(3))
+    bs0 = tuple(spec.b_val(t0, u, du=1) for u in u0)
+    u2 = (spec.u2(1, t0), spec.u2(2, t0))
     xi_max = max(kink.xi_max, GRID_RANGE_FACTOR / kink.gamma_bar)
     grid = graded_half_grid(xi_max, GRID_N_PER_SIDE, GRID_SPACING0)
     return LayerAuxiliary(spec=spec, kink=kink, p=p, tbar1=float(tbar1),

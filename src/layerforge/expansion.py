@@ -4,9 +4,9 @@ The full expansion stitches the piecewise smooth part (outer roots plus
 their second-order correction) to a weighted sum of layer terms on the
 stretched coordinate: eps v1 + eps^2 v2, plus p' (v* + C0) + hhat^2 z for
 the bracketing perturbation.  All derivatives used for residual work are
-analytic: symbolic x-derivatives for the smooth part, governing-equation
-substitution for the layer terms, so residual orders are never polluted by
-numeric differentiation error.
+analytic: the product and chain rules over the b partials for the smooth
+part (ProblemSpec.u2), the governing equation for the layer terms, so
+residual orders are never polluted by numeric differentiation error.
 """
 
 from __future__ import annotations
@@ -57,25 +57,23 @@ class Expansion:
 
     # -- smooth part ---------------------------------------------------------
 
-    def _outer(self, x, side, root):
-        """root(k, points) for the left (k = 0) and right (k = 1) outer root
-        on its own side's points only: beyond, it may leave its domain."""
+    def _outer(self, fn, x, side, order):
+        """fn(k, points, order=order) of outer root k (1 left, 2 right) on
+        its own side's points only: beyond, it may leave its domain."""
         a = np.atleast_1d(np.asarray(x, dtype=float))
         sides = sides_of(a - self.t0, side)
         out = np.empty_like(a)
-        for k, s in enumerate((-1, 1)):
+        for k, s in ((1, -1), (2, 1)):
             m = sides == s
             if m.any():
-                out[m] = root(k, a[m])
+                out[m] = fn(k, a[m], order=order)
         return ex.shaped_like(out, x)
 
     def u0(self, x, side=None, order: int = 0):
-        return self._outer(x, side, lambda k, a: self.spec.phi(k + 1, a,
-                                                               order=order))
+        return self._outer(self.spec.phi, x, side, order)
 
     def u2(self, x, side=None, order: int = 0):
-        return self._outer(x, side, lambda k, a: ex.evaluate(
-            self.spec.u2_exprs[k][order], a, 0.0))
+        return self._outer(self.spec.u2, x, side, order)
 
     # -- assembled values ----------------------------------------------------
 
@@ -86,7 +84,7 @@ class Expansion:
         """Value u0 + eps^2 u2 + V0 - u0(t0) + sum(w nu) + offset at the
         points x with layer point pt = self.at(x, side), over the pairs
         (w, nu) = (eps, v1), (eps^2, v2) and `extra`, or with `defect` the
-        operator defect -eps^2 u'' + b(x, u).  u'' is exact: symbolic for
+        operator defect -eps^2 u'' + b(x, u).  u'' is exact: analytic for
         the smooth part and, in xi, V0'' = B and nu'' = B_s nu - psi.
         """
         a = np.atleast_1d(np.asarray(x, dtype=float))
@@ -112,8 +110,7 @@ class Expansion:
         layer term by its quadrature-formula jump."""
         t0, eps, spec = self.t0, self.eps, self.spec
         phi_u0 = spec.phi(1, t0, order=1) - spec.phi(2, t0, order=1)
-        phi_u2 = (ex.evaluate(spec.u2_exprs[0][1], t0, 0.0)
-                  - ex.evaluate(spec.u2_exprs[1][1], t0, 0.0))
+        phi_u2 = spec.u2(1, t0, order=1) - spec.u2(2, t0, order=1)
         return float(sum((w * t.phi_value for w, t in self._pairs(extra)),
                          eps * phi_u0 + eps ** 3 * phi_u2))
 

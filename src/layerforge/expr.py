@@ -46,6 +46,12 @@ class DomainError(ArithmeticError):
 
 @dataclass(frozen=True)
 class Expr:
+    def __post_init__(self):
+        # each node carries its tree's levels (1 for a leaf), so no walk
+        # measures a tree
+        object.__setattr__(self, "height", 1 + max(
+            (k.height for k in _children(self)), default=0))
+
     def __str__(self) -> str:
         return to_string(self)
 
@@ -84,10 +90,6 @@ class Call(Expr):
     arg: Expr
 
 
-ZERO = Const(0.0)
-ONE = Const(1.0)
-
-
 def _children(e: Expr) -> tuple:
     """The subtrees of a node (empty for a leaf)."""
     if isinstance(e, BinOp):
@@ -99,20 +101,13 @@ def _children(e: Expr) -> tuple:
     return ()
 
 
+ZERO = Const(0.0)
+ONE = Const(1.0)
+
+
 def height(e: Expr) -> int:
-    """Levels of the tree (1 for a leaf), counted without recursion so that
-    trees too tall for the recursive walks can be measured."""
-    heights = {}
-    stack = [e]
-    while stack:
-        kids = _children(stack[-1])
-        todo = [k for k in kids if id(k) not in heights]
-        if todo:
-            stack.extend(todo)
-            continue
-        heights[id(stack.pop())] = 1 + max(
-            (heights[id(k)] for k in kids), default=0)
-    return heights[id(e)]
+    """Levels of the tree (1 for a leaf), as the node carries them."""
+    return e.height
 
 
 def _is_const(e: Expr, value=None) -> bool:
@@ -240,15 +235,12 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.pos = 0
         self.nesting = 0
-        self.heights = {}   # id(node) -> height, for the inner nodes built
 
     def node(self, e: Expr, offset: int) -> Expr:
         """A new inner node, refused when its tree grows past MAX_DEPTH."""
-        h = 1 + max(self.heights.get(id(k), 1) for k in _children(e))
-        if h > MAX_DEPTH:
+        if e.height > MAX_DEPTH:
             raise ParseError(
                 f"expression nested deeper than {MAX_DEPTH} levels", offset)
-        self.heights[id(e)] = h
         return e
 
     def peek(self):

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
+from functools import cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -13,17 +14,17 @@ from . import expr as ex
 
 _REQUIRED_FIELDS = ("name", "b", "phi0", "phi1", "phi2", "g0", "g1", "epsilon")
 
-#: tallest derived tree (partial, root derivative, smooth correction) a
-#: problem may carry: evaluation and differentiation recurse once per level.
-#: Each derivative of a parsed tree (at most expr.MAX_DEPTH) can add a few
-#: levels per level of its input; the shipped and generated problems derive
-#: trees of at most 20 levels.
+#: tallest derived tree (b partial or root derivative) a problem may carry:
+#: evaluation and differentiation recurse once per level.  Each derivative
+#: of a parsed tree (at most expr.MAX_DEPTH) can add a few levels per level
+#: of its input; the shipped and generated problems derive trees of at most
+#: 15 levels.
 MAX_DERIVED_DEPTH = 4 * ex.MAX_DEPTH
 
 #: the partials d^{i+j} b / dx^i du^j, besides b itself, that the pipeline
-#: reads: the layer terms' chain rule (nx + ns <= 2) and the potential's
-#: quartic Taylor form (du <= 3)
-B_PARTIALS = ((1, 0), (0, 1), (2, 0), (1, 1), (0, 2), (0, 3))
+#: reads: chain_rule for the layer terms (nx + ns <= 2) and for u2 (nx <= 2,
+#: ns = 1), and the potential's quartic Taylor form (du <= 3)
+B_PARTIALS = ((1, 0), (0, 1), (2, 0), (1, 1), (0, 2), (0, 3), (2, 1), (1, 2))
 
 #: the shipped instances, one per problems/<name>.json, in name order
 BUILTIN_PROBLEMS = {
@@ -42,11 +43,9 @@ class ProblemSpec:
 
     b_partials[(i, j)] is the exact symbolic d^{i+j} b / dx^i du^j for
     (0, 0) and each (i, j) of B_PARTIALS; phi_derivs[k][m] is the m-th
-    x-derivative of root k, for m <= 2 on the outer roots (k = 1, 2) and
-    m = 0 on phi0; u2_exprs[side] holds (u2, u2', u2'') in x for the
-    smooth second-order correction u2 = phi_k'' / b_u(x, phi_k) of the
-    left (phi1) and right (phi2) outer root, differentiated from the u2
-    tree.  All three are derived in __post_init__, never passed in.
+    x-derivative of root k, for m <= 4 on the outer roots (k = 1, 2; the
+    curvature of u2 reads the fourth) and m = 0 on phi0.  Both are derived
+    in __post_init__, never passed in.
     """
 
     name: str
@@ -59,7 +58,6 @@ class ProblemSpec:
     eps: float
     b_partials: dict = field(init=False, compare=False, repr=False)
     phi_derivs: tuple = field(init=False, compare=False, repr=False)
-    u2_exprs: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not 0.0 < self.eps < 1.0:
@@ -79,19 +77,11 @@ class ProblemSpec:
         derivs = [(self.phi0,)]
         for label, root in (("phi1", self.phi1), ("phi2", self.phi2)):
             chain = [root]
-            for m in (1, 2):
+            for m in range(1, 5):
                 chain.append(_bounded(ex.differentiate(chain[-1], "x"),
                                       f"derivative {m} of {label}"))
             derivs.append(tuple(chain))
         object.__setattr__(self, "phi_derivs", tuple(derivs))
-        u2_exprs = []
-        for k in (1, 2):
-            den = ex.substitute(partials[(0, 1)], "u", derivs[k][0])
-            u2 = _bounded(ex.div(derivs[k][2], den), f"u2 of phi{k}")
-            du2 = _bounded(ex.differentiate(u2, "x"), f"u2' of phi{k}")
-            u2_exprs.append((u2, du2, _bounded(ex.differentiate(du2, "x"),
-                                               f"u2'' of phi{k}")))
-        object.__setattr__(self, "u2_exprs", tuple(u2_exprs))
 
     # -- evaluators ---------------------------------------------------------
 
@@ -103,12 +93,40 @@ class ProblemSpec:
         """Evaluate the order-th x-derivative of root k at x."""
         return ex.evaluate(self.phi_derivs[k][order], x, 0.0)
 
+    def u2(self, k: int, x, order: int = 0):
+        """The order-th x-derivative (order <= 2) of the smooth second-order
+        correction u2 = phi_k'' / g of outer root k (1 or 2), where
+        g = b_u(x, phi_k(x)): the product rule on phi_k'' = u2 g, each
+        g^(n) the chain rule along phi_k.  DomainError where g vanishes."""
+        d = [self.phi(k, x, order=m) for m in range(order + 3)]
+        b = cache(partial(self.b_val, x, d[0]))
+        g = [chain_rule(b, d[1], d[2], n, 1) for n in range(order + 1)]
+        if np.any(g[0] == 0.0):
+            raise ex.DomainError(f"u2 undefined: b_u = 0 on root phi{k} at "
+                                 f"x = {ex._sample(x, g[0] == 0.0)}")
+        out = [d[2] / g[0]]
+        if order >= 1:
+            out.append((d[3] - out[0] * g[1]) / g[0])
+        if order >= 2:
+            out.append((d[4] - 2.0 * out[1] * g[1] - out[0] * g[2]) / g[0])
+        return out[order]
+
+
+def chain_rule(b, du0, ddu0, nx: int, ns: int):
+    """d^{nx+ns} / dx^nx ds^ns (nx <= 2) of b(x, c(x) + s) from the partials
+    b(dx, du) there and the path's slope du0 = c'(x) and curvature ddu0."""
+    if nx == 0:
+        return b(0, ns)
+    if nx == 1:
+        return b(1, ns) + du0 * b(0, ns + 1)
+    return (b(2, ns) + 2.0 * du0 * b(1, ns + 1)
+            + du0 * du0 * b(0, ns + 2) + ddu0 * b(0, ns + 1))
+
 
 def _bounded(e: ex.Expr, label: str) -> ex.Expr:
     """e, unless its tree is taller than MAX_DERIVED_DEPTH."""
-    levels = ex.height(e)
-    if levels > MAX_DERIVED_DEPTH:
-        raise ProblemError(f"{label} is {levels} levels deep, above the "
+    if e.height > MAX_DERIVED_DEPTH:
+        raise ProblemError(f"{label} is {e.height} levels deep, above the "
                            f"limit of {MAX_DERIVED_DEPTH}")
     return e
 

@@ -209,8 +209,11 @@ class TestSharedAssembly:
         assert sorted(calls) == twice_each
 
     def test_one_layer_point_per_call(self, wavy, monkeypatch):
-        """Each call looks the profile up once; the defect reads the six b
-        partials at the layer point once each, plus b(x, u)."""
+        """Each call looks the profile up once.  The defect reads the six b
+        partials at the layer point (x = t0) once each, plus b(x, u) once.
+        The smooth correction reads b_u on each side for u2, and in the
+        defect the six partials of u2'' on each side (chain_rule, ns = 1),
+        b_u once more among them."""
         spec, loc, kk = wavy
         eps = 2.0 ** -6
         e = expansion.build_expansion(spec, p=0.003, eps=eps, loc=loc,
@@ -219,23 +222,33 @@ class TestSharedAssembly:
                                        hhat=math.sqrt(eps))
         xs = graded_x_grid(loc.t0, eps, 500)
         calls = []
+        value, b_val = kink.KinkProfile.value, problem.ProblemSpec.b_val
 
-        def counting(name, original):
-            def counted(self, *args, **kwargs):
-                calls.append(name)
-                return original(self, *args, **kwargs)
-            return counted
+        def counted_value(self, *args, **kwargs):
+            calls.append("value")
+            return value(self, *args, **kwargs)
 
-        for cls, name in ((kink.KinkProfile, "value"),
-                          (problem.ProblemSpec, "b_val")):
-            monkeypatch.setattr(cls, name,
-                                counting(name, getattr(cls, name)))
-        for fn, most_b in ((e.u_as, 0), (pe.beta, 0), (e.residual, 7),
-                           (pe.f_beta_centered, 7)):
+        def counted_b_val(self, x, u, dx=0, du=0):
+            if np.ndim(x) == 0:
+                calls.append("layer" if x == loc.t0 else "scalar")
+            else:
+                calls.append("b(x, u)" if dx == du == 0 else "smooth")
+            return b_val(self, x, u, dx=dx, du=du)
+
+        monkeypatch.setattr(kink.KinkProfile, "value", counted_value)
+        monkeypatch.setattr(problem.ProblemSpec, "b_val", counted_b_val)
+        for fn, most_layer, b_xu, smooth in ((e.u_as, 0, 0, 2),
+                                             (pe.beta, 0, 0, 2),
+                                             (e.residual, 6, 1, 14),
+                                             (pe.f_beta_centered, 6, 1, 14)):
             calls.clear()
             fn(xs)
-            assert calls.count("value") == 1, fn.__name__
-            assert calls.count("b_val") <= most_b, fn.__name__
+            name = fn.__name__
+            assert calls.count("value") == 1, name
+            assert calls.count("layer") <= most_layer, name
+            assert calls.count("b(x, u)") == b_xu, name
+            assert calls.count("smooth") == smooth, name
+            assert calls.count("scalar") == 0, name
 
 
 class TestGradedXGrid:

@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
+from layerforge import expr as ex
 from layerforge import problem
-from layerforge.expr import ParseError, evaluate
+from layerforge.expr import ParseError
 
 CUBIC_JSON = {
     "name": "cubic",
@@ -87,8 +88,7 @@ class TestDerivedExpressions:
         assert spec.b_val(xs, xs, du=3).shape == xs.shape
         assert isinstance(spec.phi(1, 0.5), float)
 
-    @pytest.mark.parametrize("derived", ["b_partials", "phi_derivs",
-                                         "u2_exprs"])
+    @pytest.mark.parametrize("derived", ["b_partials", "phi_derivs"])
     def test_derived_fields_are_not_constructor_arguments(self, derived):
         spec = problem.builtin_problem("cubic")
         kwargs = dict(name=spec.name, b=spec.b, phi0=spec.phi0,
@@ -110,8 +110,43 @@ class TestDerivedExpressions:
         expected = (ddphi / ((s - middle) * (s - (1 + s))),
                     ddphi / ((1 + s - s) * (1 + s - middle)))
         for side in (0, 1):
-            got = evaluate(spec.u2_exprs[side][0], x, 0.0)
+            got = spec.u2(side + 1, x)
             assert np.allclose(got, expected[side], rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("name", ["cubic-wavy", "curved"])
+    def test_u2_matches_the_symbolic_quotient(self, curved_data, name):
+        """u2 and its two slopes by the product rule match the tree of
+        phi_k'' / b_u(x, phi_k(x)) and its x-derivatives: bitwise for u2,
+        to 1e-11 of the largest reference value for the slopes."""
+        spec = (problem.problem_from_dict(curved_data) if name == "curved"
+                else problem.builtin_problem(name))
+        x = np.linspace(0.0, 1.0, 101)
+        for k in (1, 2):
+            root = spec.phi_derivs[k]
+            g = ex.substitute(spec.b_partials[(0, 1)], "u", root[0])
+            tree = ex.div(root[2], g)
+            for order in range(3):
+                exact = ex.evaluate(tree, x, 0.0)
+                got = spec.u2(k, x, order=order)
+                if order == 0:
+                    assert np.array_equal(got, exact), k
+                else:
+                    gap = np.max(np.abs(got - exact))
+                    assert gap <= 1e-11 * np.max(np.abs(exact)), (k, order)
+                tree = ex.differentiate(tree, "x")
+
+    def test_vanishing_b_u_on_a_root_is_a_domain_error(self):
+        # b_u(x, phi1(x)) = (phi1 - phi0) (phi1 - 1) (x - 0.5) vanishes at
+        # x = 0.5 only, and the constant root's u2 = 0 / b_u is undefined
+        # there too
+        spec = problem.problem_from_dict(dict(
+            CUBIC_JSON, b="u*(u-(0.75-0.5*x))*(u-1)*(x-0.5)"))
+        for order in range(3):
+            for x in (0.5, np.array([0.25, 0.5, 0.75])):
+                with pytest.raises(ex.DomainError, match="phi1 at x = 0.5"):
+                    spec.u2(1, x, order=order)
+            assert np.all(np.isfinite(spec.u2(1, np.array([0.25, 0.75]),
+                                              order=order)))
 
     def test_epsilon_override_keeps_derived_fields(self, tmp_path):
         spec = problem.resolve_problem(str(write(tmp_path, CUBIC_JSON)),
@@ -119,7 +154,7 @@ class TestDerivedExpressions:
         assert spec.eps == 0.02
         assert set(spec.b_partials) == set(
             problem.builtin_problem("cubic").b_partials)
-        assert len(spec.u2_exprs) == 2
+        assert len(spec.phi_derivs) == 3
 
 
 class TestCheckAssumptions:

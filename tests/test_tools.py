@@ -48,3 +48,19 @@ class TestCompare:
         old, new = self._run("t1 1.5\n"), self._run("t1 1.25\n")
         assert cmp_outputs.compare(old, new) == "max abs 0.25, max rel 0.167"
         assert cmp_outputs.compare(old, old) == "identical"
+
+
+class TestRuns:
+    def test_curved_problem_runs(self, curved_data):
+        """Besides the built-ins, whose roots are flat at the layer point,
+        the runs reach a problem whose roots have a slope there."""
+        assert cmp_outputs.CURVED == curved_data
+        curved = [cmd for cmd in cmp_outputs.RUNS
+                  if cmd[1:3] == ("--problem", cmp_outputs.CURVED_FILE)]
+        assert curved == [
+            ("locate", "--problem", "curved.json"),
+            ("expand", "--problem", "curved.json"),
+            ("residual", "--problem", "curved.json"),
+            ("fbeta", "--problem", "curved.json"),
+            ("phi", "--problem", "curved.json"),
+            ("compare", "--problem", "curved.json", "--n", "4096")]

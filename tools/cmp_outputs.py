@@ -3,7 +3,8 @@
     python tools/cmp_outputs.py PARENT_CHECKOUT
 
 runs every command of RUNS with `python -m layerforge` once on this tree's
-`src/` and once on PARENT_CHECKOUT's `src/`, and prints one line per run:
+`src/` and once on PARENT_CHECKOUT's `src/`, both from a temporary directory
+that holds the CURVED problem as CURVED_FILE, and prints one line per run:
 "identical" when stdout, stderr and exit code match byte for byte, else the
 largest absolute and relative difference over the numbers of stdout (the
 text around the numbers must match), or what else differs; a text that
@@ -14,11 +15,13 @@ when every run is identical and 1 otherwise.
 from __future__ import annotations
 
 import argparse
+import json
 import math
 import os
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 BUILTINS = ("cubic", "cubic-wavy")
@@ -40,9 +43,36 @@ PER_PROBLEM = (
     ("compare", "--n", "4096"),
 )
 
+#: the curved instance of perfbench's generated family (generate(1, 1)):
+#: unlike the built-ins, its outer roots have a slope at the layer point
+CURVED = {
+    "name": "gen-curved-4",
+    "b": "(u-0.0717*sin(1*3.14159265358979*x))"
+         "*(u-((0.5-0.4144*(x-0.3922))+0.0717*sin(1*3.14159265358979*x)))"
+         "*(u-(1+0.0717*sin(1*3.14159265358979*x)))",
+    "phi0": "(0.5-0.4144*(x-0.3922))+0.0717*sin(1*3.14159265358979*x)",
+    "phi1": "0.0717*sin(1*3.14159265358979*x)",
+    "phi2": "1+0.0717*sin(1*3.14159265358979*x)",
+    "g0": 0.0,
+    "g1": 1.0,
+    "epsilon": 0.008693,
+}
+CURVED_FILE = "curved.json"
+
+#: on CURVED, the arguments after `--problem CURVED_FILE`
+PER_CURVED = (
+    ("locate",),
+    ("expand",),
+    ("residual",),
+    ("fbeta",),
+    ("phi",),
+    ("compare", "--n", "4096"),
+)
+
 RUNS = (("all", "--problem", "all"),
         *((cmd[0], "--problem", name, *cmd[1:])
-          for name in BUILTINS for cmd in PER_PROBLEM))
+          for name in BUILTINS for cmd in PER_PROBLEM),
+        *((cmd[0], "--problem", CURVED_FILE, *cmd[1:]) for cmd in PER_CURVED))
 
 _NUMBER = re.compile(r"(?<![\w.])[-+]?(?:(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?"
                      r"|inf|nan)(?![\w.])")
@@ -66,10 +96,10 @@ def number_diff(a: str, b: str):
     return worst_abs, worst_rel
 
 
-def run(src: Path, args) -> subprocess.CompletedProcess:
+def run(src: Path, args, cwd) -> subprocess.CompletedProcess:
     env = dict(os.environ, PYTHONPATH=str(src))
     return subprocess.run([sys.executable, "-m", "layerforge", *args],
-                          env=env, capture_output=True, text=True,
+                          env=env, cwd=cwd, capture_output=True, text=True,
                           check=False)
 
 
@@ -97,10 +127,13 @@ def main(argv=None) -> int:
     here = Path(__file__).resolve().parent.parent / "src"
     there = args.parent.resolve() / "src"
     same = True
-    for cmd in RUNS:
-        verdict = compare(run(there, cmd), run(here, cmd))
-        same &= verdict == "identical"
-        print(f"{' '.join(cmd)}: {verdict}", flush=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        Path(tmp, CURVED_FILE).write_text(json.dumps(CURVED),
+                                          encoding="utf-8")
+        for cmd in RUNS:
+            verdict = compare(run(there, cmd, tmp), run(here, cmd, tmp))
+            same &= verdict == "identical"
+            print(f"{' '.join(cmd)}: {verdict}", flush=True)
     return 0 if same else 1
 
 
