@@ -65,30 +65,24 @@ def at_side(pair, side):
 
 @dataclass(frozen=True)
 class LayerAuxiliary:
-    """The data every layer term of one (p, shift) configuration shares.
+    """The data every layer term of one (p, shift) configuration shares:
+    the problem, its profile and layer location, the shift and the
+    correction grid.
 
     `at(xi, side)` gives the layer point: the shifted profile and the
     partials of B(x,s) = b(x, u0(x)+s) there.  Because the profile value V0
     equals u0 at the layer point plus the layer component, every partial of
     B at the layer point collapses to partials of b at (t0, V0(xi)), with
     the side entering only through the one-sided derivatives of the outer
-    roots.
+    roots, which `loc` holds.
     """
 
     spec: ProblemSpec = field(repr=False)
     kink: KinkProfile = field(repr=False)
+    loc: LayerLocation = field(repr=False)
     p: float
     tbar1: float
-    u0_side: tuple          # (phi1(t0), phi2(t0))
-    du0_side: tuple         # first root derivatives at t0
-    ddu0_side: tuple        # second root derivatives at t0
-    u2_side: tuple          # smooth second-order correction, one-sided values
-    bs0_side: tuple         # B_s(., 0) per side (squared tail rates)
     grid: np.ndarray = field(repr=False)  # correction half-grid [0 .. Xi]
-
-    @property
-    def t0(self) -> float:
-        return self.kink.t0
 
     def at(self, xi, side=None) -> LayerPoint:
         """The layer point at xi on the branches sides_of(xi, side)."""
@@ -150,16 +144,16 @@ class LayerPoint:
     @property
     def v0(self):
         """The layer component V0 - u0(t0) on each point's side."""
-        return self.V0 - at_side(self.aux.u0_side, self.side)
+        return self.V0 - at_side(self.aux.loc.u0_side, self.side)
 
     @cached_property
     def _chain(self):
         """chain_rule's b partials at (t0, V0), each evaluated at most once,
         and u0's one-sided slope and curvature at t0."""
-        aux = self.aux
-        return (cache(partial(aux.spec.b_val, aux.t0, self.V0)),
-                at_side(aux.du0_side, self.side),
-                at_side(aux.ddu0_side, self.side))
+        aux, loc = self.aux, self.aux.loc
+        return (cache(partial(aux.spec.b_val, loc.t0, self.V0)),
+                at_side(loc.du0_side, self.side),
+                at_side(loc.ddu0_side, self.side))
 
     def B(self, nx: int = 0, ns: int = 0):
         """d^{nx+ns} B / dx^nx ds^ns at the layer point (nx <= 2): the chain
@@ -169,8 +163,9 @@ class LayerPoint:
 
 def make_auxiliary(spec: ProblemSpec, kink: KinkProfile, loc: LayerLocation,
                    p: float, tbar1: float | None = None) -> LayerAuxiliary:
-    """The shared data of one (p, shift) configuration: the outer roots'
-    one-sided values and derivatives at t0 and the correction grid.
+    """One (p, shift) configuration: the correction grid, built here,
+    beside the problem, the profile and the layer location, which already
+    holds the outer roots at t0.
 
     tbar1 defaults to the location's matched shift; the matching pass itself
     supplies explicit intermediate values.
@@ -179,16 +174,10 @@ def make_auxiliary(spec: ProblemSpec, kink: KinkProfile, loc: LayerLocation,
         raise ValueError(f"|p| must not exceed {P_STAR}, got {p}")
     if tbar1 is None:
         tbar1 = loc.tbar1
-    t0 = loc.t0
-    u0, du0, ddu0 = (tuple(spec.phi(k, t0, order=m) for k in (1, 2))
-                     for m in range(3))
-    bs0 = tuple(spec.b_val(t0, u, du=1) for u in u0)
-    u2 = (spec.u2(1, t0), spec.u2(2, t0))
     xi_max = max(kink.xi_max, GRID_RANGE_FACTOR / kink.gamma_bar)
     grid = graded_half_grid(xi_max, GRID_N_PER_SIDE, GRID_SPACING0)
-    return LayerAuxiliary(spec=spec, kink=kink, p=p, tbar1=float(tbar1),
-                          u0_side=u0, du0_side=du0, ddu0_side=ddu0,
-                          u2_side=u2, bs0_side=bs0, grid=grid)
+    return LayerAuxiliary(spec=spec, kink=kink, loc=loc, p=p,
+                          tbar1=float(tbar1), grid=grid)
 
 
 # ---------------------------------------------------------------------------
@@ -266,13 +255,13 @@ def solve_jump(aux: LayerAuxiliary, psi, nu0_minus: float, nu0_plus: float,
     layer point xi = side * s.  `points` are those two layer points,
     `aux.branches()` by default; a build passes one pair to all its terms,
     and each term leaves its node values there for the sources that read
-    it.
+    it.  The grid starts at s = 0, so the positive branch's first node is
+    the layer point itself: chi(0) and chi'(0) = B there.
     """
     s = np.asarray(aux.grid, dtype=float)
     neg_pt, pos_pt = aux.branches() if points is None else points
-    anchor = aux.at(0.0)
-    chi0 = float(anchor.chi)
-    dchi0 = float(anchor.B())
+    chi0 = float(pos_pt.chi[0])
+    dchi0 = float(pos_pt.B()[0])
     branch = {}
     for side, pt, mu, nu0 in ((1, pos_pt, aux.kink.mu_plus, nu0_plus),
                               (-1, neg_pt, aux.kink.mu_minus, nu0_minus)):
@@ -366,7 +355,7 @@ def build_v2(aux: LayerAuxiliary, v1: CorrectionTerm,
     jump data cancels the one-sided smooth correction so their sum stays
     continuous across the layer point.
     """
-    u2 = aux.u2_side
+    u2 = aux.loc.u2_side
 
     def psi(pt):
         xi, w1 = pt.xi, pt.nu(v1)
@@ -374,7 +363,7 @@ def build_v2(aux: LayerAuxiliary, v1: CorrectionTerm,
                 - xi * w1 * pt.B(1, 1)
                 - 0.5 * w1 * w1 * pt.B(0, 2)
                 - at_side(u2, pt.side)
-                * (pt.B(0, 1) - at_side(aux.bs0_side, pt.side)))
+                * (pt.B(0, 1) - at_side(aux.loc.bs0_side, pt.side)))
 
     return solve_jump(aux, psi, -u2[0], -u2[1], "v2", points)
 

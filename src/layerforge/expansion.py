@@ -5,7 +5,7 @@ their second-order correction) to a weighted sum of layer terms on the
 stretched coordinate: eps v1 + eps^2 v2, plus p' (v* + C0) + hhat^2 z for
 the bracketing perturbation.  All derivatives used for residual work are
 analytic: the product and chain rules over the b partials for the smooth
-part (ProblemSpec.u2), the governing equation for the layer terms, so
+part (ProblemSpec.outer), the governing equation for the layer terms, so
 residual orders are never polluted by numeric differentiation error.
 """
 
@@ -31,49 +31,33 @@ PPRIME_STAR = 0.05
 HHAT_CAP = 10.0
 
 
+def _outer_sides(sides):
+    """Each outer root k (1 left, 2 right) with the mask of the points on
+    its own side, where alone it is evaluated: beyond, it may leave its
+    domain."""
+    for k, s in ((1, -1), (2, 1)):
+        m = sides == s
+        if m.any():
+            yield k, m
+
+
 @dataclass(frozen=True)
 class Expansion:
-    """Evaluator for the second-order interior-layer expansion."""
+    """Evaluator for the second-order interior-layer expansion: one
+    configuration `aux` (problem, profile, location and shift) and its two
+    layer terms at one epsilon."""
 
-    spec: ProblemSpec = field(repr=False)
-    loc: LayerLocation
-    kink: KinkProfile = field(repr=False)
     aux: LayerAuxiliary = field(repr=False)
     v1: CorrectionTerm = field(repr=False)
     v2: CorrectionTerm = field(repr=False)
     eps: float
-    p: float
-
-    @property
-    def t0(self) -> float:
-        return self.loc.t0
 
     def xi_of(self, x):
-        return (np.asarray(x, dtype=float) - self.t0) / self.eps
+        return (np.asarray(x, dtype=float) - self.aux.loc.t0) / self.eps
 
     def at(self, x, side=None):
         """The layer point of the points x (see corrections.LayerPoint)."""
         return self.aux.at(np.atleast_1d(self.xi_of(x)), side)
-
-    # -- smooth part ---------------------------------------------------------
-
-    def _outer(self, fn, x, side, order):
-        """fn(k, points, order=order) of outer root k (1 left, 2 right) on
-        its own side's points only: beyond, it may leave its domain."""
-        a = np.atleast_1d(np.asarray(x, dtype=float))
-        sides = sides_of(a - self.t0, side)
-        out = np.empty_like(a)
-        for k, s in ((1, -1), (2, 1)):
-            m = sides == s
-            if m.any():
-                out[m] = fn(k, a[m], order=order)
-        return ex.shaped_like(out, x)
-
-    def u0(self, x, side=None, order: int = 0):
-        return self._outer(self.spec.phi, x, side, order)
-
-    def u2(self, x, side=None, order: int = 0):
-        return self._outer(self.spec.u2, x, side, order)
 
     # -- assembled values ----------------------------------------------------
 
@@ -85,22 +69,26 @@ class Expansion:
         points x with layer point pt = self.at(x, side), over the pairs
         (w, nu) = (eps, v1), (eps^2, v2) and `extra`, or with `defect` the
         operator defect -eps^2 u'' + b(x, u).  u'' is exact: analytic for
-        the smooth part and, in xi, V0'' = B and nu'' = B_s nu - psi.
+        the smooth part (from the same ProblemSpec.outer pass per side as
+        its value) and, in xi, V0'' = B and nu'' = B_s nu - psi.
         """
         a = np.atleast_1d(np.asarray(x, dtype=float))
-        sides = pt.side
-        eps = self.eps
+        spec, sides, eps = self.aux.spec, pt.side, self.eps
+        smooth, d2_smooth = np.empty_like(a), np.empty_like(a)
+        for k, m in _outer_sides(sides):
+            d, u2 = spec.outer(k, a[m], order=2 if defect else 0)
+            smooth[m] = d[0] + eps * eps * u2[0]
+            if defect:
+                d2_smooth[m] = d[2] + eps * eps * u2[2]
         terms = [(w, t, pt.nu(t)) for w, t in self._pairs(extra)]
-        out = (self.u0(a, sides) + eps * eps * self.u2(a, sides) + pt.V0)
+        out = smooth + pt.V0
         out += sum((w * nu for w, _, nu in terms),
-                   -at_side(self.aux.u0_side, sides))
+                   -at_side(self.aux.loc.u0_side, sides))
         out += offset
         if defect:
             d2_layer = sum((w * (pt.B(0, 1) * nu - t.psi_fn(pt))
                             for w, t, nu in terms), pt.B())
-            out = (-eps * eps * (self.u0(a, sides, order=2)
-                                 + eps * eps * self.u2(a, sides, order=2))
-                   - d2_layer + self.spec.b_val(a, out))
+            out = -eps * eps * d2_smooth - d2_layer + spec.b_val(a, out)
         return ex.shaped_like(out, x)
 
     def _jump(self, extra=()) -> float:
@@ -108,9 +96,9 @@ class Expansion:
         values: the outer roots jump their slope, the smooth second-order
         correction at third order, V0 and the offset not at all, and each
         layer term by its quadrature-formula jump."""
-        t0, eps, spec = self.t0, self.eps, self.spec
-        phi_u0 = spec.phi(1, t0, order=1) - spec.phi(2, t0, order=1)
-        phi_u2 = spec.u2(1, t0, order=1) - spec.u2(2, t0, order=1)
+        loc, eps = self.aux.loc, self.eps
+        phi_u0 = loc.du0_side[0] - loc.du0_side[1]
+        phi_u2 = loc.du2_side[0] - loc.du2_side[1]
         return float(sum((w * t.phi_value for w, t in self._pairs(extra)),
                          eps * phi_u0 + eps ** 3 * phi_u2))
 
@@ -134,13 +122,14 @@ class Expansion:
         if N < 2:
             raise ValueError("N must be at least 2")
         a = np.atleast_1d(np.asarray(x, dtype=float))
-        tau = (C_tau / self.kink.gamma_bar) * self.eps * np.log(N)
+        aux = self.aux
+        tau = (C_tau / aux.kink.gamma_bar) * self.eps * np.log(N)
         xi = self.xi_of(a)
-        shift = self.loc.shift(self.eps)
-        inside = np.abs(a - self.t0) <= tau
+        inside = np.abs(a - aux.loc.t0) <= tau
         out = np.empty_like(a)
-        out[inside] = self.kink.value(xi[inside] - shift)
-        out[~inside] = self.u0(a[~inside])
+        out[inside] = aux.kink.value(xi[inside] - aux.tbar1)
+        for k, m in _outer_sides(np.where(inside, 0, sides_of(xi))):
+            out[m] = aux.spec.phi(k, a[m])
         return ex.shaped_like(out, x)
 
 
@@ -155,8 +144,7 @@ def build_expansion(spec: ProblemSpec, p: float, eps: float,
     points = aux.branches()
     v1 = build_v1(aux, points)
     v2 = build_v2(aux, v1, points)
-    return Expansion(spec=spec, loc=loc, kink=kink, aux=aux, v1=v1, v2=v2,
-                     eps=float(eps), p=float(p))
+    return Expansion(aux=aux, v1=v1, v2=v2, eps=float(eps))
 
 
 @dataclass(frozen=True)
@@ -204,7 +192,7 @@ def estimate_C0(aux: LayerAuxiliary, eps: float | None = None):
     and C0 = 1/C5 capped for the degenerate linear-reaction case.
     """
     spec = aux.spec
-    t0 = aux.t0
+    t0 = aux.loc.t0
     if eps is None:
         eps = spec.eps
     half = graded_half_grid(aux.kink.xi_max, 400, 1e-2)[1:]

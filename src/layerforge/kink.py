@@ -165,8 +165,7 @@ class KinkProfile:
 
 def build_potential(spec: ProblemSpec, loc: LayerLocation) -> PotentialTable:
     t0 = loc.t0
-    lo = float(spec.phi(1, t0))
-    hi = float(spec.phi(2, t0))
+    lo, hi = loc.u0_side
     edges = np.linspace(lo, hi, _N_PANELS + 1)
     glx, glw = gl_rule(_GL_ORDER)
     half = 0.5 * np.diff(edges)
@@ -176,8 +175,8 @@ def build_potential(spec: ProblemSpec, loc: LayerLocation) -> PotentialTable:
     panels = half * (bv @ glw)
     prefix = np.concatenate([[0.0], np.cumsum(panels)])
     suffix = np.concatenate([np.cumsum(panels[::-1])[::-1], [0.0]])
-    taylor = np.array([[float(spec.b_val(t0, root, du=k)) for k in (1, 2, 3)]
-                       for root in (lo, hi)])
+    taylor = np.array([(b_u, *(spec.b_val(t0, root, du=k) for k in (2, 3)))
+                       for root, b_u in zip(loc.u0_side, loc.bs0_side)])
     return PotentialTable(b=spec.b, t0=t0, edges=edges, prefix=prefix,
                           suffix=suffix, taylor=taylor)
 
@@ -232,8 +231,7 @@ def build_kink(spec: ProblemSpec, loc: LayerLocation) -> KinkProfile:
     comes first) by the linearized exponential tail.
     """
     t0 = loc.t0
-    phi1_t0 = float(spec.phi(1, t0))
-    phi2_t0 = float(spec.phi(2, t0))
+    phi1_t0, phi2_t0 = loc.u0_side
     anchor = float(spec.phi(0, t0))
     if not phi1_t0 < anchor < phi2_t0:
         raise AnchorOutOfRange(

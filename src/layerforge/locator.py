@@ -34,9 +34,12 @@ class DegenerateRoot(RuntimeError):
 class LayerLocation:
     """Every matching constant of the expansion around one layer point.
 
-    t1 and t2 (and the constants they derive from) are filled by the
-    corrections machinery; tbar1 is the profile shift at the problem's own
-    epsilon.
+    The *_side pairs hold the outer roots (lower first) at t0, evaluated
+    once here for the profile, every configuration and every jump: the
+    value, slope and curvature of phi_k, b_u(t0, phi_k(t0)) (the squared
+    tail rate), and the smooth correction u2 with its slope.  t1 and t2
+    (and the constants they derive from) are filled by the corrections
+    machinery; tbar1 is the profile shift at the problem's own epsilon.
     """
 
     t0: float
@@ -45,6 +48,12 @@ class LayerLocation:
     gamma: float
     chi0: float
     eps: float
+    u0_side: tuple
+    du0_side: tuple
+    ddu0_side: tuple
+    bs0_side: tuple
+    u2_side: tuple
+    du2_side: tuple
     C_II: float | None = None
     C_III: float | None = None
     t1: float | None = None
@@ -162,16 +171,16 @@ def locate_t0(spec: ProblemSpec, scan_points: int = 64) -> LayerLocation:
             f"area derivative {d_area:.3e} at t0={t0:.15g} has the sign of "
             "the mirrored layer (upper-to-lower switch), which is not built")
 
-    bu1 = spec.b_val(t0, spec.phi(1, t0), du=1)
-    bu2 = spec.b_val(t0, spec.phi(2, t0), du=1)
-    gamma_bar_sq = min(bu1, bu2)
+    u0 = tuple(spec.phi(k, t0) for k in (1, 2))
+    bs0 = tuple(spec.b_val(t0, u, du=1) for u in u0)
+    gamma_bar_sq = min(bs0)
     if gamma_bar_sq <= 0.0:
         raise DegenerateRoot(
             f"du-slope of b at the layer roots is not positive: {gamma_bar_sq:.3e}")
 
     # slope of the profile at its anchor, from the first integral
     w_anchor = adaptive_gl(lambda v: spec.b_val(t0, v),
-                           spec.phi(1, t0), spec.phi(0, t0), tol=QUAD_TOL)
+                           u0[0], spec.phi(0, t0), tol=QUAD_TOL)
     chi0 = float(np.sqrt(max(2.0 * w_anchor, 0.0)))
 
     # global slope floor across the domain, with the 1% safety margin
@@ -180,6 +189,12 @@ def locate_t0(spec: ProblemSpec, scan_points: int = 64) -> LayerLocation:
                float(np.min(spec.b_val(xg, spec.phi(2, xg), du=1))))
     gamma = float(np.sqrt(max(gmin, 0.0) * 0.99))
 
+    # b_u > 0 on both roots, so u2 = phi_k'' / b_u is defined
+    roots, u2 = zip(*(spec.outer(k, t0, order=1) for k in (1, 2)))
     return LayerLocation(t0=float(t0), C_I=float(C_I),
                          gamma_bar=float(np.sqrt(gamma_bar_sq)),
-                         gamma=gamma, chi0=chi0, eps=spec.eps)
+                         gamma=gamma, chi0=chi0, eps=spec.eps, u0_side=u0,
+                         du0_side=tuple(d[1] for d in roots),
+                         ddu0_side=tuple(d[2] for d in roots), bs0_side=bs0,
+                         u2_side=tuple(u[0] for u in u2),
+                         du2_side=tuple(u[1] for u in u2))

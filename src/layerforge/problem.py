@@ -93,10 +93,11 @@ class ProblemSpec:
         """Evaluate the order-th x-derivative of root k at x."""
         return ex.evaluate(self.phi_derivs[k][order], x, 0.0)
 
-    def u2(self, k: int, x, order: int = 0):
-        """The order-th x-derivative (order <= 2) of the smooth second-order
-        correction u2 = phi_k'' / g of outer root k (1 or 2), where
-        g = b_u(x, phi_k(x)): the product rule on phi_k'' = u2 g, each
+    def outer(self, k: int, x, order: int = 0):
+        """Outer root k (1 or 2) and its smooth second-order correction
+        u2 = phi_k'' / g, where g = b_u(x, phi_k(x)), in one pass: the
+        root's x-derivatives of orders 0..order+2 and u2's of orders
+        0..order (order <= 2), by the product rule on phi_k'' = u2 g, each
         g^(n) the chain rule along phi_k.  DomainError where g vanishes."""
         d = [self.phi(k, x, order=m) for m in range(order + 3)]
         b = cache(partial(self.b_val, x, d[0]))
@@ -104,12 +105,12 @@ class ProblemSpec:
         if np.any(g[0] == 0.0):
             raise ex.DomainError(f"u2 undefined: b_u = 0 on root phi{k} at "
                                  f"x = {ex._sample(x, g[0] == 0.0)}")
-        out = [d[2] / g[0]]
+        u2 = [d[2] / g[0]]
         if order >= 1:
-            out.append((d[3] - out[0] * g[1]) / g[0])
+            u2.append((d[3] - u2[0] * g[1]) / g[0])
         if order >= 2:
-            out.append((d[4] - 2.0 * out[1] * g[1] - out[0] * g[2]) / g[0])
-        return out[order]
+            u2.append((d[4] - 2.0 * u2[1] * g[1] - u2[0] * g[2]) / g[0])
+        return d, u2
 
 
 def chain_rule(b, du0, ddu0, nx: int, ns: int):

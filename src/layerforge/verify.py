@@ -33,6 +33,8 @@ RESIDUAL_MIN_ORDER = 2.7
 #: operator-defect margin: epsilons (the first one fits C4) and shift p
 FBETA_EPS = (1e-2, 5e-3, 2e-3, 1e-3)
 FBETA_P = 0.005
+#: and the perturbation weight p' = FBETA_PPRIME_RATIO * eps
+FBETA_PPRIME_RATIO = 0.01
 
 #: transition constant of the truncation and the oracle mesh
 C_TAU = 2.5
@@ -223,8 +225,8 @@ def _sign_report(name: str, phis: np.ndarray, C1: float,
 # Operator-sign margin of the perturbed expansion
 
 
-def fbeta_check(spec: ProblemSpec, loc: LayerLocation, kink: KinkProfile,
-                pprime_rule=lambda eps: 0.01 * eps) -> SweepReport:
+def fbeta_check(spec: ProblemSpec, loc: LayerLocation,
+                kink: KinkProfile) -> SweepReport:
     """Pointwise signed lower bound on the centered operator defect.
 
     The slack constant is fitted at the largest epsilon (where the defect
@@ -235,7 +237,7 @@ def fbeta_check(spec: ProblemSpec, loc: LayerLocation, kink: KinkProfile,
     C4 = None
     for eps in FBETA_EPS:
         e = build_expansion(spec, p=FBETA_P, eps=eps, loc=loc, kink=kink)
-        pprime = float(pprime_rule(eps))
+        pprime = FBETA_PPRIME_RATIO * eps
         pe = build_perturbed(e, pprime=pprime, hhat=float(np.sqrt(eps)))
         xs = graded_x_grid(loc.t0, eps, 1000)
         lhs = np.sign(pprime) * pe.f_beta_centered(xs)

@@ -203,11 +203,12 @@ class TestV2:
     def test_wavy_jumps_cancel_smooth_correction(self, wavy_terms):
         aux, terms = wavy_terms
         v2 = terms["v2"]
-        assert v2.jump_minus == pytest.approx(-aux.u2_side[0], abs=1e-14)
-        assert v2.jump_plus == pytest.approx(-aux.u2_side[1], abs=1e-14)
+        u2 = aux.loc.u2_side
+        assert v2.jump_minus == pytest.approx(-u2[0], abs=1e-14)
+        assert v2.jump_plus == pytest.approx(-u2[1], abs=1e-14)
         # one-sided smooth correction plus layer jump is continuous
-        left = aux.u2_side[0] + v2.value(0.0, side=-1)
-        right = aux.u2_side[1] + v2.value(0.0, side=1)
+        left = u2[0] + v2.value(0.0, side=-1)
+        right = u2[1] + v2.value(0.0, side=1)
         assert abs(left - right) <= 1e-10
 
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -49,10 +50,13 @@ class TestAssembly:
     def test_smooth_correction_values(self, wavy):
         spec, loc, kk = wavy
         e = expansion.build_expansion(spec, p=0.0, eps=1e-2, loc=loc, kink=kk)
-        # u2 = u0'' / b_u(x, u0) one-sided at the layer point
+        # u2 = u0'' / b_u(x, u0) one-sided at the layer point, as the
+        # expansion reads it and as the smooth pass gives it there
         expected = spec.phi(1, loc.t0, order=2) / spec.b_val(
             loc.t0, spec.phi(1, loc.t0), du=1)
-        assert e.u2(loc.t0, side=-1) == pytest.approx(expected, rel=1e-12)
+        assert e.aux.loc.u2_side[0] == pytest.approx(expected, rel=1e-12)
+        _, (u2,) = spec.outer(1, np.array([loc.t0]))
+        assert u2[0] == pytest.approx(expected, rel=1e-12)
 
 
 class TestBeta:
@@ -211,9 +215,9 @@ class TestSharedAssembly:
     def test_one_layer_point_per_call(self, wavy, monkeypatch):
         """Each call looks the profile up once.  The defect reads the six b
         partials at the layer point (x = t0) once each, plus b(x, u) once.
-        The smooth correction reads b_u on each side for u2, and in the
-        defect the six partials of u2'' on each side (chain_rule, ns = 1),
-        b_u once more among them."""
+        The smooth part is one pass per side: the value reads b_u and
+        phi_k, phi_k', phi_k''; the defect reads the six partials of u2''
+        (chain_rule, ns = 1) and phi_k up to its fourth derivative."""
         spec, loc, kk = wavy
         eps = 2.0 ** -6
         e = expansion.build_expansion(spec, p=0.003, eps=eps, loc=loc,
@@ -223,10 +227,15 @@ class TestSharedAssembly:
         xs = graded_x_grid(loc.t0, eps, 500)
         calls = []
         value, b_val = kink.KinkProfile.value, problem.ProblemSpec.b_val
+        phi = problem.ProblemSpec.phi
 
         def counted_value(self, *args, **kwargs):
             calls.append("value")
             return value(self, *args, **kwargs)
+
+        def counted_phi(self, *args, **kwargs):
+            calls.append("phi")
+            return phi(self, *args, **kwargs)
 
         def counted_b_val(self, x, u, dx=0, du=0):
             if np.ndim(x) == 0:
@@ -237,10 +246,11 @@ class TestSharedAssembly:
 
         monkeypatch.setattr(kink.KinkProfile, "value", counted_value)
         monkeypatch.setattr(problem.ProblemSpec, "b_val", counted_b_val)
-        for fn, most_layer, b_xu, smooth in ((e.u_as, 0, 0, 2),
-                                             (pe.beta, 0, 0, 2),
-                                             (e.residual, 6, 1, 14),
-                                             (pe.f_beta_centered, 6, 1, 14)):
+        monkeypatch.setattr(problem.ProblemSpec, "phi", counted_phi)
+        for fn, most_layer, b_xu, smooth, phis in (
+                (e.u_as, 0, 0, 2, 6), (pe.beta, 0, 0, 2, 6),
+                (e.residual, 6, 1, 12, 10),
+                (pe.f_beta_centered, 6, 1, 12, 10)):
             calls.clear()
             fn(xs)
             name = fn.__name__
@@ -248,7 +258,55 @@ class TestSharedAssembly:
             assert calls.count("layer") <= most_layer, name
             assert calls.count("b(x, u)") == b_xu, name
             assert calls.count("smooth") == smooth, name
+            assert calls.count("phi") == phis, name
             assert calls.count("scalar") == 0, name
+
+    @staticmethod
+    def _count_calls(monkeypatch, methods):
+        """Wrap each (class, name) of methods; the list returned gets
+        (name, largest ndim of the positional arguments) per call."""
+        calls = []
+        for cls, name in methods:
+            def counted(self, *args, _name=name, _fn=getattr(cls, name),
+                        **kwargs):
+                calls.append((_name, max(np.ndim(a) for a in args)))
+                return _fn(self, *args, **kwargs)
+            monkeypatch.setattr(cls, name, counted)
+        return calls
+
+    def test_outer_roots_at_t0_come_from_the_location(self, wavy,
+                                                      monkeypatch):
+        """A configuration and a jump evaluate nothing on the problem: the
+        roots' one-sided data at t0 are the layer location's."""
+        spec, loc, kk = wavy
+        eps = 2.0 ** -6
+        e = expansion.build_expansion(spec, p=0.003, eps=eps, loc=loc,
+                                      kink=kk)
+        pe = expansion.build_perturbed(e, pprime=eps * 0.003,
+                                       hhat=math.sqrt(eps))
+        calls = self._count_calls(
+            monkeypatch, ((problem.ProblemSpec, "phi"),
+                          (problem.ProblemSpec, "b_val")))
+        corrections.make_auxiliary(spec, kk, loc, p=0.003)
+        e.phi_u_as()
+        pe.phi_beta()
+        assert calls == []
+
+    def test_no_scalar_lookup_per_build(self, wavy, monkeypatch):
+        """build_expansion and build_perturbed read chi(0) and chi'(0) at
+        the first node of the positive branch, and evaluate neither the
+        profile nor the problem at a single point."""
+        spec, loc, kk = wavy
+        eps = 2.0 ** -6
+        calls = self._count_calls(
+            monkeypatch, ((kink.KinkProfile, "value"),
+                          (kink.KinkProfile, "slope"),
+                          (problem.ProblemSpec, "phi"),
+                          (problem.ProblemSpec, "b_val")))
+        e = expansion.build_expansion(spec, p=0.003, eps=eps, loc=loc,
+                                      kink=kk)
+        expansion.build_perturbed(e, pprime=eps * 0.003, hhat=math.sqrt(eps))
+        assert calls and [c for c in calls if c[1] == 0] == []
 
 
 class TestGradedXGrid:
@@ -281,10 +339,12 @@ class TestCurvatureBound:
         linear = pr.ProblemSpec(name="linear", b=ex.parse("u-0.5"),
                                 phi0=spec.phi0, phi1=spec.phi1,
                                 phi2=spec.phi2, g0=0.0, g1=1.0, eps=0.01)
+        flat = replace(loc, u0_side=(kk.phi1_t0, kk.phi2_t0),
+                       du0_side=(0.0, 0.0), ddu0_side=(0.0, 0.0),
+                       bs0_side=(1.0, 1.0), u2_side=(0.0, 0.0),
+                       du2_side=(0.0, 0.0))
         aux = corrections.LayerAuxiliary(
-            spec=linear, kink=kk, p=0.0, tbar1=0.0,
-            u0_side=(kk.phi1_t0, kk.phi2_t0), du0_side=(0.0, 0.0),
-            ddu0_side=(0.0, 0.0), u2_side=(0.0, 0.0), bs0_side=(1.0, 1.0),
+            spec=linear, kink=kk, loc=flat, p=0.0, tbar1=0.0,
             grid=cubic_e.aux.grid)
         C5, C0 = expansion.estimate_C0(aux)
         assert C5 == 1e-8

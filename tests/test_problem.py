@@ -110,24 +110,31 @@ class TestDerivedExpressions:
         expected = (ddphi / ((s - middle) * (s - (1 + s))),
                     ddphi / ((1 + s - s) * (1 + s - middle)))
         for side in (0, 1):
-            got = spec.u2(side + 1, x)
+            _, (got,) = spec.outer(side + 1, x)
             assert np.allclose(got, expected[side], rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("name", ["cubic-wavy", "curved"])
     def test_u2_matches_the_symbolic_quotient(self, curved_data, name):
         """u2 and its two slopes by the product rule match the tree of
         phi_k'' / b_u(x, phi_k(x)) and its x-derivatives: bitwise for u2,
-        to 1e-11 of the largest reference value for the slopes."""
+        to 1e-11 of the largest reference value for the slopes.  The same
+        pass returns the root derivatives it read, bitwise phi's."""
         spec = (problem.problem_from_dict(curved_data) if name == "curved"
                 else problem.builtin_problem(name))
         x = np.linspace(0.0, 1.0, 101)
         for k in (1, 2):
+            d, u2 = spec.outer(k, x, order=2)
+            assert len(d) == 5 and len(u2) == 3
+            for m, dm in enumerate(d):
+                assert np.array_equal(dm, spec.phi(k, x, order=m)), (k, m)
             root = spec.phi_derivs[k]
             g = ex.substitute(spec.b_partials[(0, 1)], "u", root[0])
             tree = ex.div(root[2], g)
             for order in range(3):
                 exact = ex.evaluate(tree, x, 0.0)
-                got = spec.u2(k, x, order=order)
+                got = u2[order]
+                assert np.array_equal(
+                    got, spec.outer(k, x, order=order)[1][order])
                 if order == 0:
                     assert np.array_equal(got, exact), k
                 else:
@@ -144,9 +151,9 @@ class TestDerivedExpressions:
         for order in range(3):
             for x in (0.5, np.array([0.25, 0.5, 0.75])):
                 with pytest.raises(ex.DomainError, match="phi1 at x = 0.5"):
-                    spec.u2(1, x, order=order)
-            assert np.all(np.isfinite(spec.u2(1, np.array([0.25, 0.75]),
-                                              order=order)))
+                    spec.outer(1, x, order=order)
+            _, u2 = spec.outer(1, np.array([0.25, 0.75]), order=order)
+            assert np.all(np.isfinite(u2))
 
     def test_epsilon_override_keeps_derived_fields(self, tmp_path):
         spec = problem.resolve_problem(str(write(tmp_path, CUBIC_JSON)),

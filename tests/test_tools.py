@@ -59,8 +59,11 @@ class TestRuns:
                   if cmd[1:3] == ("--problem", cmp_outputs.CURVED_FILE)]
         assert curved == [
             ("locate", "--problem", "curved.json"),
+            ("dump-corrections", "--problem", "curved.json", "--p", "0.003"),
             ("expand", "--problem", "curved.json"),
+            ("decay", "--problem", "curved.json"),
             ("residual", "--problem", "curved.json"),
             ("fbeta", "--problem", "curved.json"),
+            ("monotone", "--problem", "curved.json"),
             ("phi", "--problem", "curved.json"),
             ("compare", "--problem", "curved.json", "--n", "4096")]

@@ -86,10 +86,10 @@ class TestMonotonicity:
 
 
 class TestFBeta:
-    def test_negative_perturbation_mirrors(self, cubic):
+    def test_negative_perturbation_mirrors(self, cubic, monkeypatch):
         spec, loc, kk = cubic
-        rep = verify.fbeta_check(spec, loc, kk,
-                                 pprime_rule=lambda eps: -0.01 * eps)
+        monkeypatch.setattr(verify, "FBETA_PPRIME_RATIO", -0.01)
+        rep = verify.fbeta_check(spec, loc, kk)
         assert rep.passed
 
     def test_zero_perturbation_degenerates_to_bound(self, cubic):

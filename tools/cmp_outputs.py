@@ -62,9 +62,12 @@ CURVED_FILE = "curved.json"
 #: on CURVED, the arguments after `--problem CURVED_FILE`
 PER_CURVED = (
     ("locate",),
+    ("dump-corrections", "--p", "0.003"),
     ("expand",),
+    ("decay",),
     ("residual",),
     ("fbeta",),
+    ("monotone",),
     ("phi",),
     ("compare", "--n", "4096"),
 )
