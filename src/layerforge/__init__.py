@@ -8,16 +8,20 @@ harness (residual orders, derivative-jump sweeps, decay fits, and an
 independent finite-difference oracle).
 """
 
-from .problem import (AssumptionReport, ProblemSpec, builtin_problem,
-                      check_assumptions, load_problem, resolve_problem)
+from .errors import InputError, LayerforgeError
+from .expr import DomainError, ParseError
+from .quadrature import QuadratureFailed
+from .problem import (AssumptionReport, ProblemError, ProblemSpec,
+                      builtin_problem, check_assumptions, load_problem,
+                      resolve_problem)
 from .locator import (DegenerateRoot, LayerLocation, NoSignChange,
                       WrongOrientation, integral_I, locate_t0)
 from .kink import (AnchorOutOfRange, KinkProfile, PotentialNegative,
                    ProfileIntegrationFailed, build_kink)
 from .corrections import (CorrectionTerm, LayerAuxiliary, NonDecayingSource,
-                          build_terms, build_v1, build_v2, build_vstar,
-                          build_z, compute_matching, locate_and_match,
-                          make_auxiliary, solve_jump)
+                          WeightUnderflow, build_terms, build_v1, build_v2,
+                          build_vstar, build_z, compute_matching,
+                          locate_and_match, make_auxiliary, solve_jump)
 from .expansion import (Expansion, PerturbedExpansion, build_expansion,
                         build_perturbed, estimate_C0)
 from .solver import (Mesh, MeshSolution, NoConvergence, SingularJacobian,
@@ -29,13 +33,16 @@ from .verify import (AllZeros, SweepReport, decay_fit, fbeta_check,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AssumptionReport", "ProblemSpec", "builtin_problem", "check_assumptions",
-    "load_problem", "resolve_problem",
+    "LayerforgeError", "InputError", "DomainError", "ParseError",
+    "QuadratureFailed",
+    "AssumptionReport", "ProblemError", "ProblemSpec", "builtin_problem",
+    "check_assumptions", "load_problem", "resolve_problem",
     "DegenerateRoot", "LayerLocation", "NoSignChange", "WrongOrientation",
     "integral_I", "locate_t0",
     "AnchorOutOfRange", "KinkProfile", "PotentialNegative",
     "ProfileIntegrationFailed", "build_kink",
-    "CorrectionTerm", "LayerAuxiliary", "NonDecayingSource", "build_terms",
+    "CorrectionTerm", "LayerAuxiliary", "NonDecayingSource",
+    "WeightUnderflow", "build_terms",
     "build_v1", "build_v2", "build_vstar", "build_z", "compute_matching",
     "locate_and_match", "make_auxiliary", "solve_jump",
     "Expansion", "PerturbedExpansion", "build_expansion", "build_perturbed",

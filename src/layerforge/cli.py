@@ -3,8 +3,10 @@
 Every subcommand prints a deterministic report: floats are rendered with 17
 significant digits, so identical inputs give byte-identical output.  CSV
 columns are documented per subcommand in --help.  Exit codes: 0 success, 1 a
-failed check or a typed problem or numerical error (one line on stderr), 2 a
-usage error, among them an array size over SIZE_CAP.
+failed check or a numerical error, 2 a usage or input error (an invalid
+argument, among them an array size over SIZE_CAP, or an unreadable, malformed
+or unknown problem).  Every error ends the run as one line on stderr, and its
+class's `exit_code` is the exit status.
 """
 
 from __future__ import annotations
@@ -17,11 +19,9 @@ import sys
 import numpy as np
 
 from . import acceptance, corrections, kink, locator, problem, solver, verify
+from .errors import InputError, LayerforgeError
 from .expansion import (HHAT_CAP, PPRIME_STAR, build_expansion,
                         build_perturbed)
-from .expr import DomainError, ParseError
-from .problem import ProblemError
-from .quadrature import QuadratureFailed
 
 SCHEMA_VERSION = 1
 
@@ -30,17 +30,9 @@ SCHEMA_VERSION = 1
 #: allocation
 SIZE_CAP = 2 ** 22
 
-_ERRORS = (ProblemError, ParseError, DomainError, locator.NoSignChange,
-           locator.WrongOrientation, locator.DegenerateRoot,
-           kink.PotentialNegative, kink.AnchorOutOfRange,
-           kink.ProfileIntegrationFailed,
-           corrections.NonDecayingSource, QuadratureFailed,
-           solver.NoConvergence, solver.SingularJacobian, verify.AllZeros,
-           FloatingPointError)
 
-
-class UsageError(ValueError):
-    pass
+class UsageError(InputError):
+    """An invalid command-line argument or output path."""
 
 
 # ---------------------------------------------------------------------------
@@ -344,8 +336,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="layerforge",
         description="Interior-layer expansions for bistable reaction-"
                     "diffusion boundary value problems.",
-        epilog="Exit codes: 0 success, 1 failed check or problem/numerical "
-               "error, 2 usage error.")
+        epilog="Exit codes: 0 success, 1 failed check or numerical error, "
+               "2 usage or input error.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, fn, help_, **extra):
@@ -462,16 +454,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         _validate(args)
-    except UsageError as err:
-        print(f"usage error: {err}", file=sys.stderr)
-        return 2
-    try:
         # float faults end the run as one typed line, not numpy warnings
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             return args.fn(args)
-    except UsageError as err:
-        print(f"usage error: {err}", file=sys.stderr)
-        return 2
     except BrokenPipeError:
         # downstream consumer (head, etc.) closed the stream
         try:
@@ -479,9 +464,14 @@ def main(argv=None) -> int:
         except OSError:
             pass
         return 0
-    except _ERRORS as err:
-        print(f"{type(err).__name__}: {err}", file=sys.stderr)
+    except FloatingPointError as err:
+        print(f"FloatingPointError: {err}", file=sys.stderr)
         return 1
+    except LayerforgeError as err:
+        name = ("usage error" if isinstance(err, UsageError)
+                else type(err).__name__)
+        print(f"{name}: {err}", file=sys.stderr)
+        return err.exit_code
 
 
 if __name__ == "__main__":

@@ -26,6 +26,7 @@ from functools import cache, cached_property, partial
 import numpy as np
 
 from . import expr as ex
+from .errors import InputError, LayerforgeError
 from .grids import graded_half_grid, hermite_quintic, one_sided_derivative
 from .kink import KinkProfile, P_STAR, build_kink
 from .locator import DegenerateRoot, LayerLocation, locate_t0
@@ -42,8 +43,13 @@ GRID_SPACING0 = 2.5e-4
 GRID_RANGE_FACTOR = 82.0
 
 
-class NonDecayingSource(ValueError):
+class NonDecayingSource(LayerforgeError, ValueError):
     """The source grows faster than |xi|^6 relative to the profile weight."""
+
+
+class WeightUnderflow(LayerforgeError, RuntimeError):
+    """The profile weight underflows to 0 inside the correction grid: its
+    tail rate is too steep for the grid's range on that branch."""
 
 
 def sides_of(xi, side=None):
@@ -171,7 +177,7 @@ def make_auxiliary(spec: ProblemSpec, kink: KinkProfile, loc: LayerLocation,
     supplies explicit intermediate values.
     """
     if not abs(p) <= P_STAR:
-        raise ValueError(f"|p| must not exceed {P_STAR}, got {p}")
+        raise InputError(f"|p| must not exceed {P_STAR}, got {p}")
     if tbar1 is None:
         tbar1 = loc.tbar1
     xi_max = max(kink.xi_max, GRID_RANGE_FACTOR / kink.gamma_bar)
@@ -266,6 +272,7 @@ def solve_jump(aux: LayerAuxiliary, psi, nu0_minus: float, nu0_plus: float,
     for side, pt, mu, nu0 in ((1, pos_pt, aux.kink.mu_plus, nu0_plus),
                               (-1, neg_pt, aux.kink.mu_minus, nu0_minus)):
         chi = np.asarray(pt.chi, dtype=float)
+        _check_weight(s, chi, side, mu, label)
         psi_s = np.asarray(psi(pt), dtype=float)
         _check_decay(s, psi_s, chi, label)
         branch[side] = _half_line(s, chi, side * pt.dchi, psi_s, pt.B(0, 1),
@@ -306,6 +313,23 @@ def _half_line(s, chi, dchi, psi, bs, mu, nu0, chi0):
     val[0] = nu0
     d1 = dchi * outer + (nu0 / chi0) * dchi + inner / chi
     return (s, val, d1, bs * val - psi), float(inner[0])
+
+
+def _check_weight(s, chi, side, mu, label):
+    """Reject a branch whose weight chi underflows to 0 on the grid.
+
+    chi decays monotonically in its exponential tail, so the grid end is
+    the first node to underflow.  The grid's range follows the smaller
+    tail rate (GRID_RANGE_FACTOR / gamma_bar), so a branch with a much
+    steeper tail can reach it.
+    """
+    if chi[-1] > 0.0:
+        return
+    first = float(s[np.argmax(~(chi > 0.0))])
+    raise WeightUnderflow(
+        f"profile weight of the {'plus' if side > 0 else 'minus'} branch "
+        f"of {label!r} is 0 from s = {first:.4g} to the grid end at "
+        f"{s[-1]:.4g} (tail rate {mu:.4g})")
 
 
 def _check_decay(xi_abs, psi, chi, label):

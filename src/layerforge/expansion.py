@@ -19,6 +19,7 @@ from . import expr as ex
 from .corrections import (CorrectionTerm, LayerAuxiliary, at_side, build_v1,
                           build_v2, build_vstar, build_z, make_auxiliary,
                           sides_of)
+from .errors import InputError
 from .grids import graded_half_grid
 from .kink import KinkProfile
 from .locator import LayerLocation
@@ -118,9 +119,9 @@ class Expansion:
         """Two-piece reduced representation: profile inside the transition
         width, outer roots beyond it.  Uses the unperturbed profile shift."""
         if not C_tau > 2.0:
-            raise ValueError("C_tau must exceed 2")
+            raise InputError("C_tau must exceed 2")
         if N < 2:
-            raise ValueError("N must be at least 2")
+            raise InputError("N must be at least 2")
         a = np.atleast_1d(np.asarray(x, dtype=float))
         aux = self.aux
         tau = (C_tau / aux.kink.gamma_bar) * self.eps * np.log(N)
@@ -224,9 +225,9 @@ def build_perturbed(base: Expansion, pprime: float,
     mesh width at most a fixed multiple of eps.
     """
     if not abs(pprime) <= PPRIME_STAR:
-        raise ValueError(f"|p'| must not exceed {PPRIME_STAR}, got {pprime}")
+        raise InputError(f"|p'| must not exceed {PPRIME_STAR}, got {pprime}")
     if not hhat ** 2 <= HHAT_CAP * base.eps:
-        raise ValueError(
+        raise InputError(
             f"hhat^2 = {hhat ** 2:.3g} exceeds {HHAT_CAP} * eps = "
             f"{HHAT_CAP * base.eps:.3g}")
     points = base.aux.branches()

@@ -18,6 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import InputError, LayerforgeError
+
 FUNCTIONS = ("sin", "cos", "exp", "ln", "tanh", "sqrt")
 VARIABLES = ("x", "u")
 
@@ -28,7 +30,7 @@ VARIABLES = ("x", "u")
 MAX_DEPTH = 64
 
 
-class ParseError(ValueError):
+class ParseError(InputError):
     """Syntax or identifier error, with the byte offset of the offender."""
 
     def __init__(self, message: str, offset: int):
@@ -36,7 +38,7 @@ class ParseError(ValueError):
         self.offset = offset
 
 
-class DomainError(ArithmeticError):
+class DomainError(LayerforgeError, ArithmeticError):
     """Evaluation hit a point outside a function's domain."""
 
 
@@ -173,7 +175,10 @@ def powi(base: Expr, exponent: int) -> Expr:
     if exponent == 1:
         return base
     if _is_const(base):
-        return Const(base.value ** exponent)
+        try:
+            return Const(base.value ** exponent)
+        except (OverflowError, ZeroDivisionError):
+            pass  # left unfolded: evaluation reports it as a DomainError
     return Pow(base, exponent)
 
 

@@ -6,6 +6,8 @@ import numpy as np
 from scipy.interpolate import PPoly
 from scipy.optimize import brentq
 
+from .errors import InputError
+
 
 def graded_half_grid(xi_max: float, n: int, spacing0: float = 1e-3) -> np.ndarray:
     """Graded nodes 0 = xi_0 < ... < xi_n = xi_max clustered at 0.
@@ -15,7 +17,7 @@ def graded_half_grid(xi_max: float, n: int, spacing0: float = 1e-3) -> np.ndarra
     spacing already satisfies the target.
     """
     if n < 2:
-        raise ValueError("need at least 2 intervals")
+        raise InputError("need at least 2 intervals")
     if xi_max / n <= spacing0:
         return np.linspace(0.0, xi_max, n + 1)
 

@@ -19,6 +19,7 @@ import numpy as np
 from scipy.interpolate import PPoly
 
 from . import expr as ex
+from .errors import LayerforgeError
 from .grids import quintic_pieces
 from .kernels import eval_program_array, integrate_kink
 from .locator import LayerLocation
@@ -35,15 +36,15 @@ _N_PANELS = 64
 _GL_ORDER = 16
 
 
-class PotentialNegative(RuntimeError):
+class PotentialNegative(LayerforgeError, RuntimeError):
     """The potential dips below zero strictly between the outer roots."""
 
 
-class AnchorOutOfRange(RuntimeError):
+class AnchorOutOfRange(LayerforgeError, RuntimeError):
     """The middle root does not lie strictly between the outer roots."""
 
 
-class ProfileIntegrationFailed(RuntimeError):
+class ProfileIntegrationFailed(LayerforgeError, RuntimeError):
     """The profile quadrature met a non-positive or non-finite potential."""
 
 

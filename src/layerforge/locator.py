@@ -8,6 +8,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .errors import LayerforgeError
 from .problem import ProblemSpec
 from .quadrature import adaptive_gl
 
@@ -18,15 +19,15 @@ ENDPOINT_MARGIN = 1e-3
 QUAD_TOL = 1e-12
 
 
-class NoSignChange(RuntimeError):
+class NoSignChange(LayerforgeError, RuntimeError):
     """The area integral does not change sign: no layer of this type."""
 
 
-class WrongOrientation(RuntimeError):
+class WrongOrientation(LayerforgeError, RuntimeError):
     """The area derivative has the sign of the mirrored (unstable) layer."""
 
 
-class DegenerateRoot(RuntimeError):
+class DegenerateRoot(LayerforgeError, RuntimeError):
     """The located root of the area integral is not simple."""
 
 

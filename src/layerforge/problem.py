@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from . import expr as ex
+from .errors import InputError
 
 _REQUIRED_FIELDS = ("name", "b", "phi0", "phi1", "phi2", "g0", "g1", "epsilon")
 
@@ -33,7 +34,7 @@ BUILTIN_PROBLEMS = {
                        key=lambda path: path.stem)}
 
 
-class ProblemError(ValueError):
+class ProblemError(InputError):
     """A problem file is malformed or violates a load-time precondition."""
 
 
@@ -226,7 +227,7 @@ def check_assumptions(spec: ProblemSpec, n_grid: int = 256) -> AssumptionReport:
     is deferred to the locator, which owns the quadrature it needs.
     """
     if n_grid < 16:
-        raise ValueError("n_grid must be at least 16")
+        raise InputError("n_grid must be at least 16")
     x = np.linspace(0.0, 1.0, n_grid + 1)
     roots = [spec.phi(k, x) for k in range(3)]
 

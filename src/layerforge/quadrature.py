@@ -10,6 +10,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .errors import LayerforgeError
+
 
 @lru_cache(maxsize=16)
 def gl_rule(n: int):
@@ -25,7 +27,7 @@ def gl_fixed(f, a: float, b: float, n: int = 32) -> float:
     return half * float(np.dot(w, f(mid + half * x)))
 
 
-class QuadratureFailed(RuntimeError):
+class QuadratureFailed(LayerforgeError, RuntimeError):
     """Adaptive quadrature met a non-finite estimate or its depth cap."""
 
 

@@ -15,18 +15,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import InputError, LayerforgeError
 from .kernels import thomas_solve
 from .locator import LayerLocation
 from .problem import ProblemSpec
 
 
-class NoConvergence(RuntimeError):
+class NoConvergence(LayerforgeError, RuntimeError):
     def __init__(self, message: str, last_residual: float):
         super().__init__(f"{message} (last residual {last_residual:.3e})")
         self.last_residual = last_residual
 
 
-class SingularJacobian(RuntimeError):
+class SingularJacobian(LayerforgeError, RuntimeError):
     pass
 
 
@@ -67,15 +68,15 @@ def build_mesh(loc: LayerLocation, eps: float, N: int, C_tau: float = 2.5,
     transition width (but still records it for region bookkeeping).
     """
     if N % 2:
-        raise ValueError("N must be even")
+        raise InputError("N must be even")
     if not C_tau > 2.0:
-        raise ValueError("C_tau must exceed 2")
+        raise InputError("C_tau must exceed 2")
     tau = transition_half_width(loc, eps, N, C_tau)
     if kind == "uniform":
         return Mesh(nodes=np.linspace(0.0, 1.0, N + 1), kind=kind,
                     tau=tau, N=N, center=loc.t0)
     if kind != "layer-adapted":
-        raise ValueError(f"unknown mesh kind {kind!r}")
+        raise InputError(f"unknown mesh kind {kind!r}")
     t0 = loc.t0
     n_in = N // 2
     n_in_left = n_in // 2

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .corrections import CorrectionTerm
+from .errors import LayerforgeError
 from .expansion import build_expansion, build_perturbed
 from .grids import graded_x_grid
 from .kink import KinkProfile
@@ -48,7 +49,7 @@ SOLVER_EPS = tuple(2.0 ** -k for k in range(5, 10))
 SOLVER_N = 2048
 
 
-class AllZeros(ValueError):
+class AllZeros(LayerforgeError, ValueError):
     """A decay fit received an identically vanishing tail."""
 
 

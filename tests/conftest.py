@@ -19,6 +19,20 @@ CURVED = {
     "epsilon": 0.008693,
 }
 
+#: tail rates 0.94 (minus side) and 10.76 (plus side): the correction grid's
+#: range follows the smaller one, so on the plus branch the profile weight
+#: underflows to 0 from s = 69.2 to the grid end at 87.2
+UNDERFLOW = {
+    "name": "steep-tail",
+    "b": "u*(u-(0.88426-0.1*(x-0.5)))*(u-1)*(1+1000*u^20)",
+    "phi0": "0.88426-0.1*(x-0.5)",
+    "phi1": "0",
+    "phi2": "1",
+    "g0": 0.0,
+    "g1": 1.0,
+    "epsilon": 0.01,
+}
+
 
 @pytest.fixture(scope="session")
 def actx():
@@ -56,3 +70,8 @@ def curved():
     """(spec, loc, kink) of CURVED, as AcceptanceContext.pipeline gives."""
     spec = problem.problem_from_dict(CURVED)
     return (spec, *corrections.locate_and_match(spec))
+
+
+@pytest.fixture(scope="session")
+def underflow_data():
+    return dict(UNDERFLOW)

@@ -157,7 +157,7 @@ class TestUsageErrors:
 
     def test_unknown_problem_is_reported(self, capsys):
         code = cli.main(["check", "--problem", "no-such"])
-        assert code == 1
+        assert code == 2
         assert "no-such" in capsys.readouterr().err
 
     @pytest.mark.parametrize("text, error", [
@@ -171,16 +171,19 @@ class TestUsageErrors:
         (_cubic_with(epsilon="abc"), "ProblemError"),
         (_cubic_with(b=CUBIC_B + "*sqrt(x-0.5)"), "DomainError"),
         (_cubic_with(b=CUBIC_B + "+0*(1e200^2)"), "DomainError"),
+        (_cubic_with(b="1e300^3"), "DomainError"),
+        (_cubic_with(b="u*(0^-1)"), "DomainError"),
     ], ids=["malformed-json", "sum-of-3000-terms", "200-nested-brackets",
             "2000-unary-minuses", "3000-powers", "deep-third-partial",
             "large-area-integrand",
-            "non-numeric-epsilon", "reaction-domain", "scalar-power-overflow"])
+            "non-numeric-epsilon", "reaction-domain", "scalar-power-overflow",
+            "constant-power-overflow", "constant-zero-to-negative-power"])
     def test_bad_problem_file_is_one_line(self, capsys, tmp_path, text, error):
         path = tmp_path / "bad.json"
         path.write_text(text)
         code = cli.main(["locate", "--problem", str(path)])
         err = capsys.readouterr().err
-        assert code == 1
+        assert code == (2 if error in ("ProblemError", "ParseError") else 1)
         assert err.startswith(error + ": ")
         assert err.count("\n") == 1
 
@@ -201,8 +204,18 @@ class TestUsageErrors:
     def test_unreadable_problem_path_is_one_line(self, capsys, tmp_path):
         code = cli.main(["locate", "--problem", str(tmp_path)])
         err = capsys.readouterr().err
-        assert code == 1
+        assert code == 2
         assert err.startswith("ProblemError: ")
+        assert err.count("\n") == 1
+
+    def test_weight_underflow_is_one_line(self, capsys, tmp_path,
+                                          underflow_data):
+        path = tmp_path / "steep.json"
+        path.write_text(json.dumps(underflow_data))
+        code = cli.main(["locate", "--problem", str(path)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("WeightUnderflow: ")
         assert err.count("\n") == 1
 
 

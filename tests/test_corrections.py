@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from layerforge import corrections, solver
+from layerforge import corrections, problem, solver
 from layerforge import expr as ex
 from layerforge.grids import graded_half_grid, local_poly_derivative
 from layerforge.quadrature import adaptive_gl
@@ -62,6 +62,13 @@ class TestSolveJump:
         jump_solve(cubic_aux,
                    lambda pt: pt.chi * (1.0 + pt.xi ** 4),
                    0.0, 0.0)
+
+    def test_weight_underflow_rejected(self, underflow_data):
+        # before the check, compute_matching returned t2 = nan
+        spec = problem.problem_from_dict(underflow_data)
+        with pytest.raises(corrections.WeightUnderflow,
+                           match="plus branch of 'v1' is 0 from s = 69"):
+            corrections.locate_and_match(spec)
 
     def test_cubic_branches_keep_their_parity(self, cubic_terms):
         """On the symmetric cubic v1, v2 and z are odd and vstar is even;

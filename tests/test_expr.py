@@ -112,6 +112,12 @@ class TestDifferentiate:
             out = ex.differentiate(out, var)
         assert isinstance(out, ex.Expr)
 
+    @pytest.mark.parametrize("text", ["x*1e300^3", "x*0^-2"])
+    def test_constant_power_fault_is_left_to_evaluation(self, text):
+        d = ex.differentiate(ex.parse(text), "x")
+        with pytest.raises(ex.DomainError):
+            ex.evaluate(d, 0.5, 0.0)
+
 
 class TestEvaluate:
     def test_reduced_root_is_zero(self):

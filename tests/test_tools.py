@@ -67,3 +67,11 @@ class TestRuns:
             ("monotone", "--problem", "curved.json"),
             ("phi", "--problem", "curved.json"),
             ("compare", "--problem", "curved.json", "--n", "4096")]
+
+    def test_error_runs(self, underflow_data):
+        """Each kind of input error, and a numerical failure, is a run, so
+        a parent comparison shows moves in exit codes and error lines."""
+        assert cmp_outputs.UNDERFLOW == underflow_data
+        assert cmp_outputs.RUNS[-4:] == cmp_outputs.ERROR_RUNS
+        files = {cmd[2] for cmd in cmp_outputs.ERROR_RUNS}
+        assert files - set(cmp_outputs.ERROR_FILES) == {"no-such"}

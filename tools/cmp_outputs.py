@@ -4,7 +4,8 @@
 
 runs every command of RUNS with `python -m layerforge` once on this tree's
 `src/` and once on PARENT_CHECKOUT's `src/`, both from a temporary directory
-that holds the CURVED problem as CURVED_FILE, and prints one line per run:
+that holds the CURVED problem as CURVED_FILE and the ERROR_FILES, and prints
+one line per run:
 "identical" when stdout, stderr and exit code match byte for byte, else the
 largest absolute and relative difference over the numbers of stdout (the
 text around the numbers must match), or what else differs; a text that
@@ -72,10 +73,35 @@ PER_CURVED = (
     ("compare", "--n", "4096"),
 )
 
+#: tail rates 0.94 and 10.76: on the plus branch of the correction grid,
+#: whose range follows the smaller rate, the profile weight underflows to 0
+UNDERFLOW = {
+    "name": "steep-tail",
+    "b": "u*(u-(0.88426-0.1*(x-0.5)))*(u-1)*(1+1000*u^20)",
+    "phi0": "0.88426-0.1*(x-0.5)",
+    "phi1": "0",
+    "phi2": "1",
+    "g0": 0.0,
+    "g1": 1.0,
+    "epsilon": 0.01,
+}
+
+#: inputs whose runs end in an error line, by file name
+ERROR_FILES = {
+    "malformed.json": '{"name": "bad", "b": ',
+    "parse-error.json": json.dumps(dict(CURVED, b=CURVED["b"] + "$")),
+    "steep-tail.json": json.dumps(UNDERFLOW),
+}
+
+#: a malformed file, a parse error, an unknown built-in, a weight underflow
+ERROR_RUNS = tuple(("locate", "--problem", name) for name in (
+    "malformed.json", "parse-error.json", "no-such", "steep-tail.json"))
+
 RUNS = (("all", "--problem", "all"),
         *((cmd[0], "--problem", name, *cmd[1:])
           for name in BUILTINS for cmd in PER_PROBLEM),
-        *((cmd[0], "--problem", CURVED_FILE, *cmd[1:]) for cmd in PER_CURVED))
+        *((cmd[0], "--problem", CURVED_FILE, *cmd[1:]) for cmd in PER_CURVED),
+        *ERROR_RUNS)
 
 _NUMBER = re.compile(r"(?<![\w.])[-+]?(?:(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?"
                      r"|inf|nan)(?![\w.])")
@@ -131,8 +157,9 @@ def main(argv=None) -> int:
     there = args.parent.resolve() / "src"
     same = True
     with tempfile.TemporaryDirectory() as tmp:
-        Path(tmp, CURVED_FILE).write_text(json.dumps(CURVED),
-                                          encoding="utf-8")
+        for name, text in {CURVED_FILE: json.dumps(CURVED),
+                           **ERROR_FILES}.items():
+            Path(tmp, name).write_text(text, encoding="utf-8")
         for cmd in RUNS:
             verdict = compare(run(there, cmd, tmp), run(here, cmd, tmp))
             same &= verdict == "identical"
