@@ -16,8 +16,6 @@ from . import corrections, locator, problem, solver, verify
 from .expansion import build_expansion
 from .quadrature import composite_simpson
 
-PROBLEMS = ("cubic", "cubic-wavy")
-
 #: subintervals of criterion 03's Simpson oracle for C_II, its own count:
 #: C_II is a quadrature over the profile and never reads the correction grid
 C03_SIMPSON_N = 160002
@@ -38,7 +36,7 @@ class CriterionResult:
 class AcceptanceContext:
     """Caches the epsilon-independent pipeline per problem."""
 
-    def __init__(self, problems=PROBLEMS):
+    def __init__(self, problems=tuple(problem.BUILTIN_PROBLEMS)):
         self.problem_names = tuple(problems)
         self._cache: dict = {}
 
@@ -62,6 +60,15 @@ class AcceptanceContext:
         if key not in self._cache:
             self._cache[key] = verify.jump_ladder(*self.pipeline(name))
         return self._cache[key]
+
+
+def _every_problem(ctx: AcceptanceContext, cid: int, description: str,
+                   check) -> CriterionResult:
+    """Criterion `cid` over every problem of ctx: check(name) yields
+    (passed, detail line) pairs, and the criterion passes when all do."""
+    rows = [row for name in ctx.problem_names for row in check(name)]
+    return CriterionResult(cid, description, all(ok for ok, _ in rows),
+                           [line for _, line in rows])
 
 
 def criterion_01_kink_oracle(ctx: AcceptanceContext) -> CriterionResult:
@@ -123,9 +130,7 @@ def criterion_03_matching(ctx: AcceptanceContext) -> CriterionResult:
 def criterion_04_jump_oracle(ctx: AcceptanceContext) -> CriterionResult:
     """Integral-formula solutions vs the tridiagonal FD oracle, and the
     quadrature jump vs one-sided table derivatives."""
-    details = []
-    ok = True
-    for name in ctx.problem_names:
+    def check(name):
         aux, terms = ctx.terms(name)
         for label, term in terms.items():
             (xn, fdn), (xp, fdp) = solver.solve_jump_fd_numerov(
@@ -135,10 +140,10 @@ def criterion_04_jump_oracle(ctx: AcceptanceContext) -> CriterionResult:
             gap = max(float(np.max(np.abs(fdn - term.value(xn, side=-1)))),
                       float(np.max(np.abs(fdp - term.value(xp, side=1)))))
             dphi = abs(term.phi_value - corrections.phi_from_tables(term))
-            ok = ok and gap <= 1e-6 and dphi <= 1e-6
-            details.append(f"{name}/{label}: oracle gap {gap:.3e}, "
-                           f"jump cross-check {dphi:.3e} (tol 1e-6)")
-    return CriterionResult(4, "jump formula vs FD oracle", ok, details)
+            yield (gap <= 1e-6 and dphi <= 1e-6,
+                   f"{name}/{label}: oracle gap {gap:.3e}, "
+                   f"jump cross-check {dphi:.3e} (tol 1e-6)")
+    return _every_problem(ctx, 4, "jump formula vs FD oracle", check)
 
 
 def criterion_05_exact_identities(ctx: AcceptanceContext) -> CriterionResult:
@@ -168,85 +173,70 @@ def criterion_05_exact_identities(ctx: AcceptanceContext) -> CriterionResult:
 
 
 def criterion_06_residual_order(ctx: AcceptanceContext) -> CriterionResult:
-    details = []
-    ok = True
-    for name in ctx.problem_names:
-        spec, loc, kk = ctx.pipeline(name)
-        rep = verify.residual_sweep(spec, loc, kk)
-        ok = ok and rep.passed
-        details.append(f"{name}: fitted order {rep.slope:.3f} (need >= 2.7)")
-    return CriterionResult(6, "third-order residual decay", ok, details)
+    def check(name):
+        rep = verify.residual_sweep(*ctx.pipeline(name))
+        yield rep.passed, (f"{name}: fitted order {rep.slope:.3f} "
+                           f"(need >= {verify.RESIDUAL_MIN_ORDER:g})")
+    return _every_problem(ctx, 6, "third-order residual decay", check)
 
 
 def criterion_07_phi_linearity(ctx: AcceptanceContext) -> CriterionResult:
-    details = []
-    ok = True
-    for name in ctx.problem_names:
-        spec, loc, kk = ctx.pipeline(name)
-        rep = verify.phi_sweep(spec, loc, kk, eps=1e-2)
-        ok = ok and rep.passed
-        details.append(f"{name}: slope {rep.slope:.6g} vs target "
-                       f"{rep.threshold:.6g} (rel {rep.details['rel_slope_error']:.3%},"
-                       " tol 5%)")
-        rep_i = verify.phi_intercept_check(spec, ctx.ladder(name))
-        ok = ok and rep_i.passed
-        details.append(f"{name}: intercept envelope K = {rep_i.details['K']:.3e}"
-                       f" validated on the ladder: {rep_i.passed}")
-    return CriterionResult(7, "jump-functional linearity", ok, details)
+    def check(name):
+        rep = verify.phi_sweep(*ctx.pipeline(name), eps=1e-2)
+        yield rep.passed, (
+            f"{name}: slope {rep.slope:.6g} vs target {rep.threshold:.6g} "
+            f"(rel {rep.details['rel_slope_error']:.3%}, "
+            f"tol {100 * verify.PHI_SLOPE_TOL:g}%)")
+        rep = verify.phi_intercept_check(ctx.pipeline(name)[0],
+                                         ctx.ladder(name))
+        yield rep.passed, (f"{name}: intercept envelope K = "
+                           f"{rep.details['K']:.3e} validated on the ladder: "
+                           f"{rep.passed}")
+    return _every_problem(ctx, 7, "jump-functional linearity", check)
 
 
 def criterion_08_sign_inequalities(ctx: AcceptanceContext) -> CriterionResult:
-    details = []
-    ok = True
-    for name in ctx.problem_names:
+    def check(name):
         spec, loc, kk = ctx.pipeline(name)
         rep1, rep2 = verify.phi_sign_inequality(spec, loc, kk,
                                                 ctx.ladder(name))
         rep3 = verify.fbeta_check(spec, loc, kk)
-        ok = ok and rep1.passed and rep2.passed and rep3.passed
         gap = rep2.details["C1"] - rep2.details["C3"]
         vacuous = ("" if gap > 0.0
                    else ", not positive: a wrong-sign jump can pass")
-        details.append(
+        yield rep1.passed and rep2.passed and rep3.passed, (
             f"{name}: base bound {rep1.passed} (C1={rep1.details['C1']:.3g}, "
             f"C2={rep1.details['C2']:.3g}); perturbed bound {rep2.passed} "
             f"(C3={rep2.details['C3']:.3g}, C1 - C3={gap:.3g}{vacuous}); "
             f"defect margin {rep3.passed} (C4={rep3.details['C4']:.3g})")
-    return CriterionResult(8, "signed lower bounds", ok, details)
+    return _every_problem(ctx, 8, "signed lower bounds", check)
 
 
 def criterion_09_monotonicity(ctx: AcceptanceContext) -> CriterionResult:
-    details = []
-    ok = True
-    for name in ctx.problem_names:
-        spec, loc, kk = ctx.pipeline(name)
+    def check(name):
         for eps in (1e-2, 1e-3):
-            rep = verify.monotonicity_check(spec, loc, kk, eps=eps, p=0.01,
-                                            pprime=eps * 0.01,
-                                            hhat=math.sqrt(eps))
-            ok = ok and rep.passed
-            details.append(f"{name} eps={eps:g}: worst gap "
-                           f"{rep.measured[0]:.3e} (need >= -1e-12)")
-    return CriterionResult(9, "bracketing order of the perturbed pair", ok,
-                           details)
+            pprime, hhat = verify.bracketing_weights(eps, 0.01)
+            rep = verify.monotonicity_check(*ctx.pipeline(name), eps=eps,
+                                            p=0.01, pprime=pprime, hhat=hhat)
+            yield rep.passed, (f"{name} eps={eps:g}: worst gap "
+                               f"{rep.measured[0]:.3e} "
+                               f"(need >= {verify.MONOTONE_MIN_GAP:g})")
+    return _every_problem(ctx, 9, "bracketing order of the perturbed pair",
+                          check)
 
 
 def criterion_10_truncation(ctx: AcceptanceContext) -> CriterionResult:
-    details = []
-    ok = True
-    for name in ctx.problem_names:
-        spec, loc, kk = ctx.pipeline(name)
-        rep = verify.truncation_check(spec, loc, kk)
-        ok = ok and rep.passed
-        details.append(f"{name}: K = {rep.details['K']:.4g}, "
-                       f"validated combos pass: {rep.passed}")
-    return CriterionResult(10, "two-piece truncation envelope", ok, details)
+    def check(name):
+        rep = verify.truncation_check(*ctx.pipeline(name))
+        yield rep.passed, (f"{name}: K = {rep.details['K']:.4g}, "
+                           f"validated combos pass: {rep.passed}")
+    return _every_problem(ctx, 10, "two-piece truncation envelope", check)
 
 
 def criterion_11_solver_oracle(ctx: AcceptanceContext) -> CriterionResult:
     spec, loc, kk = ctx.pipeline("cubic")
     e = build_expansion(spec, p=0.0, eps=1e-2, loc=loc, kink=kk)
-    mesh = solver.build_mesh(loc, 1e-2, 512, 2.5)
+    mesh = solver.build_mesh(loc, 1e-2, 512)
     spec_eps = problem.builtin_problem("cubic", eps=1e-2)
     sol = solver.newton_solve(spec_eps, mesh, e.u_as)
     ok_iters = sol.iterations <= 8
@@ -254,20 +244,18 @@ def criterion_11_solver_oracle(ctx: AcceptanceContext) -> CriterionResult:
     ok = ok_iters and rep.passed
     return CriterionResult(11, "end-to-end nonlinear-solve oracle", ok, [
         f"iterations at eps=1e-2, N=512: {sol.iterations} (need <= 8)",
-        f"distance order over the ladder: {rep.slope:.3f} (need >= 1.7)"])
+        f"distance order over the ladder: {rep.slope:.3f} "
+        f"(need >= {verify.SOLVER_MIN_ORDER:g})"])
 
 
 def criterion_12_decay_rates(ctx: AcceptanceContext) -> CriterionResult:
-    details = []
-    ok = True
-    for name in ctx.problem_names:
-        _, _, kk = ctx.pipeline(name)
-        rates, floor, passed = verify.decay_rates(kk, ctx.terms(name)[1])
-        ok = ok and passed
+    def check(name):
+        rates, floor, passed = verify.decay_rates(ctx.pipeline(name)[2],
+                                                  ctx.terms(name)[1])
         listed = ", ".join(f"{label} {rate:.4f}"
                            for label, rate in rates.items())
-        details.append(f"{name}: rates {listed} (floor {floor:.4f})")
-    return CriterionResult(12, "exponential tail rates", ok, details)
+        yield passed, f"{name}: rates {listed} (floor {floor:.4f})"
+    return _every_problem(ctx, 12, "exponential tail rates", check)
 
 
 CRITERIA = (
@@ -286,15 +274,15 @@ CRITERIA = (
 )
 
 
-def run_all(problems=PROBLEMS, verbose: bool = True):
-    """Run every criterion; returns the list of results."""
+def run_all(problems=tuple(problem.BUILTIN_PROBLEMS)):
+    """Run every criterion, printing each result as it ends; returns the
+    list of results."""
     ctx = AcceptanceContext(problems)
     results = []
     for crit in CRITERIA:
         res = crit(ctx)
         results.append(res)
-        if verbose:
-            print(res.line())
-            for d in res.details:
-                print(f"    {d}")
+        print(res.line())
+        for d in res.details:
+            print(f"    {d}")
     return results

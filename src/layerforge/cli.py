@@ -179,7 +179,8 @@ def cmd_check(args) -> int:
         "problem": spec.name,
         "epsilon": spec.eps,
         "defaults": {"n_grid": args.n_grid, "p_star": kink.P_STAR,
-                     "pprime_star": PPRIME_STAR, "gamma_margin": 0.01},
+                     "pprime_star": PPRIME_STAR,
+                     "gamma_margin": problem.GAMMA_MARGIN},
         "scale": report.scale,
         "gamma_sq_est": report.gamma_sq_est,
         "checks": {name: {"passed": r.passed, "worst_x": r.worst_x,
@@ -274,8 +275,9 @@ def cmd_decay(args) -> int:
 def cmd_monotone(args) -> int:
     spec, loc, kk = _pipeline(args)
     eps = spec.eps
-    pprime = args.pprime if args.pprime is not None else eps * args.p
-    hhat = args.hhat if args.hhat is not None else math.sqrt(eps)
+    pprime, hhat = verify.bracketing_weights(eps, args.p)
+    pprime = pprime if args.pprime is None else args.pprime
+    hhat = hhat if args.hhat is None else args.hhat
     _check_perturbation(pprime, hhat, eps)
     rep = verify.monotonicity_check(spec, loc, kk, eps=eps, p=args.p,
                                     pprime=pprime, hhat=hhat,
@@ -318,12 +320,13 @@ def cmd_compare(args) -> int:
 
 
 def cmd_all(args) -> int:
-    problems = (args.problem,) if args.problem != "all" else acceptance.PROBLEMS
+    problems = ((args.problem,) if args.problem != "all"
+                else tuple(problem.BUILTIN_PROBLEMS))
     for name in problems:
         if name not in problem.BUILTIN_PROBLEMS:
             raise UsageError(
                 f"--problem must name a built-in for 'all', got {name!r}")
-    results = acceptance.run_all(problems=problems, verbose=True)
+    results = acceptance.run_all(problems=problems)
     return 0 if all(r.passed for r in results) else 1
 
 
@@ -373,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pprime", type=float, default=0.0)
     p.add_argument("--hhat", type=float, default=0.0)
     p.add_argument("--n", type=int, default=64, help="truncation N")
-    p.add_argument("--c-tau", type=float, default=2.5)
+    p.add_argument("--c-tau", type=float, default=solver.C_TAU)
     p.add_argument("--points", type=int, default=1001,
                    help=f"grid points (at most {SIZE_CAP})")
     p.add_argument("--out", default=None, help="output path (default stdout)")
@@ -401,8 +404,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("solve", cmd_solve, "nonlinear FD solve seeded by the expansion")
     p.add_argument("--n", type=int, default=512,
-                   help=f"mesh cells (even, at most {SIZE_CAP})")
-    p.add_argument("--c-tau", type=float, default=2.5)
+                   help=f"mesh cells (even, {solver.MIN_CELLS} to {SIZE_CAP})")
+    p.add_argument("--c-tau", type=float, default=solver.C_TAU)
     p.add_argument("--mesh", choices=("layer-adapted", "uniform"),
                    default="layer-adapted")
     p.add_argument("--out", default=None, help="output path (default stdout)")
@@ -410,8 +413,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("compare", cmd_compare, "distance of the FD solve to the expansion")
     p.add_argument("--n", type=int, default=512,
-                   help=f"mesh cells (even, at most {SIZE_CAP})")
-    p.add_argument("--c-tau", type=float, default=2.5)
+                   help=f"mesh cells (even, {solver.MIN_CELLS} to {SIZE_CAP})")
+    p.add_argument("--c-tau", type=float, default=solver.C_TAU)
 
     add("all", cmd_all, "run the acceptance suite (use --problem all for "
                         "every built-in)")
@@ -426,10 +429,12 @@ def _validate(args):
         if value is not None and not math.isfinite(value):
             raise UsageError(f"--{name.replace('_', '-')} must be finite, "
                              f"got {value}")
+    meshed = args.command in ("solve", "compare")
     if getattr(args, "n", None) is not None:
-        if args.n < 2:
-            raise UsageError(f"--n must be at least 2, got {args.n}")
-        if args.command in ("solve", "compare") and args.n % 2:
+        least = solver.MIN_CELLS if meshed else 2
+        if args.n < least:
+            raise UsageError(f"--n must be at least {least}, got {args.n}")
+        if meshed and args.n % 2:
             raise UsageError(f"--n must be even, got {args.n}")
     if getattr(args, "n_grid", None) is not None and args.n_grid < 16:
         raise UsageError(f"--n-grid must be at least 16, got {args.n_grid}")
@@ -440,7 +445,7 @@ def _validate(args):
     if getattr(args, "points", None) is not None and args.points < 2:
         raise UsageError(f"--points must be at least 2, got {args.points}")
     sized = ["n_grid", "points"]
-    if args.command in ("solve", "compare"):
+    if meshed:
         sized.append("n")  # expand's --n only enters log N
     for name in sized:
         value = getattr(args, name, None)

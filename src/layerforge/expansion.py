@@ -24,6 +24,7 @@ from .grids import graded_half_grid
 from .kink import KinkProfile
 from .locator import LayerLocation
 from .problem import ProblemSpec
+from .solver import layer_half_width
 
 #: largest admissible perturbation weight
 PPRIME_STAR = 0.05
@@ -116,15 +117,14 @@ class Expansion:
         return self._jump()
 
     def truncated(self, x, N: int, C_tau: float):
-        """Two-piece reduced representation: profile inside the transition
-        width, outer roots beyond it.  Uses the unperturbed profile shift."""
-        if not C_tau > 2.0:
-            raise InputError("C_tau must exceed 2")
+        """Two-piece reduced representation: profile inside the layer
+        region (its half-width unclamped, unlike the oracle mesh's), outer
+        roots beyond it.  Uses the unperturbed profile shift."""
         if N < 2:
             raise InputError("N must be at least 2")
         a = np.atleast_1d(np.asarray(x, dtype=float))
         aux = self.aux
-        tau = (C_tau / aux.kink.gamma_bar) * self.eps * np.log(N)
+        tau = layer_half_width(aux.loc, self.eps, N, C_tau)
         xi = self.xi_of(a)
         inside = np.abs(a - aux.loc.t0) <= tau
         out = np.empty_like(a)

@@ -109,7 +109,6 @@ class KinkProfile:
     exponential tails past each side's end."""
 
     potential: PotentialTable = field(repr=False)
-    t0: float
     phi1_t0: float
     phi2_t0: float
     mu_minus: float        # tail rate toward the lower root
@@ -262,7 +261,7 @@ def build_kink(spec: ProblemSpec, loc: LayerLocation) -> KinkProfile:
         for sign, lo, up in zip((-1.0, 1.0, 1.0, 1.0), lower, upper))
     d2chi = spec.b_val(t0, v_table, du=1) * chi_table
     return KinkProfile(
-        potential=pot, t0=t0, phi1_t0=phi1_t0, phi2_t0=phi2_t0,
+        potential=pot, phi1_t0=phi1_t0, phi2_t0=phi2_t0,
         mu_minus=mu_minus, mu_plus=mu_plus, gamma_bar=gamma_bar,
         xi_max=20.0 / gamma_bar, xi=xi, v_table=v_table, chi_table=chi_table,
         A_minus=A_minus, A_plus=A_plus,

@@ -9,7 +9,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import LayerforgeError
-from .problem import ProblemSpec
+from .problem import ProblemSpec, decay_floor_sq
 from .quadrature import adaptive_gl
 
 #: endpoint exclusion for the root bracket, keeps the layer away from the
@@ -184,11 +184,10 @@ def locate_t0(spec: ProblemSpec, scan_points: int = 64) -> LayerLocation:
                            u0[0], spec.phi(0, t0), tol=QUAD_TOL)
     chi0 = float(np.sqrt(max(2.0 * w_anchor, 0.0)))
 
-    # global slope floor across the domain, with the 1% safety margin
+    # decay-rate floor across the domain
     xg = np.linspace(0.0, 1.0, 257)
-    gmin = min(float(np.min(spec.b_val(xg, spec.phi(1, xg), du=1))),
-               float(np.min(spec.b_val(xg, spec.phi(2, xg), du=1))))
-    gamma = float(np.sqrt(max(gmin, 0.0) * 0.99))
+    gamma = float(np.sqrt(decay_floor_sq(
+        *(spec.b_val(xg, spec.phi(k, xg), du=1) for k in (1, 2)))))
 
     # b_u > 0 on both roots, so u2 = phi_k'' / b_u is defined
     roots, u2 = zip(*(spec.outer(k, t0, order=1) for k in (1, 2)))

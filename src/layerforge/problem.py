@@ -4,6 +4,7 @@ numerical verification of the structural assumptions they must satisfy."""
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, replace
 from functools import cache, partial
 from pathlib import Path
@@ -26,6 +27,9 @@ MAX_DERIVED_DEPTH = 4 * ex.MAX_DEPTH
 #: reads: chain_rule for the layer terms (nx + ns <= 2) and for u2 (nx <= 2,
 #: ns = 1), and the potential's quartic Taylor form (du <= 3)
 B_PARTIALS = ((1, 0), (0, 1), (2, 0), (1, 1), (0, 2), (0, 3), (2, 1), (1, 2))
+
+#: relative safety margin of the decay-rate floor (see decay_floor_sq)
+GAMMA_MARGIN = 0.01
 
 #: the shipped instances, one per problems/<name>.json, in name order
 BUILTIN_PROBLEMS = {
@@ -142,10 +146,12 @@ def _number(data: dict, key: str) -> float:
 
 
 def problem_from_dict(data: dict) -> ProblemSpec:
+    """A problem instance whose roots, and b on the outer roots, are finite
+    at both ends of the domain."""
     missing = [f for f in _REQUIRED_FIELDS if f not in data]
     if missing:
         raise ProblemError(f"problem file missing fields: {', '.join(missing)}")
-    return ProblemSpec(
+    spec = ProblemSpec(
         name=str(data["name"]),
         b=ex.parse(str(data["b"])),
         phi0=ex.parse(str(data["phi0"])),
@@ -155,6 +161,20 @@ def problem_from_dict(data: dict) -> ProblemSpec:
         g1=_number(data, "g1"),
         eps=_number(data, "epsilon"),
     )
+    with np.errstate(all="ignore"):
+        for x in (0.0, 1.0):
+            for label, value in _end_values(spec, x):
+                if not math.isfinite(value):
+                    raise ProblemError(f"{label} is {value} at x = {x:g}")
+    return spec
+
+
+def _end_values(spec: ProblemSpec, x: float):
+    """(field, value) at an end x of the domain: each root, then b on each
+    outer root, where the boundary compatibility and u2 read it."""
+    roots = [spec.phi(k, x) for k in range(3)]
+    yield from ((f"phi{k}", root) for k, root in enumerate(roots))
+    yield from ((f"b(x, phi{k}(x))", spec.b_val(x, roots[k])) for k in (1, 2))
 
 
 def load_problem(path) -> ProblemSpec:
@@ -215,6 +235,13 @@ class AssumptionReport:
         return all(r.passed is not False for r in self.checks.values())
 
 
+def decay_floor_sq(*bu_outer) -> float:
+    """gamma^2, the squared decay-rate floor: the least of the b_u values on
+    the outer roots, clipped at 0, less GAMMA_MARGIN of it."""
+    least = min(float(np.min(bu)) for bu in bu_outer)
+    return max(least, 0.0) * (1.0 - GAMMA_MARGIN)
+
+
 def _worst(x: np.ndarray, values: np.ndarray, take_max: bool):
     idx = int(np.argmax(values) if take_max else np.argmin(values))
     return float(x[idx]), float(values[idx])
@@ -261,8 +288,7 @@ def check_assumptions(spec: ProblemSpec, n_grid: int = 256) -> AssumptionReport:
     wx, wv = _worst(x, bu_stable, take_max=False)
     checks["A3"] = CheckResult(bool(wv > 0.0), wx, wv,
                                "min du-slope of b on the outer roots")
-    # 1% safety margin on the reported squared decay-rate floor
-    gamma_sq_est = max(wv, 0.0) * 0.99
+    gamma_sq_est = decay_floor_sq(bu_stable)
 
     bu_middle = spec.b_val(x, roots[0], du=1)
     wx, wv = _worst(x, bu_middle, take_max=True)

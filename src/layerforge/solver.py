@@ -53,25 +53,33 @@ class MeshSolution:
     damping: tuple
 
 
-def transition_half_width(loc: LayerLocation, eps: float, N: int,
-                          C_tau: float) -> float:
-    """Mesh transition half-width, clamped away from the boundaries."""
-    tau = (C_tau / loc.gamma_bar) * eps * np.log(N)
-    return float(min(tau, min(loc.t0, 1.0 - loc.t0) / 2.0))
+#: transition constant C_tau (> 2) of the layer region
+C_TAU = 2.5
+
+#: fewest mesh cells: each half of the layer region gets one, ending at t0
+MIN_CELLS = 4
 
 
-def build_mesh(loc: LayerLocation, eps: float, N: int, C_tau: float = 2.5,
-               kind: str = "layer-adapted") -> Mesh:
-    """Piecewise-uniform mesh with half the cells inside the layer region.
-
-    The layer point is always a node.  The uniform kind ignores the
-    transition width (but still records it for region bookkeeping).
-    """
-    if N % 2:
-        raise InputError("N must be even")
+def layer_half_width(loc: LayerLocation, eps: float, N: int,
+                     C_tau: float) -> float:
+    """Half-width (C_tau / gamma_bar) eps ln N of the layer region."""
     if not C_tau > 2.0:
         raise InputError("C_tau must exceed 2")
-    tau = transition_half_width(loc, eps, N, C_tau)
+    return float((C_tau / loc.gamma_bar) * eps * np.log(N))
+
+
+def build_mesh(loc: LayerLocation, eps: float, N: int, C_tau: float = C_TAU,
+               kind: str = "layer-adapted") -> Mesh:
+    """Piecewise-uniform mesh with half the cells inside the layer region,
+    its half-width clamped to min(t0, 1 - t0) / 2.
+
+    The layer-adapted kind always has a node at the layer point.  The
+    uniform kind ignores the half-width (but records it for bookkeeping).
+    """
+    if N % 2 or not N >= MIN_CELLS:
+        raise InputError(f"N must be even and at least {MIN_CELLS}, got {N}")
+    tau = min(layer_half_width(loc, eps, N, C_tau),
+              min(loc.t0, 1.0 - loc.t0) / 2.0)
     if kind == "uniform":
         return Mesh(nodes=np.linspace(0.0, 1.0, N + 1), kind=kind,
                     tau=tau, N=N, center=loc.t0)

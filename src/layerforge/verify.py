@@ -8,6 +8,7 @@ fitted constants, and the thresholds used.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -27,9 +28,15 @@ EPS_LADDER = tuple(2.0 ** -k for k in range(4, 11))
 #: perturbation sizes for the jump-functional sweeps
 P_SWEEP = (-1e-2, -3e-3, -1e-3, -3e-4, -1e-4, 1e-4, 3e-4, 1e-3, 3e-3, 1e-2)
 
-#: residual-order sweep: points per rung and the least fitted order
+#: residual-order sweep: points per rung and the least fitted order (c06)
 RESIDUAL_POINTS = 2000
 RESIDUAL_MIN_ORDER = 2.7
+
+#: largest relative error of the jump functional's slope in p (c07)
+PHI_SLOPE_TOL = 0.05
+
+#: least gap beta+ - beta- of the bracketing pair, roundoff below 0 (c09)
+MONOTONE_MIN_GAP = -1e-12
 
 #: operator-defect margin: epsilons (the first one fits C4) and shift p
 FBETA_EPS = (1e-2, 5e-3, 2e-3, 1e-3)
@@ -37,16 +44,21 @@ FBETA_P = 0.005
 #: and the perturbation weight p' = FBETA_PPRIME_RATIO * eps
 FBETA_PPRIME_RATIO = 0.01
 
-#: transition constant of the truncation and the oracle mesh
-C_TAU = 2.5
-
 #: truncation envelope fit: its epsilon and N-ladder
 TRUNC_EPS_FIT = 1e-2
 TRUNC_N_FIT = (64, 256, 1024)
 
-#: nonlinear-solve oracle: epsilon ladder and mesh cells
+#: nonlinear-solve oracle: epsilon ladder, mesh cells and the least fitted
+#: order of its distance to the expansion (c11)
 SOLVER_EPS = tuple(2.0 ** -k for k in range(5, 10))
 SOLVER_N = 2048
+SOLVER_MIN_ORDER = 1.7
+
+
+def bracketing_weights(eps: float, p: float) -> tuple[float, float]:
+    """The perturbation weights (p', hhat) = (eps p, sqrt(eps)) of the
+    bracketing pair at (eps, p)."""
+    return eps * p, math.sqrt(eps)
 
 
 class AllZeros(LayerforgeError, ValueError):
@@ -64,15 +76,6 @@ class SweepReport:
     intercept: float | None = None
     threshold: float | None = None
     details: dict = field(default_factory=dict)
-
-    def summary(self) -> str:
-        status = "pass" if self.passed else "FAIL"
-        extra = ""
-        if self.slope is not None:
-            extra = f" slope={self.slope:.4g}"
-        if self.threshold is not None:
-            extra += f" threshold={self.threshold:.4g}"
-        return f"[{status}] {self.name}{extra}"
 
 
 def loglog_fit(xs, ys):
@@ -127,7 +130,7 @@ def phi_sweep(spec: ProblemSpec, loc: LayerLocation, kink: KinkProfile,
     chi0 = float(kink.slope(-loc.shift(eps)))
     target = eps * loc.C_I / chi0
     rel = abs(coeff[0] / target - 1.0)
-    passed = bool(rel <= 0.05)
+    passed = bool(rel <= PHI_SLOPE_TOL)
     return SweepReport(name=f"phi-linearity[{spec.name}]", parameter="p",
                        values=P_SWEEP, measured=tuple(phis),
                        slope=float(coeff[0]), intercept=float(coeff[1]),
@@ -140,8 +143,8 @@ def phi_sweep(spec: ProblemSpec, loc: LayerLocation, kink: KinkProfile,
 class JumpLadder:
     """Jumps on the EPS_LADDER x P_SWEEP grid, one row per eps.
 
-    Each cell is one expansion and its perturbation with p' = eps * p and
-    hhat = sqrt(eps): `phi_u` holds Phi[u_as], `phi_beta` Phi[beta] and
+    Each cell is one expansion and its perturbation with the
+    bracketing_weights: `phi_u` holds Phi[u_as], `phi_beta` Phi[beta] and
     `vstar_phi` |Phi[v*]|.
     """
 
@@ -158,7 +161,7 @@ def jump_ladder(spec: ProblemSpec, loc: LayerLocation,
     for i, eps in enumerate(EPS_LADDER):
         for j, p in enumerate(P_SWEEP):
             e = build_expansion(spec, p=p, eps=eps, loc=loc, kink=kink)
-            pe = build_perturbed(e, pprime=eps * p, hhat=float(np.sqrt(eps)))
+            pe = build_perturbed(e, *bracketing_weights(eps, p))
             phi_u[i, j] = e.phi_u_as()
             phi_beta[i, j] = pe.phi_beta()
             vstar_phi[i, j] = abs(pe.vstar.phi_value)
@@ -238,8 +241,8 @@ def fbeta_check(spec: ProblemSpec, loc: LayerLocation,
     C4 = None
     for eps in FBETA_EPS:
         e = build_expansion(spec, p=FBETA_P, eps=eps, loc=loc, kink=kink)
-        pprime = FBETA_PPRIME_RATIO * eps
-        pe = build_perturbed(e, pprime=pprime, hhat=float(np.sqrt(eps)))
+        pprime = FBETA_PPRIME_RATIO * eps  # its own p', the bracketing hhat
+        pe = build_perturbed(e, pprime, bracketing_weights(eps, FBETA_P)[1])
         xs = graded_x_grid(loc.t0, eps, 1000)
         lhs = np.sign(pprime) * pe.f_beta_centered(xs)
         base = 0.5 * pe.C0 * abs(pprime) * gamma_sq
@@ -313,7 +316,7 @@ def monotonicity_check(spec: ProblemSpec, loc: LayerLocation,
     xs = graded_x_grid(loc.t0, eps, n_points)
     gap = up.beta(xs) - dn.beta(xs)
     i = int(np.argmin(gap))
-    passed = bool(gap[i] >= -1e-12)
+    passed = bool(gap[i] >= MONOTONE_MIN_GAP)
     return SweepReport(name=f"monotonicity[{spec.name}]", parameter="x",
                        values=(eps,), measured=(float(gap[i]),),
                        passed=passed,
@@ -344,7 +347,8 @@ def truncation_check(spec: ProblemSpec, loc: LayerLocation,
             e = build_expansion(spec, p=0.0, eps=eps, loc=loc, kink=kink)
             built[eps] = (e, e.u_as(xs))
         e, u_as = built[eps]
-        return float(np.max(np.abs(u_as - e.truncated(xs, N, C_TAU))))
+        return float(np.max(np.abs(u_as - e.truncated(xs, N,
+                                                       solver_mod.C_TAU))))
 
     def envelope(eps, N):
         return eps * np.log(N) + N ** -2
@@ -358,7 +362,7 @@ def truncation_check(spec: ProblemSpec, loc: LayerLocation,
     return SweepReport(name=f"truncation[{spec.name}]", parameter="(eps,N)",
                        values=tuple(combos), measured=tuple(measured),
                        threshold=float(K), passed=bool(all(ok)),
-                       details={"C_tau": C_TAU, "K": float(K),
+                       details={"C_tau": solver_mod.C_TAU, "K": float(K),
                                 "fitted_at_eps": TRUNC_EPS_FIT,
                                 "fitted_over_N": TRUNC_N_FIT})
 
@@ -369,11 +373,14 @@ def truncation_check(spec: ProblemSpec, loc: LayerLocation,
 
 def solver_convergence(spec: ProblemSpec, loc: LayerLocation,
                        kink: KinkProfile,
-                       min_order: float = 1.7) -> SweepReport:
-    """Distance between the nonlinear-solve oracle and the expansion."""
+                       min_order: float | None = None) -> SweepReport:
+    """Distance between the nonlinear-solve oracle and the expansion; it
+    passes at a fitted order of min_order, by default SOLVER_MIN_ORDER."""
+    min_order = SOLVER_MIN_ORDER if min_order is None else min_order
+
     def one(eps):
         e = build_expansion(spec, p=0.0, eps=eps, loc=loc, kink=kink)
-        mesh = solver_mod.build_mesh(loc, eps, SOLVER_N, C_TAU)
+        mesh = solver_mod.build_mesh(loc, eps, SOLVER_N)
         sol = solver_mod.newton_solve(replace(spec, eps=eps), mesh, e.u_as)
         d_max, _, _ = solver_mod.compare(sol, e.u_as)
         return d_max
@@ -384,4 +391,4 @@ def solver_convergence(spec: ProblemSpec, loc: LayerLocation,
                        values=SOLVER_EPS, measured=tuple(measured),
                        slope=slope, threshold=min_order,
                        passed=bool(slope >= min_order),
-                       details={"N": SOLVER_N, "C_tau": C_TAU})
+                       details={"N": SOLVER_N, "C_tau": solver_mod.C_TAU})

@@ -5,16 +5,20 @@ layerforge.acceptance is the single source of truth shared with the CLI
 `all` subcommand.
 """
 
+import json
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from layerforge import verify
+from layerforge import cli, verify
 from layerforge.acceptance import (CRITERIA, AcceptanceContext,
+                                   criterion_06_residual_order,
                                    criterion_07_phi_linearity,
                                    criterion_08_sign_inequalities,
-                                   criterion_10_truncation)
+                                   criterion_09_monotonicity,
+                                   criterion_10_truncation,
+                                   criterion_11_solver_oracle)
 
 
 @pytest.mark.parametrize("criterion", CRITERIA,
@@ -68,3 +72,53 @@ def test_c10_builds_one_expansion_per_epsilon(monkeypatch, actx):
     criterion_10_truncation(actx)
     assert sorted(built) == sorted((name, eps) for name in actx.problem_names
                                    for eps in (1e-2, 1e-3))
+
+
+@pytest.mark.parametrize("criterion, bound, value, printed", [
+    (criterion_06_residual_order, "RESIDUAL_MIN_ORDER", 99.0, "need >= 99"),
+    (criterion_07_phi_linearity, "PHI_SLOPE_TOL", 1e-6, "tol 0.0001%"),
+    (criterion_09_monotonicity, "MONOTONE_MIN_GAP", 1.0, "need >= 1"),
+    (criterion_11_solver_oracle, "SOLVER_MIN_ORDER", 99.0, "need >= 99"),
+], ids=["c06", "c07", "c09", "c11"])
+def test_bound_sets_verdict_and_printed_line(monkeypatch, actx, criterion,
+                                              bound, value, printed):
+    """Each gate bound is one verify constant: the check and its detail
+    line both read it, so a bound out of reach fails and is what prints."""
+    assert criterion(actx).passed
+    monkeypatch.setattr(verify, bound, value)
+    result = criterion(actx)
+    assert not result.passed
+    assert any(f"{printed})" in line for line in result.details)
+
+
+def test_bracketing_weights_are_read_by_every_consumer(monkeypatch, actx,
+                                                       capsys):
+    """The jump ladder, c09 and `layerforge monotone` all take (p', hhat)
+    from verify.bracketing_weights."""
+    def weights(eps, p):
+        return 2.0 * eps * p, 0.5 * np.sqrt(eps)
+
+    used = []
+
+    def perturbed(base, pprime, hhat):
+        used.append((base.eps, base.p, pprime, hhat))
+        return SimpleNamespace(phi_beta=lambda: 0.0, beta=np.zeros_like,
+                               vstar=SimpleNamespace(phi_value=0.0))
+
+    monkeypatch.setattr(verify, "bracketing_weights", weights)
+    monkeypatch.setattr(verify, "build_expansion",
+                        lambda spec, p, eps, loc, kink: SimpleNamespace(
+                            eps=eps, p=p, phi_u_as=lambda: 0.0))
+    monkeypatch.setattr(verify, "build_perturbed", perturbed)
+    cells = len(verify.EPS_LADDER) * len(verify.P_SWEEP)
+    verify.jump_ladder(*actx.pipeline("cubic"))
+    assert len(used) == cells
+    criterion_09_monotonicity(actx)  # a pair at each of two epsilons
+    assert len(used) == cells + 4 * len(actx.problem_names)
+    assert cli.main(["monotone", "--problem", "cubic"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    pprime, hhat = weights(0.01, 0.01)
+    assert (report["details"]["pprime"], report["details"]["hhat2"]) == \
+        (pprime, hhat ** 2)
+    for eps, p, pprime, hhat in used:
+        assert (abs(pprime), hhat) == weights(eps, abs(p))

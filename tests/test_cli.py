@@ -82,6 +82,8 @@ class TestUsageErrors:
         ["check", "--n-grid", "8"],
         ["solve", "--n", "0"],
         ["solve", "--n", "-4"],
+        ["solve", "--n", "2"],
+        ["compare", "--n", "2"],
         ["all", "--eps", "0.5"],
         ["expand", "--p", "nan"],
         ["monotone", "--p", "nan"],
@@ -94,7 +96,7 @@ class TestUsageErrors:
         ["fbeta", "--eps", "0.5"],
     ], ids=["expand-n", "expand-pprime", "monotone-pprime", "expand-hhat",
             "monotone-hhat", "check-n-grid", "solve-n-zero",
-            "solve-n-negative", "all-eps", "expand-p-nan", "monotone-p-nan",
+            "solve-n-negative", "solve-n-two", "compare-n-two", "all-eps", "expand-p-nan", "monotone-p-nan",
             "decay-p-nan", "solve-c-tau-nan", "expand-pprime-nan",
             "expand-hhat-nan", "dump-kink-eps", "residual-eps", "fbeta-eps"])
     def test_out_of_range_argument_is_one_usage_line(self, capsys, argv):
@@ -173,11 +175,15 @@ class TestUsageErrors:
         (_cubic_with(b=CUBIC_B + "+0*(1e200^2)"), "DomainError"),
         (_cubic_with(b="1e300^3"), "DomainError"),
         (_cubic_with(b="u*(0^-1)"), "DomainError"),
+        (_cubic_with(phi2="(1e300*1e300)^2"), "ProblemError"),
+        (_cubic_with(phi2="1/1e300^-1"), "ProblemError"),
+        (_cubic_with(phi1="0*(1e300*1e300)"), "ProblemError"),
     ], ids=["malformed-json", "sum-of-3000-terms", "200-nested-brackets",
             "2000-unary-minuses", "3000-powers", "deep-third-partial",
             "large-area-integrand",
             "non-numeric-epsilon", "reaction-domain", "scalar-power-overflow",
-            "constant-power-overflow", "constant-zero-to-negative-power"])
+            "constant-power-overflow", "constant-zero-to-negative-power",
+            "infinite-root", "infinite-reaction-on-root", "nan-root"])
     def test_bad_problem_file_is_one_line(self, capsys, tmp_path, text, error):
         path = tmp_path / "bad.json"
         path.write_text(text)
@@ -191,7 +197,7 @@ class TestUsageErrors:
         # numpy warnings would print ahead of the error line; pytest captures
         # them in-process, so the stderr of a real run is checked
         path = tmp_path / "overflow.json"
-        path.write_text(_cubic_with(b=CUBIC_B + "*exp(1000*u)"))
+        path.write_text(_cubic_with(b=CUBIC_B + "*exp(4000*u*(1-u))"))
         src = str(Path(cli.__file__).resolve().parents[1])
         proc = subprocess.run(
             [sys.executable, "-m", "layerforge", "locate", "--problem",

@@ -61,6 +61,18 @@ class TestLoad:
         with pytest.raises(ParseError):
             problem.load_problem(write(tmp_path, data))
 
+    @pytest.mark.parametrize("fields, message", [
+        ({"phi2": "(1e300*1e300)^2"}, "phi2 is inf at x = 0"),
+        ({"phi2": "1/1e300^-1"}, r"b\(x, phi2\(x\)\) is inf at x = 0"),
+        ({"phi1": "0*(1e300*1e300)"}, "phi1 is nan at x = 0"),
+        ({"phi0": "exp(1000*x)"}, "phi0 is inf at x = 1"),
+    ])
+    def test_non_finite_end_value_rejected(self, fields, message):
+        """Each root, and b on the outer roots, must be finite at both
+        ends; the error names the field and the point."""
+        with pytest.raises(problem.ProblemError, match=message):
+            problem.problem_from_dict(dict(CUBIC_JSON, **fields))
+
     def test_epsilon_range(self):
         with pytest.raises(problem.ProblemError, match="epsilon"):
             problem.problem_from_dict(dict(CUBIC_JSON, epsilon=0.0))

@@ -5,6 +5,7 @@ import pytest
 from scipy.interpolate import CubicSpline
 
 from layerforge import cli, kernels, problem, solver
+from layerforge.errors import InputError
 from layerforge.expansion import build_expansion
 
 
@@ -110,6 +111,15 @@ class TestMesh:
             solver.build_mesh(loc, 1e-2, 64, 2.0)
         with pytest.raises(ValueError):
             solver.build_mesh(loc, 1e-2, 64, float("nan"))
+
+    @pytest.mark.parametrize("N", [2, 0, -4])
+    def test_too_few_cells(self, cubic, N):
+        """Below four cells a half of the layer region has none, and the
+        layer point would not be a node (N = 2), or the mesh would be
+        empty or NaN."""
+        _, loc, _ = cubic
+        with pytest.raises(InputError, match="at least 4"):
+            solver.build_mesh(loc, 1e-2, N, 2.5)
 
 
 class TestNewton:

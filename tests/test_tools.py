@@ -4,6 +4,8 @@ from pathlib import Path
 
 import pytest
 
+from layerforge import cli
+
 _PATH = Path(__file__).resolve().parent.parent / "tools" / "cmp_outputs.py"
 _SPEC = importlib.util.spec_from_file_location("cmp_outputs", _PATH)
 cmp_outputs = importlib.util.module_from_spec(_SPEC)
@@ -72,6 +74,19 @@ class TestRuns:
         """Each kind of input error, and a numerical failure, is a run, so
         a parent comparison shows moves in exit codes and error lines."""
         assert cmp_outputs.UNDERFLOW == underflow_data
-        assert cmp_outputs.RUNS[-4:] == cmp_outputs.ERROR_RUNS
-        files = {cmd[2] for cmd in cmp_outputs.ERROR_RUNS}
+        errors = cmp_outputs.ERROR_RUNS
+        assert cmp_outputs.RUNS[-len(errors):] == errors
+        files = {cmd[2] for cmd in errors}
         assert files - set(cmp_outputs.ERROR_FILES) == {"no-such"}
+
+    def test_usage_runs(self, capsys):
+        """Arguments out of range are runs too, so a parent comparison
+        covers their usage error lines; they come before the error runs."""
+        usage = cmp_outputs.USAGE_RUNS
+        start = len(cmp_outputs.RUNS) - len(cmp_outputs.ERROR_RUNS)
+        assert cmp_outputs.RUNS[start - len(usage):start] == usage
+        for cmd in usage:
+            assert cli.main(list(cmd)) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"usage error: {cmd[3]}"), (cmd, err)
+            assert err.count("\n") == 1

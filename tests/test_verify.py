@@ -102,9 +102,3 @@ class TestFBeta:
         worst = np.max(np.abs(np.atleast_1d(pe.f_beta_centered(xs))))
         slack = eps ** 3 + eps * pe.hhat ** 2 + pe.hhat ** 4
         assert worst <= 100.0 * slack
-
-
-def test_report_summary_format(cubic):
-    spec, loc, kk = cubic
-    rep = verify.residual_sweep(spec, loc, kk)
-    assert rep.summary().startswith("[pass]")

@@ -91,16 +91,29 @@ ERROR_FILES = {
     "malformed.json": '{"name": "bad", "b": ',
     "parse-error.json": json.dumps(dict(CURVED, b=CURVED["b"] + "$")),
     "steep-tail.json": json.dumps(UNDERFLOW),
+    "overflow.json": json.dumps(dict(CURVED, phi2="1/1e300^-1")),
 }
 
-#: a malformed file, a parse error, an unknown built-in, a weight underflow
+#: a malformed file, a parse error, an unknown built-in, a weight underflow,
+#: a reaction that overflows on a root
 ERROR_RUNS = tuple(("locate", "--problem", name) for name in (
-    "malformed.json", "parse-error.json", "no-such", "steep-tail.json"))
+    "malformed.json", "parse-error.json", "no-such", "steep-tail.json",
+    "overflow.json"))
+
+#: on the cubic, arguments out of range: each run ends in a usage error line
+USAGE_RUNS = tuple((cmd[0], "--problem", "cubic", *cmd[1:]) for cmd in (
+    ("expand", "--pprime", "0.1"),
+    ("monotone", "--hhat", "1"),
+    ("check", "--n-grid", "8"),
+    ("solve", "--c-tau", "2"),
+    ("solve", "--n", "2"),
+))
 
 RUNS = (("all", "--problem", "all"),
         *((cmd[0], "--problem", name, *cmd[1:])
           for name in BUILTINS for cmd in PER_PROBLEM),
         *((cmd[0], "--problem", CURVED_FILE, *cmd[1:]) for cmd in PER_CURVED),
+        *USAGE_RUNS,
         *ERROR_RUNS)
 
 _NUMBER = re.compile(r"(?<![\w.])[-+]?(?:(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?"
