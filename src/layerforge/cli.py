@@ -343,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
                "2 usage or input error.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, help_, **extra):
+    def add(name, fn, help_):
         p = sub.add_parser(name, help=help_)
         p.add_argument("--problem", default="cubic",
                        help="built-in name or path to a JSON problem file")
@@ -431,15 +431,19 @@ def _validate(args):
                              f"got {value}")
     meshed = args.command in ("solve", "compare")
     if getattr(args, "n", None) is not None:
-        least = solver.MIN_CELLS if meshed else 2
+        least = solver.MIN_CELLS if meshed else solver.MIN_REGION_N
         if args.n < least:
             raise UsageError(f"--n must be at least {least}, got {args.n}")
         if meshed and args.n % 2:
             raise UsageError(f"--n must be even, got {args.n}")
-    if getattr(args, "n_grid", None) is not None and args.n_grid < 16:
-        raise UsageError(f"--n-grid must be at least 16, got {args.n_grid}")
-    if getattr(args, "c_tau", None) is not None and args.c_tau <= 2.0:
-        raise UsageError(f"--c-tau must exceed 2, got {args.c_tau}")
+    if (getattr(args, "n_grid", None) is not None
+            and args.n_grid < problem.MIN_GRID):
+        raise UsageError(f"--n-grid must be at least {problem.MIN_GRID}, "
+                         f"got {args.n_grid}")
+    if (getattr(args, "c_tau", None) is not None
+            and args.c_tau <= solver.C_TAU_FLOOR):
+        raise UsageError(f"--c-tau must exceed {solver.C_TAU_FLOOR:g}, "
+                         f"got {args.c_tau}")
     if getattr(args, "p", None) is not None and abs(args.p) > kink.P_STAR:
         raise UsageError(f"--p magnitude must not exceed {kink.P_STAR}")
     if getattr(args, "points", None) is not None and args.points < 2:

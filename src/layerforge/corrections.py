@@ -251,7 +251,7 @@ class CorrectionTerm:
 
 
 def solve_jump(aux: LayerAuxiliary, psi, nu0_minus: float, nu0_plus: float,
-               label: str, points: tuple | None = None) -> CorrectionTerm:
+               label: str, points: tuple) -> CorrectionTerm:
     """Solve the two-branch jump problem of one configuration.
 
     The weight chi, its derivative, the coefficient B_s, the tail rates and
@@ -259,13 +259,13 @@ def solve_jump(aux: LayerAuxiliary, psi, nu0_minus: float, nu0_plus: float,
     `aux`; psi is a callable of a LayerPoint.  xi -> -xi maps one branch's
     problem onto the other's, so each branch is one _half_line solve on the
     layer point xi = side * s.  `points` are those two layer points,
-    `aux.branches()` by default; a build passes one pair to all its terms,
-    and each term leaves its node values there for the sources that read
-    it.  The grid starts at s = 0, so the positive branch's first node is
-    the layer point itself: chi(0) and chi'(0) = B there.
+    `aux.branches()`: a build passes one pair to all its terms, and each
+    term leaves its node values there for the sources that read it.  The
+    grid starts at s = 0, so the positive branch's first node is the layer
+    point itself: chi(0) and chi'(0) = B there.
     """
     s = np.asarray(aux.grid, dtype=float)
-    neg_pt, pos_pt = aux.branches() if points is None else points
+    neg_pt, pos_pt = points
     chi0 = float(pos_pt.chi[0])
     dchi0 = float(pos_pt.B()[0])
     branch = {}
@@ -363,7 +363,7 @@ def phi_from_tables(term: CorrectionTerm) -> float:
 # The four concrete corrections
 
 
-def build_v1(aux: LayerAuxiliary, points=None) -> CorrectionTerm:
+def build_v1(aux: LayerAuxiliary, points) -> CorrectionTerm:
     """First-order layer correction: source -xi * B_x, zero jumps."""
     def psi(pt):
         return -pt.xi * pt.B(1, 0)
@@ -372,7 +372,7 @@ def build_v1(aux: LayerAuxiliary, points=None) -> CorrectionTerm:
 
 
 def build_v2(aux: LayerAuxiliary, v1: CorrectionTerm,
-             points=None) -> CorrectionTerm:
+             points) -> CorrectionTerm:
     """Second-order layer correction.
 
     Source assembled termwise from the B partials and the first-order term;
@@ -392,7 +392,7 @@ def build_v2(aux: LayerAuxiliary, v1: CorrectionTerm,
     return solve_jump(aux, psi, -u2[0], -u2[1], "v2", points)
 
 
-def build_vstar(aux: LayerAuxiliary, points=None) -> CorrectionTerm:
+def build_vstar(aux: LayerAuxiliary, points) -> CorrectionTerm:
     """Nonnegative perturbation shape: source |v0|, zero jumps.
 
     The absolute value is non-smooth only at xi = 0, which is already the
@@ -404,7 +404,7 @@ def build_vstar(aux: LayerAuxiliary, points=None) -> CorrectionTerm:
     return solve_jump(aux, psi, 0.0, 0.0, "vstar", points)
 
 
-def build_z(aux: LayerAuxiliary, points=None) -> CorrectionTerm:
+def build_z(aux: LayerAuxiliary, points) -> CorrectionTerm:
     """Truncation-error compensation shape: source is a twelfth of the
     fourth profile derivative, the third weight derivative
     chi''' = B_ss chi^2 + B_s B (chi' = B along the profile)."""

@@ -118,10 +118,8 @@ class Expansion:
 
     def truncated(self, x, N: int, C_tau: float):
         """Two-piece reduced representation: profile inside the layer
-        region (its half-width unclamped, unlike the oracle mesh's), outer
-        roots beyond it.  Uses the unperturbed profile shift."""
-        if N < 2:
-            raise InputError("N must be at least 2")
+        region of the N-cell mesh, outer roots beyond it.  Uses the
+        unperturbed profile shift."""
         a = np.atleast_1d(np.asarray(x, dtype=float))
         aux = self.aux
         tau = layer_half_width(aux.loc, self.eps, N, C_tau)
@@ -183,7 +181,7 @@ class PerturbedExpansion:
         return self.base._jump(self._extra)
 
 
-def estimate_C0(aux: LayerAuxiliary, eps: float | None = None):
+def estimate_C0(aux: LayerAuxiliary, eps: float):
     """(C5, C0): bound on the curvature ratio of the shifted reaction and
     the perturbation offset it dictates.
 
@@ -194,8 +192,6 @@ def estimate_C0(aux: LayerAuxiliary, eps: float | None = None):
     """
     spec = aux.spec
     t0 = aux.loc.t0
-    if eps is None:
-        eps = spec.eps
     half = graded_half_grid(aux.kink.xi_max, 400, 1e-2)[1:]
     xi = np.concatenate([-half[::-1], half])
     x_layer = t0 + eps * xi

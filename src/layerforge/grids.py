@@ -33,14 +33,15 @@ def graded_half_grid(xi_max: float, n: int, spacing0: float = 1e-3) -> np.ndarra
     return xi
 
 
-def graded_x_grid(t0: float, eps: float, n: int, xi_max: float = 30.0) -> np.ndarray:
+def graded_x_grid(t0: float, eps: float, n: int) -> np.ndarray:
     """Points of (0,1) clustered around t0 on the layer scale.
 
-    Half the points map a graded xi-grid through x = t0 + eps*xi (clipped to
-    the domain); the rest cover (0,1) uniformly.  t0 itself is excluded.
+    Half the points map a graded grid of |xi| <= 30 through x = t0 + eps*xi
+    (clipped to the domain); the rest cover (0,1) uniformly.  t0 itself is
+    excluded.
     """
     n_layer = n // 2
-    half = graded_half_grid(min(xi_max, 0.45 / eps), max(n_layer // 2, 8), 1e-2)[1:]
+    half = graded_half_grid(min(30.0, 0.45 / eps), max(n_layer // 2, 8), 1e-2)[1:]
     layer = np.concatenate([t0 - eps * half[::-1], t0 + eps * half])
     outer = np.linspace(0.0, 1.0, max(n - layer.size, 0) + 2)[1:-1]
     x = np.unique(np.concatenate([layer, outer]))
@@ -105,8 +106,9 @@ def local_poly_derivative(x: np.ndarray, y: np.ndarray, i: int,
     return float(coeff[order] * fact)
 
 
-def one_sided_derivative(x: np.ndarray, y: np.ndarray, at_start: bool,
-                         width: int = 6) -> float:
-    """First derivative at an endpoint of a table by local polynomial fit."""
+def one_sided_derivative(x: np.ndarray, y: np.ndarray,
+                         at_start: bool) -> float:
+    """First derivative at an endpoint of a table by a local polynomial fit
+    through its 6 end nodes."""
     idx = 0 if at_start else x.size - 1
-    return local_poly_derivative(x, y, idx, 1, width)
+    return local_poly_derivative(x, y, idx, 1, 6)

@@ -31,6 +31,9 @@ B_PARTIALS = ((1, 0), (0, 1), (2, 0), (1, 1), (0, 2), (0, 3), (2, 1), (1, 2))
 #: relative safety margin of the decay-rate floor (see decay_floor_sq)
 GAMMA_MARGIN = 0.01
 
+#: fewest intervals of check_assumptions' uniform grid
+MIN_GRID = 16
+
 #: the shipped instances, one per problems/<name>.json, in name order
 BUILTIN_PROBLEMS = {
     path.stem: json.loads(path.read_text(encoding="utf-8"))
@@ -253,8 +256,8 @@ def check_assumptions(spec: ProblemSpec, n_grid: int = 256) -> AssumptionReport:
     Failures are reported, never thrown.  The layer-orientation condition
     is deferred to the locator, which owns the quadrature it needs.
     """
-    if n_grid < 16:
-        raise InputError("n_grid must be at least 16")
+    if n_grid < MIN_GRID:
+        raise InputError(f"n_grid must be at least {MIN_GRID}")
     x = np.linspace(0.0, 1.0, n_grid + 1)
     roots = [spec.phi(k, x) for k in range(3)]
 

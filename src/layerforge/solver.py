@@ -53,51 +53,50 @@ class MeshSolution:
     damping: tuple
 
 
-#: transition constant C_tau (> 2) of the layer region
+#: the layer region's transition constant C_tau and the floor it must exceed
 C_TAU = 2.5
+C_TAU_FLOOR = 2.0
 
-#: fewest mesh cells: each half of the layer region gets one, ending at t0
+#: fewest cells N with a layer region (ln N > 0), and of a mesh: each half
+#: of the layer region gets one, ending at t0
+MIN_REGION_N = 2
 MIN_CELLS = 4
 
 
 def layer_half_width(loc: LayerLocation, eps: float, N: int,
                      C_tau: float) -> float:
-    """Half-width (C_tau / gamma_bar) eps ln N of the layer region."""
-    if not C_tau > 2.0:
-        raise InputError("C_tau must exceed 2")
-    return float((C_tau / loc.gamma_bar) * eps * np.log(N))
+    """Half-width (C_tau / gamma_bar) eps ln N of the layer region, capped
+    at min(t0, 1 - t0) / 2; the mesh and the truncation both read it."""
+    if N < MIN_REGION_N:
+        raise InputError(f"N must be at least {MIN_REGION_N}")
+    if not C_tau > C_TAU_FLOOR:
+        raise InputError(f"C_tau must exceed {C_TAU_FLOOR:g}")
+    return min(float((C_tau / loc.gamma_bar) * eps * np.log(N)),
+               min(loc.t0, 1.0 - loc.t0) / 2.0)
 
 
 def build_mesh(loc: LayerLocation, eps: float, N: int, C_tau: float = C_TAU,
                kind: str = "layer-adapted") -> Mesh:
-    """Piecewise-uniform mesh with half the cells inside the layer region,
-    its half-width clamped to min(t0, 1 - t0) / 2.
+    """Piecewise-uniform mesh with half the cells inside the layer region.
 
     The layer-adapted kind always has a node at the layer point.  The
     uniform kind ignores the half-width (but records it for bookkeeping).
     """
     if N % 2 or not N >= MIN_CELLS:
         raise InputError(f"N must be even and at least {MIN_CELLS}, got {N}")
-    tau = min(layer_half_width(loc, eps, N, C_tau),
-              min(loc.t0, 1.0 - loc.t0) / 2.0)
+    tau = layer_half_width(loc, eps, N, C_tau)
     if kind == "uniform":
         return Mesh(nodes=np.linspace(0.0, 1.0, N + 1), kind=kind,
                     tau=tau, N=N, center=loc.t0)
     if kind != "layer-adapted":
         raise InputError(f"unknown mesh kind {kind!r}")
     t0 = loc.t0
-    n_in = N // 2
-    n_in_left = n_in // 2
-    n_in_right = n_in - n_in_left
-    n_out = N - n_in
-    n_out_left = n_out // 2
-    n_out_right = n_out - n_out_left
-    nodes = np.concatenate([
-        np.linspace(0.0, t0 - tau, n_out_left + 1),
-        np.linspace(t0 - tau, t0, n_in_left + 1)[1:],
-        np.linspace(t0, t0 + tau, n_in_right + 1)[1:],
-        np.linspace(t0 + tau, 1.0, n_out_right + 1)[1:],
-    ])
+    # N/2 cells in the region and N/2 outside, each split at t0 (right >= left)
+    edges = (0.0, t0 - tau, t0, t0 + tau, 1.0)
+    q = N // 4
+    nodes = np.concatenate([[0.0]] + [
+        np.linspace(lo, hi, n + 1)[1:] for lo, hi, n in
+        zip(edges, edges[1:], (q, q, N // 2 - q, N // 2 - q))])
     return Mesh(nodes=nodes, kind=kind, tau=tau, N=N, center=t0)
 
 
@@ -229,11 +228,10 @@ def solve_jump_fd_numerov(coeff_fn, psi_fn, nu0_minus: float, nu0_plus: float,
     Returns the two branch grids with their solutions.
     """
     results = []
-    for side, left_bc, right_bc in ((-1, 0.0, nu0_minus), (1, nu0_plus, 0.0)):
-        if side < 0:
-            xi = np.linspace(-half_width, 0.0, n)
-        else:
-            xi = np.linspace(0.0, half_width, n)
+    for side, ends, left_bc, right_bc in (
+            (-1, (-half_width, 0.0), 0.0, nu0_minus),
+            (1, (0.0, half_width), nu0_plus, 0.0)):
+        xi = np.linspace(*ends, n)
         h = xi[1] - xi[0]
         c = np.asarray(coeff_fn(xi), dtype=float)
         psi = np.asarray(psi_fn(xi, side), dtype=float)

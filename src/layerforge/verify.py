@@ -115,7 +115,7 @@ def residual_sweep(spec: ProblemSpec, loc: LayerLocation,
 
 
 def phi_sweep(spec: ProblemSpec, loc: LayerLocation, kink: KinkProfile,
-              eps: float = 1e-2) -> SweepReport:
+              eps: float) -> SweepReport:
     """Linearity of the derivative-jump functional in the shift parameter.
 
     The regression slope is compared against eps * C_I / chi(0); the
@@ -213,11 +213,10 @@ def _sign_report(name: str, phis: np.ndarray, C1: float,
     for eps, row in zip(EPS_LADDER, signed):
         bound = C1 * eps * abs_p - C2 * eps ** 3 - C3 * eps * abs_p
         per_eps_ok[eps] = bool(np.all(row >= bound - 1e-14))
-    eps_star = None
-    for eps in sorted(EPS_LADDER, reverse=True):
-        if all(per_eps_ok[e2] for e2 in EPS_LADDER if e2 <= eps):
-            eps_star = eps
-            break
+    # the largest epsilon at and below which every row holds
+    eps_star = next((eps for eps in sorted(EPS_LADDER, reverse=True)
+                     if all(per_eps_ok[e2] for e2 in EPS_LADDER if e2 <= eps)),
+                    None)
     return SweepReport(name=name, parameter="eps", values=EPS_LADDER,
                        measured=tuple(float(row.min()) for row in signed),
                        passed=bool(all(per_eps_ok.values())),

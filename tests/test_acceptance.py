@@ -11,8 +11,13 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from layerforge import cli, verify
+from layerforge import acceptance, cli, verify
 from layerforge.acceptance import (CRITERIA, AcceptanceContext,
+                                   criterion_01_kink_oracle,
+                                   criterion_02_layer_location,
+                                   criterion_03_matching,
+                                   criterion_04_jump_oracle,
+                                   criterion_05_exact_identities,
                                    criterion_06_residual_order,
                                    criterion_07_phi_linearity,
                                    criterion_08_sign_inequalities,
@@ -74,21 +79,47 @@ def test_c10_builds_one_expansion_per_epsilon(monkeypatch, actx):
                                    for eps in (1e-2, 1e-3))
 
 
-@pytest.mark.parametrize("criterion, bound, value, printed", [
-    (criterion_06_residual_order, "RESIDUAL_MIN_ORDER", 99.0, "need >= 99"),
-    (criterion_07_phi_linearity, "PHI_SLOPE_TOL", 1e-6, "tol 0.0001%"),
-    (criterion_09_monotonicity, "MONOTONE_MIN_GAP", 1.0, "need >= 1"),
-    (criterion_11_solver_oracle, "SOLVER_MIN_ORDER", 99.0, "need >= 99"),
-], ids=["c06", "c07", "c09", "c11"])
+@pytest.mark.parametrize("criterion, module, bound, value, printed", [
+    (criterion_06_residual_order, verify, "RESIDUAL_MIN_ORDER", 99.0,
+     "need >= 99"),
+    (criterion_07_phi_linearity, verify, "PHI_SLOPE_TOL", 1e-6,
+     "tol 0.0001%"),
+    (criterion_09_monotonicity, verify, "MONOTONE_MIN_GAP", 1.0, "need >= 1"),
+    (criterion_11_solver_oracle, verify, "SOLVER_MIN_ORDER", 99.0,
+     "need >= 99"),
+    (criterion_01_kink_oracle, acceptance, "C01_PROFILE_TOL", -1.0, "tol -1"),
+    (criterion_01_kink_oracle, acceptance, "C01_CHI0_TOL", -1.0, "tol -1"),
+    (criterion_02_layer_location, acceptance, "C02_T0_TOL", -1.0, "tol -1"),
+    (criterion_02_layer_location, acceptance, "C02_CI_TOL", -1.0, "tol -1"),
+    (criterion_03_matching, acceptance, "C03_T1_TOL", -1.0, "tol -1"),
+    (criterion_03_matching, acceptance, "C03_MOMENT_TOL", -1.0, "tol -1"),
+    (criterion_04_jump_oracle, acceptance, "C04_TOL", -1.0, "tol -1"),
+    (criterion_05_exact_identities, acceptance, "C05_PHI_Z_TOL", -1.0,
+     "tol -1"),
+    (criterion_05_exact_identities, acceptance, "C05_PHI_VSTAR_TOL", -1.0,
+     "tol -1"),
+    (criterion_11_solver_oracle, acceptance, "C11_MAX_ITER", 0,
+     "need <= 0"),
+], ids=["c06", "c07", "c09", "c11", "c01-profile", "c01-chi0", "c02-t0",
+        "c02-CI", "c03-t1", "c03-moment", "c04", "c05-z", "c05-vstar",
+        "c11-iterations"])
 def test_bound_sets_verdict_and_printed_line(monkeypatch, actx, criterion,
-                                              bound, value, printed):
-    """Each gate bound is one verify constant: the check and its detail
-    line both read it, so a bound out of reach fails and is what prints."""
+                                              module, bound, value, printed):
+    """Each gate bound is one constant of `module`: the check and its
+    detail line both read it, so a bound out of reach fails and is what
+    prints."""
     assert criterion(actx).passed
-    monkeypatch.setattr(verify, bound, value)
+    monkeypatch.setattr(module, bound, value)
     result = criterion(actx)
     assert not result.passed
     assert any(f"{printed})" in line for line in result.details)
+
+
+def test_format_bound_prints_bounds_as_the_suite_does():
+    """Exponents lose their leading zero; other bounds print as `g`."""
+    printed = [acceptance.format_bound(bound)
+               for bound in (1e-6, 1e-8, 1e-9, 1e-10, 8, 2.7, -1e-12)]
+    assert printed == ["1e-6", "1e-8", "1e-9", "1e-10", "8", "2.7", "-1e-12"]
 
 
 def test_bracketing_weights_are_read_by_every_consumer(monkeypatch, actx,

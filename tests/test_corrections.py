@@ -23,8 +23,8 @@ def small_grid(aux):
 
 
 def jump_solve(aux, psi, jm, jp):
-    return corrections.solve_jump(replace(aux, grid=small_grid(aux)), psi,
-                                  jm, jp, "nu")
+    small = replace(aux, grid=small_grid(aux))
+    return corrections.solve_jump(small, psi, jm, jp, "nu", small.branches())
 
 
 class TestSolveJump:
@@ -242,7 +242,8 @@ class TestHermiteTables:
         looked-up weight itself jumps there by up to 2e-8 relative."""
         aux, _ = actx.terms(name)
         term = corrections.solve_jump(aux, lambda pt: 0.0 * pt.xi,
-                                      float(side < 0), float(side > 0), "nu")
+                                      float(side < 0), float(side > 0), "nu",
+                                      aux.branches())
         s = term.pos[0]
         seam = side * (aux.kink.ends[side > 0] + aux.tbar1 - aux.p)
         keep = (s[1:] < 60.0) & ~((s[:-1] < seam) & (seam < s[1:]))

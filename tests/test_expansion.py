@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from layerforge import corrections, expansion, kink, problem
+from layerforge import corrections, expansion, kink, problem, solver
 from layerforge.grids import graded_x_grid
 
 SQ2 = math.sqrt(2.0)
@@ -322,7 +322,7 @@ class TestGradedXGrid:
 class TestCurvatureBound:
     def test_cubic_bound_matches_reaction_curvature(self, cubic_e, cubic):
         spec, loc, kk = cubic
-        C5, C0 = expansion.estimate_C0(cubic_e.aux)
+        C5, C0 = expansion.estimate_C0(cubic_e.aux, eps=cubic_e.eps)
         # coarse cross-check: the ratio cannot exceed the curvature sup
         u = np.linspace(0.0, 1.0, 401)
         x = np.linspace(0.0, 1.0, 101)
@@ -346,7 +346,7 @@ class TestCurvatureBound:
         aux = corrections.LayerAuxiliary(
             spec=linear, kink=kk, loc=flat, p=0.0, tbar1=0.0,
             grid=cubic_e.aux.grid)
-        C5, C0 = expansion.estimate_C0(aux)
+        C5, C0 = expansion.estimate_C0(aux, eps=linear.eps)
         assert C5 == 1e-8
         assert C0 == 1e8
 
@@ -370,6 +370,24 @@ class TestTruncated:
     def test_outer_value(self, cubic_e, cubic):
         spec, _, _ = cubic
         assert cubic_e.truncated(0.0, 64, 2.5) == spec.g0
+
+    @pytest.mark.parametrize("name", ["cubic", "cubic-wavy"])
+    def test_outer_roots_beyond_the_mesh_layer_region(self, actx, name):
+        """At eps = 2^-5 the layer region is capped at min(t0, 1 - t0) / 2,
+        as the mesh's is: the ends take the boundary data and every point
+        beyond the mesh's tau its outer root."""
+        spec, loc, kk = actx.pipeline(name)
+        eps, N = 2.0 ** -5, 2048
+        e = expansion.build_expansion(spec, p=0.0, eps=eps, loc=loc, kink=kk)
+        tau = solver.build_mesh(loc, eps, N).tau
+        x = np.linspace(0.0, 1.0, 1001)
+        u = e.truncated(x, N, solver.C_TAU)
+        assert u[0] == pytest.approx(spec.phi(1, 0.0), abs=1e-15)
+        assert u[-1] == pytest.approx(spec.phi(2, 1.0), abs=1e-15)
+        for k, beyond in ((1, x < loc.t0 - tau), (2, x > loc.t0 + tau)):
+            assert beyond.any()
+            np.testing.assert_allclose(u[beyond], spec.phi(k, x[beyond]),
+                                       rtol=0.0, atol=1e-15)
 
     def test_preconditions(self, cubic_e):
         with pytest.raises(ValueError):

@@ -83,6 +83,14 @@ class TestMesh:
         mesh = solver.build_mesh(loc, 0.1, 64, 2.5)
         assert mesh.tau == 0.25
 
+    @pytest.mark.parametrize("eps", [1e-2, 0.1], ids=["uncapped", "capped"])
+    def test_tau_is_the_layer_half_width(self, cubic, eps):
+        """The mesh reads the one layer region the truncation reads."""
+        _, loc, _ = cubic
+        mesh = solver.build_mesh(loc, eps, 64)
+        assert mesh.tau == solver.layer_half_width(loc, eps, 64, solver.C_TAU)
+        assert (mesh.tau == 0.25) == (eps == 0.1)
+
     def test_uniform_kind_ignores_tau(self, cubic):
         _, loc, _ = cubic
         mesh = solver.build_mesh(loc, 1e-2, 64, 2.5, kind="uniform")

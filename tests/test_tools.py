@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from layerforge import cli
+from layerforge import cli, solver
 
 _PATH = Path(__file__).resolve().parent.parent / "tools" / "cmp_outputs.py"
 _SPEC = importlib.util.spec_from_file_location("cmp_outputs", _PATH)
@@ -69,6 +69,18 @@ class TestRuns:
             ("monotone", "--problem", "curved.json"),
             ("phi", "--problem", "curved.json"),
             ("compare", "--problem", "curved.json", "--n", "4096")]
+
+    def test_capped_layer_region_runs(self, actx):
+        """On each built-in, an expand run whose U_trunc reads a layer
+        region capped at min(t0, 1 - t0) / 2, the mesh's cap."""
+        capped = [cmd for cmd in cmp_outputs.RUNS
+                  if cmd[0] == "expand" and "--eps" in cmd]
+        assert capped == [("expand", "--problem", name, "--eps", "0.03125",
+                           "--n", "2048") for name in cmp_outputs.BUILTINS]
+        for name in cmp_outputs.BUILTINS:
+            _, loc, _ = actx.pipeline(name)
+            tau = solver.layer_half_width(loc, 0.03125, 2048, solver.C_TAU)
+            assert tau == min(loc.t0, 1.0 - loc.t0) / 2.0
 
     def test_error_runs(self, underflow_data):
         """Each kind of input error, and a numerical failure, is a run, so

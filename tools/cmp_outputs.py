@@ -27,7 +27,9 @@ from pathlib import Path
 
 BUILTINS = ("cubic", "cubic-wavy")
 
-#: per built-in problem, the arguments after `--problem NAME`
+#: per built-in problem, the arguments after `--problem NAME`; at
+#: eps = 2^-5 the layer region of expand's U_trunc is capped at
+#: min(t0, 1 - t0) / 2
 PER_PROBLEM = (
     ("check",),
     ("locate",),
@@ -35,6 +37,7 @@ PER_PROBLEM = (
     ("dump-corrections", "--p", "0.003"),
     ("expand",),
     ("expand", "--p", "0.003", "--pprime", "0.0003", "--hhat", "0.1"),
+    ("expand", "--eps", "0.03125", "--n", "2048"),
     ("phi",),
     ("decay",),
     ("residual",),
