@@ -201,7 +201,8 @@ def cmd_locate(args) -> int:
         "epsilon": spec.eps,
         "t0": loc.t0, "C_I": loc.C_I, "C_II": loc.C_II, "C_III": loc.C_III,
         "t1": loc.t1, "t2": loc.t2, "tbar1": loc.tbar1,
-        "gamma_bar": loc.gamma_bar, "gamma": loc.gamma, "chi0": loc.chi0,
+        "gamma_bar": loc.gamma_bar, "gamma": loc.gamma,
+        "chi0": kk.chi_at_zero,
     }
     _print_json(payload)
     return 0
@@ -353,9 +354,9 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     p = add("check", cmd_check, "verify the structural assumptions")
-    p.add_argument("--n-grid", type=int, default=256,
-                   help=f"check-grid resolution (default 256, at most "
-                        f"{SIZE_CAP})")
+    p.add_argument("--n-grid", type=int, default=problem.CHECK_GRID,
+                   help=f"check-grid resolution (default "
+                        f"{problem.CHECK_GRID}, at most {SIZE_CAP})")
 
     add("locate", cmd_locate, "layer point and matching constants (JSON)")
 
@@ -397,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="default eps * p")
     p.add_argument("--hhat", type=float, default=None,
                    help="default sqrt(eps)")
-    p.add_argument("--points", type=int, default=1000,
+    p.add_argument("--points", type=int, default=verify.MONOTONE_POINTS,
                    help=f"points evaluated (at most {SIZE_CAP})")
 
     add("fbeta", cmd_fbeta, "operator-defect margin report (JSON)")

@@ -9,7 +9,7 @@ from scipy.optimize import brentq
 from .errors import InputError
 
 
-def graded_half_grid(xi_max: float, n: int, spacing0: float = 1e-3) -> np.ndarray:
+def graded_half_grid(xi_max: float, n: int, spacing0: float) -> np.ndarray:
     """Graded nodes 0 = xi_0 < ... < xi_n = xi_max clustered at 0.
 
     Nodes follow xi_j = xi_max * (e^{q j/n} - 1) / (e^q - 1) with q chosen so
@@ -89,7 +89,7 @@ def quintic_pieces(s_k, v_k, d1_k, d2_k) -> PPoly:
 
 
 def local_poly_derivative(x: np.ndarray, y: np.ndarray, i: int,
-                          order: int, width: int = 5) -> float:
+                          order: int, width: int) -> float:
     """Derivative of given order at node i from a local polynomial fit.
 
     Fits a degree-(width-1) interpolating polynomial through `width` nodes

@@ -215,7 +215,7 @@ def _profile_side(pot: PotentialTable, anchor: float, root: float,
         chi_tilde = np.sqrt(np.maximum(2.0 * pot.w(vv), 0.0))
         return 1.0 / chi_tilde - 1.0 / (mu * seen)
 
-    g_inf = gl_fixed(correction_integrand, 0.0, d_star, n=32)
+    g_inf = gl_fixed(correction_integrand, 0.0, d_star, 32)
     amp = d_star * float(np.exp(mu * (s_star + g_inf)))
     return (s_k, v_k, c_k, b_k), amp
 

@@ -9,7 +9,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import LayerforgeError
-from .problem import ProblemSpec, decay_floor_sq
+from .problem import CHECK_GRID, ProblemSpec, decay_floor_sq
 from .quadrature import adaptive_gl
 
 #: endpoint exclusion for the root bracket, keeps the layer away from the
@@ -17,6 +17,9 @@ from .quadrature import adaptive_gl
 ENDPOINT_MARGIN = 1e-3
 
 QUAD_TOL = 1e-12
+
+#: points of the sign-change scan of the area integral
+SCAN_POINTS = 64
 
 
 class NoSignChange(LayerforgeError, RuntimeError):
@@ -47,7 +50,6 @@ class LayerLocation:
     C_I: float
     gamma_bar: float
     gamma: float
-    chi0: float
     eps: float
     u0_side: tuple
     du0_side: tuple
@@ -91,7 +93,7 @@ def _integral_I_xderiv(spec: ProblemSpec, x: float) -> float:
     return adaptive_gl(lambda v: spec.b_val(x, v, dx=1), lo, hi, tol=QUAD_TOL)
 
 
-def locate_t0(spec: ProblemSpec, scan_points: int = 64) -> LayerLocation:
+def locate_t0(spec: ProblemSpec) -> LayerLocation:
     """Find the first simple root of the area integral inside (0, 1).
 
     Bracketing bisection on the first sign change, refined by Newton with
@@ -101,7 +103,7 @@ def locate_t0(spec: ProblemSpec, scan_points: int = 64) -> LayerLocation:
     """
     a = ENDPOINT_MARGIN
     b = 1.0 - ENDPOINT_MARGIN
-    xs = np.linspace(a, b, scan_points)
+    xs = np.linspace(a, b, SCAN_POINTS)
     vals = np.array([integral_I(spec, float(x)) for x in xs])
 
     bracket = None
@@ -179,13 +181,8 @@ def locate_t0(spec: ProblemSpec, scan_points: int = 64) -> LayerLocation:
         raise DegenerateRoot(
             f"du-slope of b at the layer roots is not positive: {gamma_bar_sq:.3e}")
 
-    # slope of the profile at its anchor, from the first integral
-    w_anchor = adaptive_gl(lambda v: spec.b_val(t0, v),
-                           u0[0], spec.phi(0, t0), tol=QUAD_TOL)
-    chi0 = float(np.sqrt(max(2.0 * w_anchor, 0.0)))
-
-    # decay-rate floor across the domain
-    xg = np.linspace(0.0, 1.0, 257)
+    # decay-rate floor across the domain, on the assumption-check grid
+    xg = np.linspace(0.0, 1.0, CHECK_GRID + 1)
     gamma = float(np.sqrt(decay_floor_sq(
         *(spec.b_val(xg, spec.phi(k, xg), du=1) for k in (1, 2)))))
 
@@ -193,7 +190,7 @@ def locate_t0(spec: ProblemSpec, scan_points: int = 64) -> LayerLocation:
     roots, u2 = zip(*(spec.outer(k, t0, order=1) for k in (1, 2)))
     return LayerLocation(t0=float(t0), C_I=float(C_I),
                          gamma_bar=float(np.sqrt(gamma_bar_sq)),
-                         gamma=gamma, chi0=chi0, eps=spec.eps, u0_side=u0,
+                         gamma=gamma, eps=spec.eps, u0_side=u0,
                          du0_side=tuple(d[1] for d in roots),
                          ddu0_side=tuple(d[2] for d in roots), bs0_side=bs0,
                          u2_side=tuple(u[0] for u in u2),

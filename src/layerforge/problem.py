@@ -31,8 +31,10 @@ B_PARTIALS = ((1, 0), (0, 1), (2, 0), (1, 1), (0, 2), (0, 3), (2, 1), (1, 2))
 #: relative safety margin of the decay-rate floor (see decay_floor_sq)
 GAMMA_MARGIN = 0.01
 
-#: fewest intervals of check_assumptions' uniform grid
+#: fewest intervals of check_assumptions' uniform grid, and its default
+#: count, which the locator's decay-rate floor also samples
 MIN_GRID = 16
+CHECK_GRID = 256
 
 #: the shipped instances, one per problems/<name>.json, in name order
 BUILTIN_PROBLEMS = {
@@ -250,7 +252,8 @@ def _worst(x: np.ndarray, values: np.ndarray, take_max: bool):
     return float(x[idx]), float(values[idx])
 
 
-def check_assumptions(spec: ProblemSpec, n_grid: int = 256) -> AssumptionReport:
+def check_assumptions(spec: ProblemSpec,
+                      n_grid: int = CHECK_GRID) -> AssumptionReport:
     """Verify the structural assumptions on a uniform grid.
 
     Failures are reported, never thrown.  The layer-orientation condition

@@ -19,7 +19,7 @@ def gl_rule(n: int):
     return np.polynomial.legendre.leggauss(n)
 
 
-def gl_fixed(f, a: float, b: float, n: int = 32) -> float:
+def gl_fixed(f, a: float, b: float, n: int) -> float:
     """Fixed-order Gauss-Legendre integral of f over [a, b]."""
     x, w = gl_rule(n)
     mid = 0.5 * (a + b)

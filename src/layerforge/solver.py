@@ -34,7 +34,7 @@ class SingularJacobian(LayerforgeError, RuntimeError):
 @dataclass(frozen=True)
 class Mesh:
     nodes: np.ndarray = field(repr=False)
-    kind: str           # "uniform" or "layer-adapted"
+    breaks: tuple       # node indices where the cell width changes
     tau: float
     N: int
     center: float       # the layer point the transition region brackets
@@ -79,14 +79,17 @@ def build_mesh(loc: LayerLocation, eps: float, N: int, C_tau: float = C_TAU,
                kind: str = "layer-adapted") -> Mesh:
     """Piecewise-uniform mesh with half the cells inside the layer region.
 
-    The layer-adapted kind always has a node at the layer point.  The
-    uniform kind ignores the half-width (but records it for bookkeeping).
+    The layer-adapted kind always has a node at the layer point, and its
+    breaks are the joints of its four uniform pieces whose cell widths
+    differ: t0 - tau and t0 + tau unless the cap makes the outer piece as
+    fine as the region, and t0 when N/2 is odd.  The uniform kind has no
+    breaks and ignores the half-width (but records it for bookkeeping).
     """
     if N % 2 or not N >= MIN_CELLS:
         raise InputError(f"N must be even and at least {MIN_CELLS}, got {N}")
     tau = layer_half_width(loc, eps, N, C_tau)
     if kind == "uniform":
-        return Mesh(nodes=np.linspace(0.0, 1.0, N + 1), kind=kind,
+        return Mesh(nodes=np.linspace(0.0, 1.0, N + 1), breaks=(),
                     tau=tau, N=N, center=loc.t0)
     if kind != "layer-adapted":
         raise InputError(f"unknown mesh kind {kind!r}")
@@ -94,45 +97,66 @@ def build_mesh(loc: LayerLocation, eps: float, N: int, C_tau: float = C_TAU,
     # N/2 cells in the region and N/2 outside, each split at t0 (right >= left)
     edges = (0.0, t0 - tau, t0, t0 + tau, 1.0)
     q = N // 4
+    cells = (q, q, N // 2 - q, N // 2 - q)
     nodes = np.concatenate([[0.0]] + [
         np.linspace(lo, hi, n + 1)[1:] for lo, hi, n in
-        zip(edges, edges[1:], (q, q, N // 2 - q, N // 2 - q))])
-    return Mesh(nodes=nodes, kind=kind, tau=tau, N=N, center=t0)
+        zip(edges, edges[1:], cells)])
+    h = [width / n for width, n in
+         zip((edges[1], tau, tau, 1.0 - edges[3]), cells)]
+    breaks = tuple(int(j) for j, hm, hp in zip(np.cumsum(cells), h, h[1:])
+                   if abs(hp - hm) > 1e-12 * (hm + hp))
+    return Mesh(nodes=nodes, breaks=breaks, tau=tau, N=N, center=t0)
 
 
-def _scheme_weights(x: np.ndarray):
+def _scheme_weights(x: np.ndarray, breaks):
     """Interior-node weights (wl, wc, wr, al, ac, ar) of the difference scheme.
 
     (wl, wc, wr) is the three-point stencil of u'' on the nonuniform mesh.
-    (al, ac, ar) averages the reaction: where the stencil is locally uniform
-    the scheme uses the fourth-order compact (Numerov) average (1, 10, 1)/12;
-    at the few mesh-transition nodes it falls back to the plain nodal value
-    (a localized second-order defect that does not affect the global order).
+    (al, ac, ar) averages the reaction with the fourth-order compact
+    (Numerov) average (1, 10, 1)/12, except at the node indices `breaks`,
+    where it takes the plain nodal value.  These are the few mesh-transition
+    nodes where the cell width changes: build_mesh reads them off its
+    pieces and records them as Mesh.breaks (at most 3).  The second-order
+    defect they leave is localized and does not affect the global order.
     """
     hm = x[1:-1] - x[:-2]
     hp = x[2:] - x[1:-1]
     wl = 2.0 / (hm * (hm + hp))
     wc = -2.0 / (hm * hp)
     wr = 2.0 / (hp * (hm + hp))
-    uniform = np.abs(hp - hm) <= 1e-12 * (hm + hp)
-    al = np.where(uniform, 1.0 / 12.0, 0.0)
-    ac = np.where(uniform, 10.0 / 12.0, 1.0)
-    ar = np.where(uniform, 1.0 / 12.0, 0.0)
+    al = np.full(hm.size, 1.0 / 12.0)
+    ac = np.full(hm.size, 10.0 / 12.0)
+    ar = np.full(hm.size, 1.0 / 12.0)
+    plain = np.asarray(breaks, dtype=int) - 1
+    al[plain], ac[plain], ar[plain] = 0.0, 1.0, 0.0
     return wl, wc, wr, al, ac, ar
+
+
+def _average(weights, v: np.ndarray) -> np.ndarray:
+    """The scheme's average of nodal values v at the interior nodes."""
+    _, _, _, al, ac, ar = weights
+    return al * v[:-2] + ac * v[1:-1] + ar * v[2:]
+
+
+def _tridiagonal(scale: float, weights, c: np.ndarray):
+    """(lower, diag, upper) of the scheme's matrix for -scale u'' + c u."""
+    wl, wc, wr, al, ac, ar = weights
+    return (-scale * wl + al * c[:-2], -scale * wc + ac * c[1:-1],
+            -scale * wr + ar * c[2:])
 
 
 def _residual(eps_sq: float, weights, u: np.ndarray,
               b_nodes: np.ndarray) -> np.ndarray:
-    wl, wc, wr, al, ac, ar = weights
+    wl, wc, wr = weights[:3]
     d2 = wl * u[:-2] + wc * u[1:-1] + wr * u[2:]
-    react = al * b_nodes[:-2] + ac * b_nodes[1:-1] + ar * b_nodes[2:]
-    return -eps_sq * d2 + react
+    return -eps_sq * d2 + _average(weights, b_nodes)
 
 
 def discrete_residual(spec: ProblemSpec, mesh: Mesh, u: np.ndarray) -> np.ndarray:
     """Interior residual of the difference scheme at the given nodal values."""
     x = mesh.nodes
-    return _residual(spec.eps ** 2, _scheme_weights(x), u, spec.b_val(x, u))
+    return _residual(spec.eps ** 2, _scheme_weights(x, mesh.breaks), u,
+                     spec.b_val(x, u))
 
 
 #: Newton iterations before NoConvergence
@@ -162,8 +186,8 @@ def newton_solve(spec: ProblemSpec, mesh: Mesh, initial) -> MeshSolution:
     u = np.asarray(initial(x), dtype=float).copy()
     u[0] = spec.g0
     u[-1] = spec.g1
-    weights = _scheme_weights(x)
-    wl, wc, wr, al, ac, ar = weights
+    weights = _scheme_weights(x, mesh.breaks)
+    wl, wc, wr = weights[:3]
     eps_sq = spec.eps ** 2
     floor = (FLOOR_FACTOR * eps_sq * np.finfo(float).eps / 2.0
              * float(np.max(np.abs(wl) + np.abs(wc) + np.abs(wr))))
@@ -182,10 +206,9 @@ def newton_solve(spec: ProblemSpec, mesh: Mesh, initial) -> MeshSolution:
             break
         # the update vanishes at both boundary nodes, so lower[0] and
         # upper[-1] (the couplings to them) drop out
-        bu = spec.b_val(x, u, du=1)
-        diag = -eps_sq * wc + ac * bu[1:-1]
-        ok, step = thomas_solve(-eps_sq * wl + al * bu[:-2], diag,
-                                -eps_sq * wr + ar * bu[2:], -res,
+        lower, diag, upper = _tridiagonal(eps_sq, weights,
+                                          spec.b_val(x, u, du=1))
+        ok, step = thomas_solve(lower, diag, upper, -res,
                                 1e-14 * float(np.max(np.abs(diag))))
         if not ok:
             raise SingularJacobian(
@@ -221,28 +244,25 @@ def compare(sol: MeshSolution, u_fn):
 
 def solve_jump_fd_numerov(coeff_fn, psi_fn, nu0_minus: float, nu0_plus: float,
                           half_width: float = 40.0, n: int = 4000):
-    """Fourth-order tridiagonal (Numerov) solve of the jump problem.
+    """Fourth-order tridiagonal (Numerov) solve of the jump problem
+    -nu'' + coeff nu = psi, with the difference scheme of newton_solve.
 
     Uniform branch meshes on [-half_width, 0] and [0, half_width] with n
-    nodes each; Dirichlet data 0 at the far end and the jump value at 0.
-    Returns the two branch grids with their solutions.
+    nodes each and no breaks; Dirichlet data 0 at the far end and the jump
+    value at 0.  Returns the two branch grids with their solutions.
     """
     results = []
     for side, ends, left_bc, right_bc in (
             (-1, (-half_width, 0.0), 0.0, nu0_minus),
             (1, (0.0, half_width), nu0_plus, 0.0)):
         xi = np.linspace(*ends, n)
-        h = xi[1] - xi[0]
-        c = np.asarray(coeff_fn(xi), dtype=float)
-        psi = np.asarray(psi_fn(xi, side), dtype=float)
-        w = h * h / 12.0
-        lower = 1.0 - w * c[:-2]
-        upper = 1.0 - w * c[2:]
-        rhs = -w * (psi[:-2] + 10.0 * psi[1:-1] + psi[2:])
+        weights = _scheme_weights(xi, ())
+        lower, diag, upper = _tridiagonal(
+            1.0, weights, np.asarray(coeff_fn(xi), dtype=float))
+        rhs = _average(weights, np.asarray(psi_fn(xi, side), dtype=float))
         rhs[0] -= lower[0] * left_bc
         rhs[-1] -= upper[-1] * right_bc
-        ok, inner = thomas_solve(lower, -2.0 - 10.0 * w * c[1:-1], upper,
-                                 rhs, 1e-300)
+        ok, inner = thomas_solve(lower, diag, upper, rhs, 1e-300)
         if not ok:
             raise SingularJacobian("jump-problem oracle: pivot breakdown")
         results.append((xi, np.concatenate([[left_bc], inner, [right_bc]])))

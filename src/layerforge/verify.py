@@ -1,9 +1,9 @@
 """Quantitative verification harness.
 
 Order claims carry unknowable constants, so every check here fits its
-constant at the coarsest parameter (inflated 5%) and then validates the
-inequality or order at the finer ones.  Reports record the ladder, the
-fitted constants, and the thresholds used.
+constant at the coarsest parameter (inflated 5%, FIT_INFLATION) and then
+validates the inequality or order at the finer ones.  Reports record the
+ladder, the fitted constants, and the thresholds used.
 """
 
 from __future__ import annotations
@@ -22,6 +22,9 @@ from .locator import LayerLocation
 from .problem import ProblemSpec
 from . import solver as solver_mod
 
+#: factor on every constant fitted at the coarsest parameter
+FIT_INFLATION = 1.05
+
 #: shared epsilon ladder for comparable order fits
 EPS_LADDER = tuple(2.0 ** -k for k in range(4, 11))
 
@@ -35,8 +38,10 @@ RESIDUAL_MIN_ORDER = 2.7
 #: largest relative error of the jump functional's slope in p (c07)
 PHI_SLOPE_TOL = 0.05
 
-#: least gap beta+ - beta- of the bracketing pair, roundoff below 0 (c09)
+#: least gap beta+ - beta- of the bracketing pair, roundoff below 0 (c09),
+#: and the default points of its check
 MONOTONE_MIN_GAP = -1e-12
+MONOTONE_POINTS = 1000
 
 #: operator-defect margin: epsilons (the first one fits C4) and shift p
 FBETA_EPS = (1e-2, 5e-3, 2e-3, 1e-3)
@@ -172,7 +177,7 @@ def phi_intercept_check(spec: ProblemSpec, ladder: JumpLadder) -> SweepReport:
     """Regression intercepts bounded by a fitted third-order envelope."""
     intercepts = [abs(float(np.polyfit(np.asarray(P_SWEEP), phis, 1)[1]))
                   for phis in ladder.phi_u]
-    K = 1.05 * intercepts[0] / EPS_LADDER[0] ** 3
+    K = FIT_INFLATION * intercepts[0] / EPS_LADDER[0] ** 3
     # absolute floor guards problems whose intercept is pure roundoff
     ok = [ic <= K * eps ** 3 + 1e-12 for ic, eps in zip(intercepts, EPS_LADDER)]
     return SweepReport(name=f"phi-intercept[{spec.name}]", parameter="eps",
@@ -194,7 +199,7 @@ def phi_sign_inequality(spec: ProblemSpec, loc: LayerLocation,
     each bound is fitted at the coarsest epsilon and validated below it.
     """
     C1 = 0.5 * loc.C_I / float(np.max(kink.chi_table))
-    C3 = 1.05 * float(np.max(ladder.vstar_phi))
+    C3 = FIT_INFLATION * float(np.max(ladder.vstar_phi))
     return (_sign_report(f"phi-sign[{spec.name}]", ladder.phi_u, C1, 0.0),
             _sign_report(f"phi-sign-perturbed[{spec.name}]", ladder.phi_beta,
                          C1, C3))
@@ -207,7 +212,8 @@ def _sign_report(name: str, phis: np.ndarray, C1: float,
     signed = np.sign(P_SWEEP) * phis
     eps_fit = EPS_LADDER[0]
     deficits = C1 * eps_fit * abs_p - C3 * eps_fit * abs_p - signed[0]
-    C2 = 1.05 * max(float(np.max(deficits)) / eps_fit ** 3, 0.0) + 1e-9
+    C2 = (FIT_INFLATION * max(float(np.max(deficits)) / eps_fit ** 3, 0.0)
+          + 1e-9)
 
     per_eps_ok = {}
     for eps, row in zip(EPS_LADDER, signed):
@@ -247,7 +253,8 @@ def fbeta_check(spec: ProblemSpec, loc: LayerLocation,
         base = 0.5 * pe.C0 * abs(pprime) * gamma_sq
         scale = eps ** 3 + eps * pe.hhat ** 2 + pe.hhat ** 4
         if C4 is None:
-            C4 = 1.05 * max(float(np.max(base - lhs)) / scale, 0.0) + 1e-12
+            C4 = (FIT_INFLATION * max(float(np.max(base - lhs)) / scale, 0.0)
+                  + 1e-12)
         margin = float(np.min(lhs - (base - C4 * scale)))
         margins.append(margin)
     passed = bool(all(m >= 0.0 for m in margins))
@@ -304,7 +311,7 @@ def decay_rates(kink: KinkProfile, terms: dict) -> tuple[dict, float, bool]:
 def monotonicity_check(spec: ProblemSpec, loc: LayerLocation,
                        kink: KinkProfile, eps: float, p: float,
                        pprime: float, hhat: float,
-                       n_points: int = 1000) -> SweepReport:
+                       n_points: int = MONOTONE_POINTS) -> SweepReport:
     """Ordering of the oppositely-signed perturbed expansions on
     graded_x_grid(t0, eps, n_points), which keeps at least 16 layer points;
     the report gives the number of points evaluated."""
@@ -352,8 +359,9 @@ def truncation_check(spec: ProblemSpec, loc: LayerLocation,
     def envelope(eps, N):
         return eps * np.log(N) + N ** -2
 
-    K = 1.05 * max(distance(TRUNC_EPS_FIT, N) / envelope(TRUNC_EPS_FIT, N)
-                   for N in TRUNC_N_FIT)
+    K = FIT_INFLATION * max(
+        distance(TRUNC_EPS_FIT, N) / envelope(TRUNC_EPS_FIT, N)
+        for N in TRUNC_N_FIT)
     combos = [(eps, N) for eps in (1e-2, 1e-3) for N in (64, 256)]
     measured = [distance(eps, N) for eps, N in combos]
     ok = [d <= K * envelope(eps, N) + 1e-14
@@ -371,11 +379,9 @@ def truncation_check(spec: ProblemSpec, loc: LayerLocation,
 
 
 def solver_convergence(spec: ProblemSpec, loc: LayerLocation,
-                       kink: KinkProfile,
-                       min_order: float | None = None) -> SweepReport:
+                       kink: KinkProfile) -> SweepReport:
     """Distance between the nonlinear-solve oracle and the expansion; it
-    passes at a fitted order of min_order, by default SOLVER_MIN_ORDER."""
-    min_order = SOLVER_MIN_ORDER if min_order is None else min_order
+    passes at a fitted order of SOLVER_MIN_ORDER."""
 
     def one(eps):
         e = build_expansion(spec, p=0.0, eps=eps, loc=loc, kink=kink)
@@ -388,6 +394,6 @@ def solver_convergence(spec: ProblemSpec, loc: LayerLocation,
     slope, _ = loglog_fit(SOLVER_EPS, measured)
     return SweepReport(name=f"solver-distance[{spec.name}]", parameter="eps",
                        values=SOLVER_EPS, measured=tuple(measured),
-                       slope=slope, threshold=min_order,
-                       passed=bool(slope >= min_order),
+                       slope=slope, threshold=SOLVER_MIN_ORDER,
+                       passed=bool(slope >= SOLVER_MIN_ORDER),
                        details={"N": SOLVER_N, "C_tau": solver_mod.C_TAU})

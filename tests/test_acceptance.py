@@ -6,6 +6,7 @@ layerforge.acceptance is the single source of truth shared with the CLI
 """
 
 import json
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -113,6 +114,30 @@ def test_bound_sets_verdict_and_printed_line(monkeypatch, actx, criterion,
     result = criterion(actx)
     assert not result.passed
     assert any(f"{printed})" in line for line in result.details)
+
+
+@pytest.mark.parametrize("criterion, labels", [
+    (criterion_07_phi_linearity, ("K",)),
+    (criterion_08_sign_inequalities, ("C2", "C3")),
+    (criterion_10_truncation, ("K",)),
+], ids=["c07", "c08", "c10"])
+def test_fit_inflation_sets_the_printed_constants(monkeypatch, actx,
+                                                  criterion, labels):
+    """Every constant fitted at the coarsest parameter is inflated by
+    verify.FIT_INFLATION, and the detail lines print the inflated value:
+    doubling it doubles each printed constant of cubic-wavy, where none
+    sits at its absolute floor.  (C4 prints its floor 1e-12 on both
+    built-ins, so no inflation moves it.)"""
+    def printed(result):
+        text = " ".join(d for d in result.details
+                        if d.startswith("cubic-wavy:"))
+        return [float(re.search(rf"\b{label} ?= ?([-+.\de]+\d)",
+                                text).group(1)) for label in labels]
+
+    before = printed(criterion(actx))
+    monkeypatch.setattr(verify, "FIT_INFLATION", 2.0 * verify.FIT_INFLATION)
+    after = printed(criterion(actx))
+    assert after == pytest.approx([2.0 * v for v in before], rel=1e-2)
 
 
 def test_format_bound_prints_bounds_as_the_suite_does():

@@ -117,7 +117,7 @@ class TestGoverningEquation:
             psi = term.psi_fn(pt)
             bs = pt.B(0, 1)
             for j, i in enumerate(probes):
-                d2 = local_poly_derivative(xs, vs, int(i), order=2)
+                d2 = local_poly_derivative(xs, vs, int(i), order=2, width=5)
                 resid = abs(-d2 + bs[j] * vs[i] - psi[j])
                 assert resid <= 1e-6 * (1.0 + abs(psi[j]))
 

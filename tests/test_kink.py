@@ -111,7 +111,7 @@ class TestUnequalRates:
         lo, hi = kk.ends
         inside = np.nonzero((xi >= lo) & (xi <= hi))[0][2:-2]
         for i in inside[::5]:
-            d2 = local_poly_derivative(xi, v, int(i), order=2)
+            d2 = local_poly_derivative(xi, v, int(i), order=2, width=5)
             target = spec.b_val(loc.t0, v[i])
             gap = np.max(np.abs(np.diff(xi[i - 2:i + 3])))
             assert abs(d2 - target) <= 1e-8 + 0.5 * gap ** 2
@@ -267,7 +267,7 @@ class TestProfileODE:
         idx = np.nonzero(np.abs(xi) <= 10.0)[0][::25]
         h = np.max(np.abs(np.diff(xi)))
         for i in idx:
-            d2 = local_poly_derivative(xi, v, int(i), order=2)
+            d2 = local_poly_derivative(xi, v, int(i), order=2, width=5)
             target = spec.b_val(loc.t0, v[i])
             gap = np.max(np.abs(np.diff(xi[max(0, i - 2):i + 3])))
             assert abs(d2 - target) <= 1e-8 + 0.5 * gap ** 2

@@ -35,8 +35,6 @@ class TestLocate:
         assert loc.t0 == pytest.approx(0.5, abs=1e-10)
         assert loc.C_I == pytest.approx(1.0 / 12.0, abs=1e-9)
         assert loc.gamma_bar == pytest.approx(math.sqrt(0.5), abs=1e-12)
-        assert loc.chi0 == pytest.approx(1.0 / (4.0 * math.sqrt(2.0)),
-                                         abs=1e-12)
 
     def test_flipped_orientation_rejected(self):
         spec = variant(b="u*(u-(0.25+0.5*x))*(u-1)", phi0="0.25+0.5*x")
@@ -87,7 +85,8 @@ class TestLocate:
         assert loc.tbar1 == loc.t1 + loc.eps * loc.t2
 
 
-def test_location_independent_of_scan_resolution(cubic):
+def test_location_independent_of_scan_resolution(cubic, monkeypatch):
     spec, loc, _ = cubic
-    alt = locator.locate_t0(spec, scan_points=97)
+    monkeypatch.setattr(locator, "SCAN_POINTS", 97)
+    alt = locator.locate_t0(spec)
     assert alt.t0 == pytest.approx(loc.t0, abs=1e-12)

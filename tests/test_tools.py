@@ -82,6 +82,24 @@ class TestRuns:
             tau = solver.layer_half_width(loc, 0.03125, 2048, solver.C_TAU)
             assert tau == min(loc.t0, 1.0 - loc.t0) / 2.0
 
+    def test_mesh_break_runs(self, actx):
+        """On each built-in, runs whose meshes have breaks t0 -+ tau (a fine
+        mesh at eps = 2^-9), t0 (N/2 odd; the region is capped at the
+        problem's eps) and none (the uniform kind)."""
+        assert cmp_outputs.PER_PROBLEM[-3:] == (
+            ("compare", "--eps", "0.001953125", "--n", "8192"),
+            ("solve", "--n", "2050", "--format", "json"),
+            ("solve", "--mesh", "uniform", "--n", "2048", "--format", "json"))
+        for name in cmp_outputs.BUILTINS:
+            spec, loc, _ = actx.pipeline(name)
+            for eps, N, kind, at in (
+                    (2.0 ** -9, 8192, "layer-adapted", (-1.0, 1.0)),
+                    (spec.eps, 2050, "layer-adapted", (0.0,)),
+                    (spec.eps, 2048, "uniform", ())):
+                mesh = solver.build_mesh(loc, eps, N, kind=kind)
+                assert [mesh.nodes[i] for i in mesh.breaks] == [
+                    loc.t0 + side * mesh.tau for side in at]
+
     def test_error_runs(self, underflow_data):
         """Each kind of input error, and a numerical failure, is a run, so
         a parent comparison shows moves in exit codes and error lines."""

@@ -29,7 +29,9 @@ BUILTINS = ("cubic", "cubic-wavy")
 
 #: per built-in problem, the arguments after `--problem NAME`; at
 #: eps = 2^-5 the layer region of expand's U_trunc is capped at
-#: min(t0, 1 - t0) / 2
+#: min(t0, 1 - t0) / 2.  The last three runs reach the mesh's breaks, where
+#: the scheme drops the compact average: t0 -+ tau on a fine mesh at
+#: eps = 2^-9, t0 with N/2 odd, and none on the uniform mesh
 PER_PROBLEM = (
     ("check",),
     ("locate",),
@@ -45,6 +47,9 @@ PER_PROBLEM = (
     ("monotone",),
     ("solve", "--n", "2048", "--format", "json"),
     ("compare", "--n", "4096"),
+    ("compare", "--eps", "0.001953125", "--n", "8192"),
+    ("solve", "--n", "2050", "--format", "json"),
+    ("solve", "--mesh", "uniform", "--n", "2048", "--format", "json"),
 )
 
 #: the curved instance of perfbench's generated family (generate(1, 1)):
