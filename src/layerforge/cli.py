@@ -1,12 +1,16 @@
 """Command-line interface.
 
 Every subcommand prints a deterministic report: floats are rendered with 17
-significant digits, so identical inputs give byte-identical output.  CSV
-columns are documented per subcommand in --help.  Exit codes: 0 success, 1 a
-failed check or a numerical error, 2 a usage or input error (an invalid
-argument, among them an array size over SIZE_CAP, or an unreadable, malformed
-or unknown problem).  Every error ends the run as one line on stderr, and its
-class's `exit_code` is the exit status.
+significant digits, so identical inputs give byte-identical output.  A table
+(rows of one nonzero length whose every column holds only floats or only
+strings) is rendered in one pass, by a single %-format of one row template
+repeated per row.  Every CSV is such a table; in JSON every other value is
+rendered value by value, with the bytes the table path gives.  CSV columns
+are documented per subcommand in --help.  Exit codes: 0 success, 1 a failed check or a numerical error, 2
+a usage or input error (an invalid argument, among them an array size over
+SIZE_CAP, or an unreadable, malformed or unknown problem).  Every error ends
+the run as one line on stderr, and its class's `exit_code` is the exit
+status.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ import argparse
 import json
 import math
 import sys
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -55,8 +60,48 @@ def _fmt(x) -> str:
 _json_string = json.JSONEncoder(ensure_ascii=False).encode
 
 
+def _render_rows(rows, row_open: str, cell_sep: str, row_close: str,
+                 row_sep: str, encode):
+    """rows rendered by one %-format, or None when they are not a table.
+
+    A table is a nonempty list or tuple of lists or tuples of one nonzero
+    length whose every column holds only exact floats or only strs.  Its
+    row template is row_open, the cells joined by cell_sep, and row_close:
+    `%.17g` for a float column (the bytes of format(x, ".17g")) and `%s`
+    for a str column.  row_sep joins the template once per row.  Each
+    distinct string is encoded once and goes in as an argument, so a `%`
+    in it never reaches the template.
+    """
+    if not rows or not set(map(type, rows)) <= {list, tuple}:
+        return None
+    widths = set(map(len, rows))
+    if len(widths) != 1 or widths == {0}:
+        return None
+    (width,) = widths
+    values = list(chain.from_iterable(rows))
+    specs = []
+    for j in range(width):
+        column = values[j::width]
+        kinds = set(map(type, column))
+        if kinds == {float}:
+            specs.append("%.17g")
+        elif kinds == {str}:
+            codes = {s: encode(s) for s in set(column)}
+            values[j::width] = map(codes.__getitem__, column)
+            specs.append("%s")
+        else:
+            return None
+    row = row_open + cell_sep.join(specs) + row_close
+    return row_sep.join([row] * len(rows)) % tuple(values)
+
+
 def dumps(obj, indent: int = 0) -> str:
-    """JSON text with fixed 17-significant-digit float formatting."""
+    """JSON text with fixed 17-significant-digit float formatting.
+
+    A table (see _render_rows) is rendered by one %-format with the same
+    bytes as the value-by-value path, which every other value takes: ints,
+    bools, None, numpy scalars, nested containers, ragged or empty rows.
+    """
     pad = "  " * indent
     if isinstance(obj, dict):
         if not obj:
@@ -67,8 +112,12 @@ def dumps(obj, indent: int = 0) -> str:
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        items = [f"{pad}  {dumps(v, indent + 1)}" for v in obj]
-        return "[\n" + ",\n".join(items) + f"\n{pad}]"
+        inner = pad + "  "
+        body = _render_rows(obj, f"{inner}[\n{inner}  ", f",\n{inner}  ",
+                            f"\n{inner}]", ",\n", _json_string)
+        if body is None:
+            body = ",\n".join(f"{inner}{dumps(v, indent + 1)}" for v in obj)
+        return "[\n" + body + f"\n{pad}]"
     if isinstance(obj, str):
         return _json_string(obj)
     if isinstance(obj, (np.floating,)):
@@ -93,11 +142,11 @@ def _write(path, text: str):
 
 
 def _write_csv(path, header, rows):
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(float(v)) if isinstance(v, (float, np.floating))
-                              else str(v) for v in row))
-    _write(path, "\n".join(lines) + "\n")
+    """header and rows as CSV: rows is a table (see _render_rows), its
+    floats written with 17 significant digits and its strings as they
+    are.  Every caller passes one; other rows fail in the join."""
+    body = _render_rows(rows, "", ",", "", "\n", str)
+    _write(path, "\n".join([",".join(header), body]) + "\n")
 
 
 def _write_table(args, spec, header, rows, **fields):
@@ -109,8 +158,7 @@ def _write_table(args, spec, header, rows, **fields):
         return
     payload = {"schema_version": SCHEMA_VERSION, "command": args.command,
                "problem": spec.name, **fields, "columns": list(header),
-               "rows": [[float(v) if isinstance(v, (float, np.floating))
-                         else v for v in row] for row in rows]}
+               "rows": rows}
     _write(args.out, dumps(payload) + "\n")
 
 
@@ -211,8 +259,8 @@ def cmd_locate(args) -> int:
 def cmd_dump_kink(args) -> int:
     spec = problem.resolve_problem(args.problem)
     kk = kink.build_kink(spec, locator.locate_t0(spec))
-    rows = list(zip(kk.xi, kk.v_table, kk.chi_table))
-    _write_table(args, spec, ("xi", "V0", "chi"), rows)
+    _write_table(args, spec, ("xi", "V0", "chi"),
+                 np.column_stack((kk.xi, kk.v_table, kk.chi_table)).tolist())
     return 0
 
 
@@ -222,10 +270,10 @@ def cmd_dump_corrections(args) -> int:
         corrections.make_auxiliary(spec, kk, loc, p=args.p))
     rows = []
     for label, term in terms.items():
-        for xi, val in zip(term.xi_neg, term.val_neg):
-            rows.append((label, "minus", float(xi), float(val)))
-        for xi, val in zip(term.xi_pos, term.val_pos):
-            rows.append((label, "plus", float(xi), float(val)))
+        for branch, xi, val in (("minus", term.xi_neg, term.val_neg),
+                                ("plus", term.xi_pos, term.val_pos)):
+            rows.extend(zip(repeat(label), repeat(branch), xi.tolist(),
+                            val.tolist()))
     _write_table(args, spec, ("term", "branch", "xi", "value"), rows,
                  phi={k: t.phi_value for k, t in terms.items()})
     return 0
@@ -237,8 +285,8 @@ def cmd_expand(args) -> int:
     e = build_expansion(spec, p=args.p, eps=spec.eps, loc=loc, kink=kk)
     pe = build_perturbed(e, pprime=args.pprime, hhat=args.hhat)
     xs = np.linspace(0.0, 1.0, args.points)
-    rows = list(zip(xs, e.u_as(xs), pe.beta(xs),
-                    e.truncated(xs, args.n, args.c_tau)))
+    rows = np.column_stack((xs, e.u_as(xs), pe.beta(xs),
+                            e.truncated(xs, args.n, args.c_tau))).tolist()
     _write_table(args, spec, ("x", "u_as", "beta", "U_trunc"), rows)
     return 0
 
@@ -300,7 +348,8 @@ def cmd_solve(args) -> int:
     mesh = solver.build_mesh(loc, spec.eps, args.n, args.c_tau,
                              kind=args.mesh)
     sol = solver.newton_solve(spec, mesh, e.u_as)
-    _write_table(args, spec, ("x", "u"), list(zip(mesh.nodes, sol.values)),
+    _write_table(args, spec, ("x", "u"),
+                 np.column_stack((mesh.nodes, sol.values)).tolist(),
                  iterations=sol.iterations, residual_norm=sol.residual_norm)
     return 0
 

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from layerforge import cli, corrections, kink, problem
 
@@ -237,6 +238,83 @@ class TestJsonStrings:
         text = 'a "quoted" back\\slash, \u00e9, \u2028 and \x7f'
         assert cli.dumps(text) == ('"a \\"quoted\\" back\\\\slash, '
                                    '\u00e9, \u2028 and \x7f"')
+
+
+def _reference_dumps(obj, indent=0):
+    """The value-by-value JSON renderer: the bytes the table rule of
+    cli.dumps must keep."""
+    pad = "  " * indent
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = [f"{pad}  {json.dumps(k, ensure_ascii=False)}: "
+                 f"{_reference_dumps(v, indent + 1)}" for k, v in obj.items()]
+        return "{\n" + ",\n".join(items) + f"\n{pad}}}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        items = [f"{pad}  {_reference_dumps(v, indent + 1)}" for v in obj]
+        return "[\n" + ",\n".join(items) + f"\n{pad}]"
+    if isinstance(obj, str):
+        return json.dumps(obj, ensure_ascii=False)
+    if isinstance(obj, float):
+        return format(float(obj), ".17g")
+    if isinstance(obj, bool) or obj is None:
+        return json.dumps(obj)
+    return str(int(obj))
+
+
+_FLOATS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.sampled_from([0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e22,
+                     float("inf"), float("-inf"), float("nan")]))
+_STRINGS = st.text(st.one_of(st.sampled_from('"\\%\x00\x1f\x7f\n\u00e9\u2028'),
+                             st.characters(codec="utf-8")), max_size=6)
+
+
+@st.composite
+def _tables(draw):
+    """Rows of one length, each column all floats or all strings, as lists
+    or tuples."""
+    kinds = draw(st.lists(st.sampled_from((_FLOATS, _STRINGS)), min_size=1,
+                          max_size=4))
+    rows = draw(st.lists(st.tuples(*kinds), min_size=1, max_size=12))
+    return [list(row) if draw(st.booleans()) else row for row in rows]
+
+
+class TestTables:
+    """A table renders in one pass with the bytes of the value-by-value
+    path; every other value takes that path."""
+
+    @given(_tables(), st.integers(0, 3))
+    @settings(max_examples=200, deadline=None, database=None)
+    def test_table_keeps_the_bytes(self, table, indent):
+        assert cli.dumps(table, indent) == _reference_dumps(table, indent)
+        nested = {"columns": ["a"], "rows": table, "n": len(table)}
+        assert cli.dumps(nested, indent) == _reference_dumps(nested, indent)
+
+    @given(st.lists(st.tuples(_FLOATS, _STRINGS), min_size=1, max_size=12))
+    @settings(max_examples=100, deadline=None, database=None)
+    def test_csv_keeps_the_bytes(self, tmp_path_factory, rows):
+        path = tmp_path_factory.mktemp("csv") / "rows.csv"
+        cli._write_csv(str(path), ("x", "label"), rows)
+        expected = "".join(f"{format(x, '.17g')},{label}\n"
+                           for x, label in rows)
+        assert path.read_bytes().decode() == "x,label\n" + expected
+
+    @pytest.mark.parametrize("rows, text", [
+        ([[1, True, None]], "[\n  [\n    1,\n    true,\n    null\n  ]\n]"),
+        ([[np.float64(0.5), np.float64(-0.0)]],
+         "[\n  [\n    0.5,\n    -0\n  ]\n]"),
+        ([[1.0], [2.0, 3.0]],
+         "[\n  [\n    1\n  ],\n  [\n    2,\n    3\n  ]\n]"),
+        ([[], []], "[\n  [],\n  []\n]"),
+        ([[0.5], ["a"]], '[\n  [\n    0.5\n  ],\n  [\n    "a"\n  ]\n]'),
+    ], ids=["int-bool-null", "numpy-floats", "ragged", "empty-rows",
+            "mixed-column"])
+    def test_other_rows_take_the_value_path(self, rows, text):
+        assert cli._render_rows(rows, "", ",", "", "\n", str) is None
+        assert cli.dumps(rows) == text == _reference_dumps(rows)
 
 
 class TestReports:

@@ -234,20 +234,30 @@ class TestNewton:
         assert all(0.0 < lam <= 1.0 for lam in sol.damping)
 
 
-@pytest.fixture(scope="module")
-def cubic_fine_solves(cubic):
-    """cubic's Newton solutions at eps = 2^-9 on N = 2^12..2^16 cells,
-    seeded from u_as, with their distance to it."""
+def _cubic_solves(cubic, eps, sizes):
+    """cubic's Newton solutions at eps on each N of sizes, seeded from
+    u_as, with their distance to it, by N."""
     spec, loc, kk = cubic
-    eps = 2.0 ** -9
     e = build_expansion(spec, p=0.0, eps=eps, loc=loc, kink=kk)
     spec_eps = problem.builtin_problem("cubic", eps=eps)
     solves = {}
-    for N in (2 ** m for m in range(12, 17)):
+    for N in sizes:
         sol = solver.newton_solve(spec_eps, solver.build_mesh(loc, eps, N),
                                   e.u_as)
         solves[N] = (sol, solver.compare(sol, e.u_as)[0])
     return solves
+
+
+def _asymmetry(u):
+    """max|u + u[::-1] - 1|: 0 for cubic's exact discrete solution, as
+    b(1 - x, 1 - u) = -b(x, u) and its mesh is symmetric about t0 = 1/2."""
+    return float(np.max(np.abs(u + u[::-1] - 1.0)))
+
+
+@pytest.fixture(scope="module")
+def cubic_fine_solves(cubic):
+    """cubic's solves at eps = 2^-9 on N = 2^12..2^16 cells."""
+    return _cubic_solves(cubic, 2.0 ** -9, [2 ** m for m in range(12, 17)])
 
 
 class TestFineMesh:
@@ -259,10 +269,23 @@ class TestFineMesh:
         assert max(d_max) <= 1.05 * min(d_max)
 
     def test_symmetric_problem_has_symmetric_solution(self, cubic_fine_solves):
-        """b(1 - x, 1 - u) = -b(x, u) on the cubic, and its mesh is
-        symmetric about t0 = 1/2."""
-        u = cubic_fine_solves[2 ** 13][0].values
-        assert float(np.max(np.abs(u + u[::-1] - 1.0))) <= 1e-10
+        assert _asymmetry(cubic_fine_solves[2 ** 13][0].values) <= 1e-10
+
+
+class TestFluxRow:
+    """The residual row is in flux form, so its rounding scales with the
+    differences of u, not with u.  In the three-product form that rounding
+    does not shrink with eps on the layer region's cells, and the layer
+    mode amplifies it by about 1 / eps: the error then grew with N."""
+
+    def test_symmetric_at_small_eps(self, cubic):
+        (sol, _), = _cubic_solves(cubic, 2.0 ** -16, [2 ** 16]).values()
+        assert _asymmetry(sol.values) <= 1e-10
+
+    def test_distance_does_not_grow_with_N(self, cubic):
+        solves = _cubic_solves(cubic, 2.0 ** -14, [2 ** 12, 2 ** 14, 2 ** 16])
+        d_max = [d for _, d in solves.values()]
+        assert d_max == sorted(d_max, reverse=True)
 
 
 class TestCompare:

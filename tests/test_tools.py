@@ -82,6 +82,29 @@ class TestRuns:
             tau = solver.layer_half_width(loc, 0.03125, 2048, solver.C_TAU)
             assert tau == min(loc.t0, 1.0 - loc.t0) / 2.0
 
+    def test_table_writer_runs(self):
+        """On each built-in, every table writer runs in both formats, solve
+        on the oracle workload's largest mesh (2^16 cells) too."""
+        for name in cmp_outputs.BUILTINS:
+            runs = [cmd for cmd in cmp_outputs.RUNS if cmd[1:3] == (
+                "--problem", name)]
+            for writer in ("dump-kink", "dump-corrections", "expand",
+                           "solve"):
+                formats = {"--format" in cmd for cmd in runs
+                           if cmd[0] == writer}
+                assert formats == {False, True}, writer
+            assert ("solve", "--problem", name, "--n", "65536",
+                    "--format", "json") in runs
+            assert ("solve", "--problem", name, "--n", "65536") in runs
+
+    def test_small_eps_runs(self):
+        """On each built-in, a compare run at eps = 2^-16 on 2^16 cells,
+        where the three-product residual row lost symmetry to 1.4e-6."""
+        for name in cmp_outputs.BUILTINS:
+            assert ("compare", "--problem", name, "--eps",
+                    "0.0000152587890625", "--n", "65536") in cmp_outputs.RUNS
+        assert float("0.0000152587890625") == 2.0 ** -16
+
     def test_mesh_break_runs(self, actx):
         """On each built-in, runs whose meshes have breaks t0 -+ tau (a fine
         mesh at eps = 2^-9), t0 (N/2 odd; the region is capped at the

@@ -29,15 +29,21 @@ BUILTINS = ("cubic", "cubic-wavy")
 
 #: per built-in problem, the arguments after `--problem NAME`; at
 #: eps = 2^-5 the layer region of expand's U_trunc is capped at
-#: min(t0, 1 - t0) / 2.  The last three runs reach the mesh's breaks, where
-#: the scheme drops the compact average: t0 -+ tau on a fine mesh at
-#: eps = 2^-9, t0 with N/2 odd, and none on the uniform mesh
+#: min(t0, 1 - t0) / 2.  Every table writer runs in both formats, solve on
+#: the oracle workload's largest mesh too, and compare runs at eps = 2^-16,
+#: where the rounding of the residual row shows.  The last three runs reach
+#: the mesh's breaks, where the scheme drops the compact average: t0 -+ tau
+#: on a fine mesh at eps = 2^-9, t0 with N/2 odd, and none on the uniform
+#: mesh
 PER_PROBLEM = (
     ("check",),
     ("locate",),
     ("dump-kink",),
+    ("dump-kink", "--format", "json"),
     ("dump-corrections", "--p", "0.003"),
+    ("dump-corrections", "--p", "0.003", "--format", "json"),
     ("expand",),
+    ("expand", "--format", "json"),
     ("expand", "--p", "0.003", "--pprime", "0.0003", "--hhat", "0.1"),
     ("expand", "--eps", "0.03125", "--n", "2048"),
     ("phi",),
@@ -46,7 +52,10 @@ PER_PROBLEM = (
     ("fbeta",),
     ("monotone",),
     ("solve", "--n", "2048", "--format", "json"),
+    ("solve", "--n", "65536", "--format", "json"),
+    ("solve", "--n", "65536"),
     ("compare", "--n", "4096"),
+    ("compare", "--eps", "0.0000152587890625", "--n", "65536"),
     ("compare", "--eps", "0.001953125", "--n", "8192"),
     ("solve", "--n", "2050", "--format", "json"),
     ("solve", "--mesh", "uniform", "--n", "2048", "--format", "json"),
