@@ -8,7 +8,8 @@ perturbation shapes) solve the same two-branch jump problem
 
 whose explicit solution by variation of parameters uses the profile weight
 chi as the decaying homogeneous solution.  The nested double integral is
-evaluated with running trapezoid sums on a graded grid (O(n)), and the
+evaluated with running endpoint-corrected trapezoid sums on a graded grid
+(O(n), fourth order: each cell also reads the integrand's slopes), and the
 derivative jump at 0 comes from the quadrature identity
 
     Phi[nu] = ( -int psi chi + (jump_minus - jump_plus) chi'(0) ) / chi(0),
@@ -31,14 +32,15 @@ from .grids import graded_half_grid, hermite_quintic, one_sided_derivative
 from .kink import KinkProfile, P_STAR, build_kink
 from .locator import DegenerateRoot, LayerLocation, locate_t0
 from .problem import ProblemSpec, chain_rule
-from .quadrature import adaptive_gl, cumtrapz_from_zero, cumtrapz_to_end
+from .quadrature import adaptive_gl, cumulative_corrected
 
 #: default graded grid for correction tables; the range runs far beyond the
 #: profile table because the corrections carry polynomial factors (up to
 #: quartic) on top of the exponential decay and the tail-rate fits need the
 #: polynomial bias 1/|xi| to be small across the fit window; the density is
-#: set by the running trapezoid sums needing ~1e-7 accuracy mid-range
-GRID_N_PER_SIDE = 40000
+#: set by the fourth-order running sums of _half_line: at this density the
+#: built-ins' jump values agree with the same rule on 160 000 nodes to 4e-14
+GRID_N_PER_SIDE = 10000
 GRID_SPACING0 = 2.5e-4
 GRID_RANGE_FACTOR = 82.0
 
@@ -299,16 +301,24 @@ def _half_line(s, chi, dchi, psi, bs, mu, nu0, chi0):
 
         nu(s) = chi(s) [nu0 / chi0 + int_0^s chi^-2 int_t^inf chi psi].
 
-    The inner integral starts from the analytic tail of chi*psi past the
-    grid and is summed from the far end, so its exponentially small values
-    survive the chi^-2 weight; the outer one is summed outward from 0.
+    Both integrals are endpoint-corrected trapezoid sums, each cell reading
+    the integrand's slopes.  The inner integrand g = chi psi has the slope
+    dchi psi + chi psi', with psi' by second-order differences on the grid;
+    the outer one, q = inner / chi^2, has the exact slope
+    -(psi + 2 q dchi) / chi from the equation (a chi^3 form would
+    underflow where chi is tiny).  The inner integral starts from the
+    analytic tail of chi*psi past the grid and is summed from the far end,
+    so its exponentially small values survive the chi^-2 weight; the outer
+    one is summed outward from 0.
     Returns the table (s, nu, nu', nu'') of the CorrectionTerm branch, its
     values exactly nu0 at s = 0, and the integral of chi*psi over the
     half-line.
     """
     g = chi * psi
-    inner = cumtrapz_to_end(g, s) + g[-1] / (2.0 * mu)
-    outer = cumtrapz_from_zero(inner / (chi * chi), s)
+    dg = dchi * psi + chi * np.gradient(psi, s, edge_order=2)
+    inner = cumulative_corrected(g, dg, s, to_end=True) + g[-1] / (2.0 * mu)
+    q = inner / (chi * chi)
+    outer = cumulative_corrected(q, -(psi + 2.0 * q * dchi) / chi, s)
     val = chi * outer + (nu0 / chi0) * chi
     val[0] = nu0
     d1 = dchi * outer + (nu0 / chi0) * dchi + inner / chi

@@ -151,13 +151,20 @@ def _number(data: dict, key: str) -> float:
 
 
 def problem_from_dict(data: dict) -> ProblemSpec:
-    """A problem instance whose roots, and b on the outer roots, are finite
-    at both ends of the domain."""
+    """A problem instance whose name encodes as UTF-8 (every output echoes
+    it) and whose roots, and b on the outer roots, are finite at both ends
+    of the domain."""
     missing = [f for f in _REQUIRED_FIELDS if f not in data]
     if missing:
         raise ProblemError(f"problem file missing fields: {', '.join(missing)}")
+    name = str(data["name"])
+    try:
+        name.encode("utf-8")
+    except UnicodeEncodeError as err:
+        raise ProblemError(
+            f"field 'name' is not valid UTF-8: {name!r}") from err
     spec = ProblemSpec(
-        name=str(data["name"]),
+        name=name,
         b=ex.parse(str(data["b"])),
         phi0=ex.parse(str(data["phi0"])),
         phi1=ex.parse(str(data["phi1"])),

@@ -1,7 +1,9 @@
-"""Gauss-Legendre quadrature helpers.
+"""Quadrature helpers: Gauss-Legendre rules, composite Simpson, and the
+running endpoint-corrected trapezoid of the correction tables.
 
 All integrands handled here are smooth; adaptivity is by interval bisection
-with a two-level error estimate.
+with a two-level error estimate.  The running rule reads each integrand's
+slopes at the nodes beside its values.
 """
 
 from __future__ import annotations
@@ -79,26 +81,26 @@ def composite_simpson(f, a: float, b: float, n: int) -> float:
     return h / 3.0 * float(y[0] + y[-1] + 4.0 * y[1:-1:2].sum() + 2.0 * y[2:-1:2].sum())
 
 
-def cumtrapz_from_zero(y: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Running trapezoid integral anchored at the first node.
+def cumulative_corrected(y: np.ndarray, dy: np.ndarray, x: np.ndarray,
+                         to_end: bool = False) -> np.ndarray:
+    """Running endpoint-corrected trapezoid integral of y, given its slopes dy.
 
-    Returns z with z[0] = 0 and z[i] = integral of y from x[0] to x[i].
+    Each cell [x0, x1] of width h adds h/2 (y0 + y1) + h^2/12 (y0' - y1'),
+    the integral of the cubic Hermite interpolant of (y, y') on the cell
+    (Euler-Maclaurin's first correction), so the rule is exact for cubics
+    and its error is O(h^4) on any graded grid.  Returns z with z[0] = 0
+    and z[i] = integral of y from x[0] to x[i]; with to_end, z[-1] = 0 and
+    z[i] = integral of y from x[i] to x[-1], accumulated from the far end
+    so that exponentially small tail values keep full relative accuracy
+    (no large-minus-large cancellation).
     """
+    h = np.diff(x)
+    inc = h * (0.5 * (y[1:] + y[:-1]) + (h / 12.0) * (dy[:-1] - dy[1:]))
     z = np.empty_like(y)
-    z[0] = 0.0
-    np.cumsum(0.5 * (y[1:] + y[:-1]) * np.diff(x), out=z[1:])
-    return z
-
-
-def cumtrapz_to_end(y: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Running trapezoid integral anchored at the last node.
-
-    Returns z with z[-1] = 0 and z[i] = integral of y from x[i] to x[-1],
-    accumulated from the far end so that exponentially small tail values
-    keep full relative accuracy (no large-minus-large cancellation).
-    """
-    inc = 0.5 * (y[1:] + y[:-1]) * np.diff(x)
-    z = np.empty_like(y)
-    z[-1] = 0.0
-    z[:-1] = np.cumsum(inc[::-1])[::-1]
+    if to_end:
+        z[-1] = 0.0
+        z[:-1] = np.cumsum(inc[::-1])[::-1]
+    else:
+        z[0] = 0.0
+        np.cumsum(inc, out=z[1:])
     return z

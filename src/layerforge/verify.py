@@ -25,6 +25,9 @@ from . import solver as solver_mod
 #: factor on every constant fitted at the coarsest parameter
 FIT_INFLATION = 1.05
 
+#: uniform points of a tail-rate fit's window
+FIT_POINTS = 200
+
 #: shared epsilon ladder for comparable order fits
 EPS_LADDER = tuple(2.0 ** -k for k in range(4, 11))
 
@@ -287,16 +290,30 @@ def decay_fit(xi: np.ndarray, values: np.ndarray) -> float:
     order = np.argsort(a_xi[mask])
     s = a_xi[mask][order]
     logv = np.log(np.abs(values[mask][order]))
-    s_u = np.linspace(s[0], s[-1], 200)
+    s_u = np.linspace(s[0], s[-1], FIT_POINTS)
     logv_u = np.interp(s_u, s, logv)
     slope, _ = np.polyfit(s_u, logv_u, 1)
     return float(-slope)
 
 
 def term_decay_rate(term: CorrectionTerm) -> float:
-    """Conservative (slower) decay rate over the two branches of a term."""
-    return min(decay_fit(term.xi_neg, term.val_neg),
-               decay_fit(term.xi_pos, term.val_pos))
+    """Conservative (slower) decay rate over the two branches of a term.
+
+    Each branch is fitted as decay_fit fits a table, on the window
+    [Xi/2, 0.9 Xi], but from the term's quintic interpolant at FIT_POINTS
+    uniform points: a line through log|nu| between the table's nodes would
+    tie the rate to their spacing.
+    """
+    hi = float(term.pos[0][-1])
+    s = np.linspace(0.5 * hi, 0.9 * hi, FIT_POINTS)
+    rates = []
+    for side in (-1, 1):
+        mag = np.abs(term.value(side * s, side))
+        keep = mag > 1e-280
+        if keep.sum() < 4:
+            raise AllZeros("tail window has no usable values to fit")
+        rates.append(-float(np.polyfit(s[keep], np.log(mag[keep]), 1)[0]))
+    return min(rates)
 
 
 def decay_rates(kink: KinkProfile, terms: dict) -> tuple[dict, float, bool]:

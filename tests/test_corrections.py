@@ -8,6 +8,7 @@ from layerforge import corrections, problem, solver
 from layerforge import expr as ex
 from layerforge.grids import graded_half_grid, local_poly_derivative
 from layerforge.quadrature import adaptive_gl
+from layerforge.verify import P_SWEEP
 
 SQ2 = math.sqrt(2.0)
 
@@ -189,6 +190,37 @@ class TestPhi:
         closed = -(v0m ** 2 + v0p ** 2) / (2.0 * vs.chi0)
         assert vs.phi_value == pytest.approx(closed, abs=1e-6)
         assert vs.phi_value == pytest.approx(-SQ2, abs=1e-6)
+
+    @pytest.fixture(scope="class")
+    def cubic_p_sweep(self, cubic):
+        """(s, V, Phi[v1], Phi[v*]) on the cubic at each p of P_SWEEP,
+        with s = p - tbar1 the profile's argument at the layer point and
+        V = 1 / (1 + e^{-s/sqrt 2}) the profile there."""
+        spec, loc, kk = cubic
+        rows = []
+        for p in P_SWEEP:
+            aux = corrections.make_auxiliary(spec, kk, loc, p)
+            points = aux.branches()
+            s = p - aux.tbar1
+            rows.append((s, 1.0 / (1.0 + math.exp(-s / SQ2)),
+                         corrections.build_v1(aux, points).phi_value,
+                         corrections.build_vstar(aux, points).phi_value))
+        return rows
+
+    def test_phi_vstar_closed_form_over_the_p_sweep(self, cubic_p_sweep):
+        """ROADMAP item 12's closed form on the cubic,
+        Phi[v*](p) = -sqrt 2 (V^2 + (1-V)^2) / (2 V (1-V)); a plain
+        trapezoid on 40 000 nodes misses it by 7.95e-9."""
+        for _, V, _, phi in cubic_p_sweep:
+            closed = -SQ2 * (V * V + (1.0 - V) ** 2) / (2.0 * V * (1.0 - V))
+            assert abs(phi - closed) <= 1e-12
+
+    def test_phi_v1_closed_form_over_the_p_sweep(self, cubic_p_sweep):
+        """ROADMAP item 12's closed form on the cubic,
+        Phi[v1](p) = sqrt 2 s / (12 V (1-V)); a plain trapezoid on
+        40 000 nodes misses it by 7.1e-12."""
+        for s, V, phi, _ in cubic_p_sweep:
+            assert abs(phi - SQ2 * s / (12.0 * V * (1.0 - V))) <= 1e-13
 
     def test_phi_z_vanishes(self, cubic_terms, wavy_terms):
         for _, terms in (cubic_terms, wavy_terms):

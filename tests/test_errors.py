@@ -100,3 +100,18 @@ def test_problem_file_ends_in_a_result_or_one_typed_line(tmp_path_factory,
     cls = cli.UsageError if name == "usage error" else BY_NAME.get(name)
     assert (code == 2) == (cls is not None and issubclass(cls, InputError)), \
         line
+
+
+def test_name_that_is_not_utf8_is_one_typed_line(tmp_path):
+    """A lone surrogate is valid JSON, and every output echoes the name: on
+    a UTF-8 stdout the run ended in a UnicodeEncodeError traceback."""
+    path = tmp_path / "surrogate.json"
+    path.write_text(json.dumps(dict(problem.BUILTIN_PROBLEMS["cubic"],
+                                    name="cubic-\ud800")))
+    out = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
+    err = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["locate", "--problem", str(path)])
+    assert code == 2
+    assert err.getvalue() == ("ProblemError: field 'name' is not valid "
+                              "UTF-8: 'cubic-\\ud800'\n")

@@ -1,4 +1,5 @@
 import importlib.util
+import json
 import subprocess
 from pathlib import Path
 
@@ -50,6 +51,55 @@ class TestCompare:
         old, new = self._run("t1 1.5\n"), self._run("t1 1.25\n")
         assert cmp_outputs.compare(old, new) == "max abs 0.25, max rel 0.167"
         assert cmp_outputs.compare(old, old) == "identical"
+
+
+class TestClassifyMoves:
+    def test_each_kind_against_the_reference(self):
+        old = "gap 7.950e-09, K 5.489e-14, z 6.1e-19, t 2, w 0.5\n"
+        new = "gap 7.883e-14, K 5.303e-14, z 1.2e-18, t 2, w 0.7\n"
+        ref = "gap 1.200e-14, K 5.300e-14, z 0, t 3, w 0.55\n"
+        assert cmp_outputs.classify_moves(old, new, ref) == [
+            ("toward", "7.950e-09", "7.883e-14", "1.200e-14"),
+            ("roundoff", "5.489e-14", "5.303e-14", "5.300e-14"),
+            ("roundoff", "6.1e-19", "1.2e-18", "0"),
+            ("away", "0.5", "0.7", "0.55")]
+
+    def test_roundoff_needs_both_trees_near_the_reference(self):
+        """A number that was far from the reference and is now within
+        ROUNDOFF of it moved toward it; one that was within ROUNDOFF and
+        left it moved away."""
+        moves = cmp_outputs.classify_moves("a 1e-9 b 0\n", "a 1e-14 b 1e-12\n",
+                                           "a 0 b 0\n")
+        assert [m[0] for m in moves] == ["toward", "away"]
+
+    def test_nan_is_away_and_other_text_is_none(self):
+        assert cmp_outputs.classify_moves("x 1\n", "x nan\n", "x 1\n") == [
+            ("away", "1", "nan", "1")]
+        assert cmp_outputs.classify_moves("x 1\n", "x 2\n", "y 2\n") is None
+
+    def test_judge_counts_and_lists_the_away_numbers(self):
+        run = TestCompare._run
+        more, away, ok = cmp_outputs.judge(run("a 1 b 2\n"), run("a 3 b 5\n"),
+                                           run("a 3 b 2\n"))
+        assert more == "; 1 toward, 0 roundoff, 1 away"
+        assert away == ["    away: 2 -> 5 (reference 2)"]
+        assert not ok
+
+    def test_judge_classifies_stderr_numbers_too(self):
+        run = TestCompare._run
+        old = run("", 1, "Underflow: 0 from s = 69.24\n")
+        new = run("", 1, "Underflow: 0 from s = 69.25\n")
+        more, away, ok = cmp_outputs.judge(old, new, old)
+        assert more == "; 0 toward, 0 roundoff, 1 away"
+        assert away == ["    away: 69.24 -> 69.25 (reference 69.24)"]
+        assert not ok
+
+    def test_judge_holds_a_changed_exit_code_to_the_reference(self):
+        run = TestCompare._run
+        old = run("", 1, "UnicodeEncodeError\n")
+        new = run("", 2, "ProblemError: name\n")
+        assert cmp_outputs.judge(old, new, new)[2]
+        assert not cmp_outputs.judge(old, new, old)[2]
 
 
 class TestRuns:
@@ -131,6 +181,9 @@ class TestRuns:
         assert cmp_outputs.RUNS[-len(errors):] == errors
         files = {cmd[2] for cmd in errors}
         assert files - set(cmp_outputs.ERROR_FILES) == {"no-such"}
+        name = json.loads(cmp_outputs.ERROR_FILES["surrogate.json"])["name"]
+        with pytest.raises(UnicodeEncodeError):
+            name.encode("utf-8")
 
     def test_usage_runs(self, capsys):
         """Arguments out of range are runs too, so a parent comparison

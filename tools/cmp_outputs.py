@@ -1,6 +1,6 @@
 """Compare the checked CLI outputs of this tree with a parent checkout.
 
-    python tools/cmp_outputs.py PARENT_CHECKOUT
+    python tools/cmp_outputs.py PARENT_CHECKOUT [--reference CHECKOUT]
 
 runs every command of RUNS with `python -m layerforge` once on this tree's
 `src/` and once on PARENT_CHECKOUT's `src/`, both from a temporary directory
@@ -11,6 +11,19 @@ largest absolute and relative difference over the numbers of stdout (the
 text around the numbers must match), or what else differs; a text that
 differs comes with the line counts of both stdouts.  The exit status is 0
 when every run is identical and 1 otherwise.
+
+With --reference, a change that is meant to move numbers is judged against
+a reference checkout (say, the same code on a finer grid): every run that
+is not identical also runs on the reference's `src/`.  Each number that
+moved is "roundoff" when both the parent's and this tree's value lie within
+ROUNDOFF of the reference's, else "toward" or "away" as this tree's value
+is nearer to the reference's than the parent's or not, on stdout and
+stderr alike.  The verdict line gains the counts, and a line follows for
+every number that moved away.  A run whose exit code or stderr text
+changed must match the reference's in both; a stdout whose text changed
+(a table on another grid) is reported only.  The exit status is then 1
+when a number moved away or such a run differs from the reference's, and
+0 otherwise.
 """
 
 from __future__ import annotations
@@ -109,13 +122,15 @@ ERROR_FILES = {
     "parse-error.json": json.dumps(dict(CURVED, b=CURVED["b"] + "$")),
     "steep-tail.json": json.dumps(UNDERFLOW),
     "overflow.json": json.dumps(dict(CURVED, phi2="1/1e300^-1")),
+    "surrogate.json": json.dumps(dict(CURVED, name="gen-curved-\ud800")),
 }
 
 #: a malformed file, a parse error, an unknown built-in, a weight underflow,
-#: a reaction that overflows on a root
+#: a reaction that overflows on a root, a name that is not UTF-8 (a lone
+#: surrogate is valid JSON)
 ERROR_RUNS = tuple(("locate", "--problem", name) for name in (
     "malformed.json", "parse-error.json", "no-such", "steep-tail.json",
-    "overflow.json"))
+    "overflow.json", "surrogate.json"))
 
 #: on the cubic, arguments out of range: each run ends in a usage error line
 USAGE_RUNS = tuple((cmd[0], "--problem", "cubic", *cmd[1:]) for cmd in (
@@ -155,6 +170,56 @@ def number_diff(a: str, b: str):
     return worst_abs, worst_rel
 
 
+#: a moved number within this of the reference on both trees is roundoff
+ROUNDOFF = 1e-13
+
+
+def classify_moves(old: str, new: str, ref: str):
+    """(kind, parent, this tree, reference) for each number that moved from
+    `old` to `new`, as the texts print them, with kind "roundoff", "toward"
+    or "away" (see the module docstring); None unless the three texts match
+    once their numbers are blanked out.  A NaN that appears or a reference
+    that is NaN counts as away."""
+    if not (_NUMBER.sub("#", old) == _NUMBER.sub("#", new)
+            == _NUMBER.sub("#", ref)):
+        return None
+    moves = []
+    for x, y, z in zip(*(_NUMBER.findall(text) for text in (old, new, ref))):
+        u, v, r = float(x), float(y), float(z)
+        if u == v or (math.isnan(u) and math.isnan(v)):
+            continue
+        if abs(v - r) <= ROUNDOFF and abs(u - r) <= ROUNDOFF:
+            kind = "roundoff"
+        elif abs(v - r) < abs(u - r):
+            kind = "toward"
+        else:
+            kind = "away"
+        moves.append((kind, x, y, z))
+    return moves
+
+
+def judge(old: subprocess.CompletedProcess, new: subprocess.CompletedProcess,
+          ref: subprocess.CompletedProcess) -> tuple[str, list, bool]:
+    """What a run that is not identical says against the reference: the
+    text to add to its verdict, the lines to print under it, and whether
+    it passes."""
+    errs = classify_moves(old.stderr, new.stderr, ref.stderr)
+    if old.returncode != new.returncode or errs is None:
+        same = (new.returncode, new.stderr) == (ref.returncode, ref.stderr)
+        return ("; exit code and stderr as the reference's" if same
+                else "; exit code or stderr not the reference's"), [], same
+    outs = classify_moves(old.stdout, new.stdout, ref.stdout)
+    moves = errs + (outs or [])
+    counts = {kind: sum(m[0] == kind for m in moves)
+              for kind in ("toward", "roundoff", "away")}
+    away = [f"    away: {u} -> {v} (reference {r})"
+            for kind, u, v, r in moves if kind == "away"]
+    more = "; " + ", ".join(f"{n} {kind}" for kind, n in counts.items())
+    if outs is None:
+        more += "; stdout text not comparable with the reference"
+    return more, away, not away
+
+
 def run(src: Path, args, cwd) -> subprocess.CompletedProcess:
     env = dict(os.environ, PYTHONPATH=str(src))
     return subprocess.run([sys.executable, "-m", "layerforge", *args],
@@ -182,19 +247,29 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path,
                         help="checkout of the parent commit")
+    parser.add_argument("--reference", type=Path,
+                        help="checkout whose numbers the moved ones are "
+                             "judged against")
     args = parser.parse_args(argv)
     here = Path(__file__).resolve().parent.parent / "src"
     there = args.parent.resolve() / "src"
-    same = True
+    passed = True
     with tempfile.TemporaryDirectory() as tmp:
         for name, text in {CURVED_FILE: json.dumps(CURVED),
                            **ERROR_FILES}.items():
             Path(tmp, name).write_text(text, encoding="utf-8")
         for cmd in RUNS:
-            verdict = compare(run(there, cmd, tmp), run(here, cmd, tmp))
-            same &= verdict == "identical"
-            print(f"{' '.join(cmd)}: {verdict}", flush=True)
-    return 0 if same else 1
+            old, new = run(there, cmd, tmp), run(here, cmd, tmp)
+            verdict, away = compare(old, new), []
+            if verdict != "identical" and args.reference is None:
+                passed = False
+            elif verdict != "identical":
+                ref = run(args.reference.resolve() / "src", cmd, tmp)
+                more, away, ok = judge(old, new, ref)
+                verdict += more
+                passed &= ok
+            print(f"{' '.join(cmd)}: {verdict}", *away, sep="\n", flush=True)
+    return 0 if passed else 1
 
 
 if __name__ == "__main__":
