@@ -125,9 +125,8 @@ def criterion_02_layer_location(ctx: AcceptanceContext):
     spec, loc, _ = ctx.pipeline("cubic")
     yield _within("|t0 - 0.5| = ", abs(loc.t0 - 0.5), C02_T0_TOL)
     yield _within("|C_I - 1/12| = ", abs(loc.C_I - 1.0 / 12.0), C02_CI_TOL)
-    spec_f = problem.problem_from_dict(dict(
-        problem.BUILTIN_PROBLEMS["cubic"], name="cubic-flipped",
-        b="u*(u-(0.25+0.5*x))*(u-1)", phi0="0.25+0.5*x"))
+    spec_f = problem.problem_from_dict(
+        problem.REFERENCE_PROBLEMS["cubic-flipped"])
     try:
         locator.locate_t0(spec_f)
         raised = False

@@ -328,17 +328,17 @@ def _half_line(s, chi, dchi, psi, bs, mu, nu0, chi0):
 def _check_weight(s, chi, side, mu, label):
     """Reject a branch whose weight chi underflows to 0 on the grid.
 
-    chi decays monotonically in its exponential tail, so the grid end is
-    the first node to underflow.  The grid's range follows the smaller
-    tail rate (GRID_RANGE_FACTOR / gamma_bar), so a branch with a much
-    steeper tail can reach it.
+    chi decays monotonically in its exponential tail, so the grid end
+    underflows whenever any node does; the error line names that end,
+    not the first zero node, which moves with the node count.  The grid's
+    range follows the smaller tail rate (GRID_RANGE_FACTOR / gamma_bar),
+    so a branch with a much steeper tail can reach it.
     """
     if chi[-1] > 0.0:
         return
-    first = float(s[np.argmax(~(chi > 0.0))])
     raise WeightUnderflow(
         f"profile weight of the {'plus' if side > 0 else 'minus'} branch "
-        f"of {label!r} is 0 from s = {first:.4g} to the grid end at "
+        f"of {label!r} underflows to 0 before the grid end at "
         f"{s[-1]:.4g} (tail rate {mu:.4g})")
 
 

@@ -36,11 +36,23 @@ GAMMA_MARGIN = 0.01
 MIN_GRID = 16
 CHECK_GRID = 256
 
+_PROBLEMS_DIR = Path(__file__).with_name("problems")
+
+
+def _problems_in(directory: Path) -> dict:
+    """The dict of each <name>.json directly in directory, by name in name
+    order (the glob does not descend into subdirectories)."""
+    return {path.stem: json.loads(path.read_text(encoding="utf-8"))
+            for path in sorted(directory.glob("*.json"),
+                               key=lambda path: path.stem)}
+
+
 #: the shipped instances, one per problems/<name>.json, in name order
-BUILTIN_PROBLEMS = {
-    path.stem: json.loads(path.read_text(encoding="utf-8"))
-    for path in sorted(Path(__file__).with_name("problems").glob("*.json"),
-                       key=lambda path: path.stem)}
+BUILTIN_PROBLEMS = _problems_in(_PROBLEMS_DIR)
+
+#: the further problems the checks reach, one per
+#: problems/reference/<name>.json: no CLI name, each runs by its path
+REFERENCE_PROBLEMS = _problems_in(_PROBLEMS_DIR / "reference")
 
 
 class ProblemError(InputError):

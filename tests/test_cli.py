@@ -326,9 +326,7 @@ class TestReports:
         assert payload["checks"]["A5"]["passed"] is None
 
     def test_check_fails_on_bad_problem(self, capsys, tmp_path):
-        bad = dict(name="bad", b="u*(u-(0.75-0.5*x))*(u-1)",
-                   phi0="0.75-0.5*x", phi1="0", phi2="1",
-                   g0=0.0, g1=0.5, epsilon=0.01)
+        bad = dict(problem.BUILTIN_PROBLEMS["cubic"], name="bad", g1=0.5)
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(bad))
         code, out = run(capsys, "check", "--problem", str(path))

@@ -68,8 +68,22 @@ class TestSolveJump:
         # before the check, compute_matching returned t2 = nan
         spec = problem.problem_from_dict(underflow_data)
         with pytest.raises(corrections.WeightUnderflow,
-                           match="plus branch of 'v1' is 0 from s = 69"):
+                           match="plus branch of 'v1' underflows to 0 before "
+                                 "the grid end at 87.2 "):
             corrections.locate_and_match(spec)
+
+    def test_weight_underflow_line_keeps_to_the_grid_range(
+            self, underflow_data, monkeypatch):
+        """The error line names the grid end, which the range sets, and
+        not the first zero node, which moves with the node count."""
+        spec = problem.problem_from_dict(underflow_data)
+        lines = []
+        for n in (10000, 40000):
+            monkeypatch.setattr(corrections, "GRID_N_PER_SIDE", n)
+            with pytest.raises(corrections.WeightUnderflow) as err:
+                corrections.locate_and_match(spec)
+            lines.append(str(err.value))
+        assert lines[0] == lines[1]
 
     def test_cubic_branches_keep_their_parity(self, cubic_terms):
         """On the symmetric cubic v1, v2 and z are odd and vstar is even;

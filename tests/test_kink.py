@@ -20,6 +20,12 @@ FLAT = {"name": "flat", "b": "(1+1.0*x^2)*u*(u-(0.5-0.5*(x-0.6)))*(u-1)",
         "phi0": "(0.5-0.5*(x-0.6))", "phi1": "0", "phi2": "1",
         "g0": 0.0, "g1": 1.0, "epsilon": 0.01}
 
+#: a quintic whose extra reduced roots between the outer ones make the
+#: potential dip below 0
+DIPPING = dict(problem.BUILTIN_PROBLEMS["cubic"],
+               b="u*(u-0.05)*(u-0.45)*(u-(0.9-0.5*x))*(u-1)",
+               phi0="0.9-0.5*x")
+
 
 class TestBuild:
     def test_matches_logistic_on_probe_grid(self, cubic):
@@ -81,17 +87,13 @@ class TestBuild:
                                                              up[k]]))
 
 
-#: bistable with tail rates 0.94 and 10.8: the upper side's nodes reach
-#: SWITCH_EPS from the root at xi = 2.08, well inside xi_max = 20 / 0.94
-UNEQUAL = dict(problem.BUILTIN_PROBLEMS["cubic"],
-               b="u*(u-(0.88426-0.1*(x-0.5)))*(u-1)*(1+1000*u^20)",
-               phi0="0.88426-0.1*(x-0.5)")
-
-
 class TestUnequalRates:
     @pytest.fixture(scope="class")
-    def unequal(self):
-        spec = problem.problem_from_dict(UNEQUAL)
+    def unequal(self, underflow_data):
+        """Bistable with tail rates 0.94 and 10.8: the upper side's nodes
+        reach SWITCH_EPS from the root at xi = 2.08, well inside
+        xi_max = 20 / 0.94."""
+        spec = problem.problem_from_dict(underflow_data)
         loc = locator.locate_t0(spec)
         return spec, loc, kink.build_kink(spec, loc)
 
@@ -236,10 +238,7 @@ class TestIntegrateKink:
             assert np.max(np.abs(b - spec.b_val(loc.t0, v))) <= 1e-15
 
     def test_nonpositive_potential_sets_status(self):
-        data = dict(problem.BUILTIN_PROBLEMS["cubic"],
-                    b="u*(u-0.05)*(u-0.45)*(u-(0.9-0.5*x))*(u-1)",
-                    phi0="0.9-0.5*x")
-        spec = problem.problem_from_dict(data)
+        spec = problem.problem_from_dict(DIPPING)
         loc = locator.locate_t0(spec)
         statuses = [result[5] for _, result in _sides(spec, loc)]
         assert 1 in statuses
@@ -352,11 +351,7 @@ class TestFailureModes:
             kink.build_kink(spec, loc)
 
     def test_negative_potential(self):
-        # extra reduced roots between the outer ones make the potential dip
-        data = dict(problem.BUILTIN_PROBLEMS["cubic"],
-                    b="u*(u-0.05)*(u-0.45)*(u-(0.9-0.5*x))*(u-1)",
-                    phi0="0.9-0.5*x")
-        spec = problem.problem_from_dict(data)
+        spec = problem.problem_from_dict(DIPPING)
         loc = locator.locate_t0(spec)
         with pytest.raises(kink.PotentialNegative):
             kink.build_kink(spec, loc)

@@ -37,7 +37,8 @@ class TestLocate:
         assert loc.gamma_bar == pytest.approx(math.sqrt(0.5), abs=1e-12)
 
     def test_flipped_orientation_rejected(self):
-        spec = variant(b="u*(u-(0.25+0.5*x))*(u-1)", phi0="0.25+0.5*x")
+        spec = problem.problem_from_dict(
+            problem.REFERENCE_PROBLEMS["cubic-flipped"])
         with pytest.raises(locator.WrongOrientation):
             locator.locate_t0(spec)
 

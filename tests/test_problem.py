@@ -1,4 +1,6 @@
+import importlib.util
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,16 +9,17 @@ from layerforge import expr as ex
 from layerforge import problem
 from layerforge.expr import ParseError
 
-CUBIC_JSON = {
-    "name": "cubic",
-    "b": "u*(u-(0.75-0.5*x))*(u-1)",
-    "phi0": "0.75-0.5*x",
-    "phi1": "0",
-    "phi2": "1",
-    "g0": 0.0,
-    "g1": 1.0,
-    "epsilon": 0.01,
-}
+CUBIC = problem.BUILTIN_PROBLEMS["cubic"]
+
+REFERENCE_DIR = Path(problem.__file__).with_name("problems") / "reference"
+
+#: the benchmark's problem generator, loaded from its file
+_GEN_PATH = (Path(__file__).resolve().parent.parent / "perfbench"
+             / "problems.py")
+_GEN_SPEC = importlib.util.spec_from_file_location("perfbench_problems",
+                                                   _GEN_PATH)
+generated = importlib.util.module_from_spec(_GEN_SPEC)
+_GEN_SPEC.loader.exec_module(generated)
 
 
 def write(tmp_path, data, raw=None):
@@ -27,14 +30,14 @@ def write(tmp_path, data, raw=None):
 
 class TestLoad:
     def test_cubic_file_loads(self, tmp_path):
-        spec = problem.load_problem(write(tmp_path, CUBIC_JSON))
+        spec = problem.load_problem(write(tmp_path, CUBIC))
         assert spec.name == "cubic"
         assert spec.eps == 0.01
         report = problem.check_assumptions(spec)
         assert report.all_passed()
 
     def test_bad_boundary_value_loads_but_fails_check(self, tmp_path):
-        data = dict(CUBIC_JSON, g1=0.0)
+        data = dict(CUBIC, g1=0.0)
         spec = problem.load_problem(write(tmp_path, data))
         report = problem.check_assumptions(spec)
         assert report.checks["A6"].passed is False
@@ -47,17 +50,17 @@ class TestLoad:
         assert isinstance(exc.value.__cause__, json.JSONDecodeError)
 
     def test_missing_fields(self, tmp_path):
-        data = {k: v for k, v in CUBIC_JSON.items() if k != "phi2"}
+        data = {k: v for k, v in CUBIC.items() if k != "phi2"}
         with pytest.raises(problem.ProblemError, match="phi2"):
             problem.load_problem(write(tmp_path, data))
 
     def test_root_referencing_u_rejected(self, tmp_path):
-        data = dict(CUBIC_JSON, phi0="u")
+        data = dict(CUBIC, phi0="u")
         with pytest.raises(problem.ProblemError, match="may not reference u"):
             problem.load_problem(write(tmp_path, data))
 
     def test_bad_expression_propagates(self, tmp_path):
-        data = dict(CUBIC_JSON, b="u +* x")
+        data = dict(CUBIC, b="u +* x")
         with pytest.raises(ParseError):
             problem.load_problem(write(tmp_path, data))
 
@@ -71,13 +74,13 @@ class TestLoad:
         """Each root, and b on the outer roots, must be finite at both
         ends; the error names the field and the point."""
         with pytest.raises(problem.ProblemError, match=message):
-            problem.problem_from_dict(dict(CUBIC_JSON, **fields))
+            problem.problem_from_dict(dict(CUBIC, **fields))
 
     def test_epsilon_range(self):
         with pytest.raises(problem.ProblemError, match="epsilon"):
-            problem.problem_from_dict(dict(CUBIC_JSON, epsilon=0.0))
+            problem.problem_from_dict(dict(CUBIC, epsilon=0.0))
         with pytest.raises(problem.ProblemError, match="epsilon"):
-            problem.problem_from_dict(dict(CUBIC_JSON, epsilon=1.5))
+            problem.problem_from_dict(dict(CUBIC, epsilon=1.5))
 
     def test_builtin_names(self):
         assert problem.builtin_problem("cubic").name == "cubic"
@@ -86,9 +89,37 @@ class TestLoad:
             problem.builtin_problem("no-such-problem")
 
     def test_resolve_accepts_paths(self, tmp_path):
-        path = write(tmp_path, CUBIC_JSON)
+        path = write(tmp_path, CUBIC)
         spec = problem.resolve_problem(str(path), eps=0.02)
         assert spec.eps == 0.02
+
+
+class TestReferenceProblems:
+    def test_every_file_loads(self):
+        names = sorted(path.stem for path in REFERENCE_DIR.glob("*.json"))
+        assert names == list(problem.REFERENCE_PROBLEMS)
+        for data in problem.REFERENCE_PROBLEMS.values():
+            problem.problem_from_dict(data)
+
+    def test_names_are_file_stems_and_not_builtins(self):
+        for stem, data in problem.REFERENCE_PROBLEMS.items():
+            assert data["name"] == stem
+            assert stem not in problem.BUILTIN_PROBLEMS
+
+    def test_runs_by_path_only(self):
+        path = str(REFERENCE_DIR / "cubic-flipped.json")
+        assert problem.resolve_problem(path).name == "cubic-flipped"
+        with pytest.raises(problem.ProblemError, match="no built-in"):
+            problem.resolve_problem("cubic-flipped")
+
+    def test_curved_is_the_generated_instance(self):
+        """gen-curved-4 is the curved draw of the construct workload's
+        generator at seed 1, field for field."""
+        curved = [dict(data) for data in generated.generate(1, 1)
+                  if data["kind"] == "curved"]
+        assert len(curved) == 1
+        del curved[0]["kind"]
+        assert problem.REFERENCE_PROBLEMS["gen-curved-4"] == curved[0]
 
 
 class TestDerivedExpressions:
@@ -159,7 +190,7 @@ class TestDerivedExpressions:
         # x = 0.5 only, and the constant root's u2 = 0 / b_u is undefined
         # there too
         spec = problem.problem_from_dict(dict(
-            CUBIC_JSON, b="u*(u-(0.75-0.5*x))*(u-1)*(x-0.5)"))
+            CUBIC, b="u*(u-(0.75-0.5*x))*(u-1)*(x-0.5)"))
         for order in range(3):
             for x in (0.5, np.array([0.25, 0.5, 0.75])):
                 with pytest.raises(ex.DomainError, match="phi1 at x = 0.5"):
@@ -168,7 +199,7 @@ class TestDerivedExpressions:
             assert np.all(np.isfinite(u2))
 
     def test_epsilon_override_keeps_derived_fields(self, tmp_path):
-        spec = problem.resolve_problem(str(write(tmp_path, CUBIC_JSON)),
+        spec = problem.resolve_problem(str(write(tmp_path, CUBIC)),
                                        eps=0.02)
         assert spec.eps == 0.02
         assert set(spec.b_partials) == set(
@@ -190,9 +221,8 @@ class TestCheckAssumptions:
         assert report.gamma_sq_est == pytest.approx(0.25 * 0.99, rel=1e-6)
 
     def test_flipped_middle_root_passes_static_checks(self):
-        data = dict(CUBIC_JSON, b="u*(u-(0.25+0.5*x))*(u-1)",
-                    phi0="0.25+0.5*x")
-        report = problem.check_assumptions(problem.problem_from_dict(data))
+        report = problem.check_assumptions(problem.problem_from_dict(
+            problem.REFERENCE_PROBLEMS["cubic-flipped"]))
         # the orientation violation is only visible to the locator
         assert report.all_passed()
 

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from layerforge import cli, solver
+from layerforge import cli, problem, solver
 
 _PATH = Path(__file__).resolve().parent.parent / "tools" / "cmp_outputs.py"
 _SPEC = importlib.util.spec_from_file_location("cmp_outputs", _PATH)
@@ -103,22 +103,35 @@ class TestClassifyMoves:
 
 
 class TestRuns:
-    def test_curved_problem_runs(self, curved_data):
+    def test_curved_problem_runs(self):
         """Besides the built-ins, whose roots are flat at the layer point,
         the runs reach a problem whose roots have a slope there."""
-        assert cmp_outputs.CURVED == curved_data
+        name = "gen-curved-4.json"
+        assert cmp_outputs.CURVED_FILE == name
         curved = [cmd for cmd in cmp_outputs.RUNS
-                  if cmd[1:3] == ("--problem", cmp_outputs.CURVED_FILE)]
+                  if cmd[1:3] == ("--problem", name)]
         assert curved == [
-            ("locate", "--problem", "curved.json"),
-            ("dump-corrections", "--problem", "curved.json", "--p", "0.003"),
-            ("expand", "--problem", "curved.json"),
-            ("decay", "--problem", "curved.json"),
-            ("residual", "--problem", "curved.json"),
-            ("fbeta", "--problem", "curved.json"),
-            ("monotone", "--problem", "curved.json"),
-            ("phi", "--problem", "curved.json"),
-            ("compare", "--problem", "curved.json", "--n", "4096")]
+            ("locate", "--problem", name),
+            ("dump-corrections", "--problem", name, "--p", "0.003"),
+            ("expand", "--problem", name),
+            ("decay", "--problem", name),
+            ("residual", "--problem", name),
+            ("fbeta", "--problem", name),
+            ("monotone", "--problem", name),
+            ("phi", "--problem", name),
+            ("compare", "--problem", name, "--n", "4096")]
+
+    def test_every_reference_problem_runs(self, tmp_path):
+        """Each reference file is written as it is, under its own name, and
+        runs `locate`; so does a file added to the directory."""
+        cmp_outputs.write_inputs(tmp_path)
+        names = [f"{stem}.json" for stem in problem.REFERENCE_PROBLEMS]
+        reference = Path(problem.__file__).with_name("problems") / "reference"
+        for name in names:
+            assert ((tmp_path / name).read_bytes()
+                    == (reference / name).read_bytes())
+            assert ("locate", "--problem", name) in cmp_outputs.RUNS
+        assert not set(names) & set(cmp_outputs.ERROR_FILES)
 
     def test_capped_layer_region_runs(self, actx):
         """On each built-in, an expand run whose U_trunc reads a layer
@@ -173,10 +186,9 @@ class TestRuns:
                 assert [mesh.nodes[i] for i in mesh.breaks] == [
                     loc.t0 + side * mesh.tau for side in at]
 
-    def test_error_runs(self, underflow_data):
-        """Each kind of input error, and a numerical failure, is a run, so
-        a parent comparison shows moves in exit codes and error lines."""
-        assert cmp_outputs.UNDERFLOW == underflow_data
+    def test_error_runs(self):
+        """Each kind of input error is a run, so a parent comparison shows
+        moves in exit codes and error lines."""
         errors = cmp_outputs.ERROR_RUNS
         assert cmp_outputs.RUNS[-len(errors):] == errors
         files = {cmd[2] for cmd in errors}

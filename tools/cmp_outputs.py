@@ -4,8 +4,8 @@
 
 runs every command of RUNS with `python -m layerforge` once on this tree's
 `src/` and once on PARENT_CHECKOUT's `src/`, both from a temporary directory
-that holds the CURVED problem as CURVED_FILE and the ERROR_FILES, and prints
-one line per run:
+that holds this tree's reference problems (REFERENCE_FILES, each under its
+own file name) and the ERROR_FILES, and prints one line per run:
 "identical" when stdout, stderr and exit code match byte for byte, else the
 largest absolute and relative difference over the numbers of stdout (the
 text around the numbers must match), or what else differs; a text that
@@ -37,6 +37,9 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+#: this tree's `src/`
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 BUILTINS = ("cubic", "cubic-wavy")
 
@@ -74,25 +77,25 @@ PER_PROBLEM = (
     ("solve", "--mesh", "uniform", "--n", "2048", "--format", "json"),
 )
 
+#: this tree's reference problems, src/layerforge/problems/reference/*.json,
+#: by file name, so a file added there joins the runs as it is
+REFERENCE_DIR = SRC / "layerforge" / "problems" / "reference"
+REFERENCE_FILES = {path.name: path.read_text(encoding="utf-8")
+                   for path in sorted(REFERENCE_DIR.glob("*.json"))}
+
+#: `locate` on each reference problem; some end in an error line (steep-tail
+#: in a weight underflow, cubic-flipped in the wrong orientation)
+REFERENCE_RUNS = tuple(("locate", "--problem", name)
+                       for name in REFERENCE_FILES)
+
 #: the curved instance of perfbench's generated family (generate(1, 1)):
 #: unlike the built-ins, its outer roots have a slope at the layer point
-CURVED = {
-    "name": "gen-curved-4",
-    "b": "(u-0.0717*sin(1*3.14159265358979*x))"
-         "*(u-((0.5-0.4144*(x-0.3922))+0.0717*sin(1*3.14159265358979*x)))"
-         "*(u-(1+0.0717*sin(1*3.14159265358979*x)))",
-    "phi0": "(0.5-0.4144*(x-0.3922))+0.0717*sin(1*3.14159265358979*x)",
-    "phi1": "0.0717*sin(1*3.14159265358979*x)",
-    "phi2": "1+0.0717*sin(1*3.14159265358979*x)",
-    "g0": 0.0,
-    "g1": 1.0,
-    "epsilon": 0.008693,
-}
-CURVED_FILE = "curved.json"
+CURVED_FILE = "gen-curved-4.json"
+_CURVED = json.loads(REFERENCE_FILES[CURVED_FILE])
 
-#: on CURVED, the arguments after `--problem CURVED_FILE`
+#: on the curved instance, the arguments after `--problem CURVED_FILE`,
+#: besides the `locate` of REFERENCE_RUNS
 PER_CURVED = (
-    ("locate",),
     ("dump-corrections", "--p", "0.003"),
     ("expand",),
     ("decay",),
@@ -103,34 +106,20 @@ PER_CURVED = (
     ("compare", "--n", "4096"),
 )
 
-#: tail rates 0.94 and 10.76: on the plus branch of the correction grid,
-#: whose range follows the smaller rate, the profile weight underflows to 0
-UNDERFLOW = {
-    "name": "steep-tail",
-    "b": "u*(u-(0.88426-0.1*(x-0.5)))*(u-1)*(1+1000*u^20)",
-    "phi0": "0.88426-0.1*(x-0.5)",
-    "phi1": "0",
-    "phi2": "1",
-    "g0": 0.0,
-    "g1": 1.0,
-    "epsilon": 0.01,
-}
-
 #: inputs whose runs end in an error line, by file name
 ERROR_FILES = {
     "malformed.json": '{"name": "bad", "b": ',
-    "parse-error.json": json.dumps(dict(CURVED, b=CURVED["b"] + "$")),
-    "steep-tail.json": json.dumps(UNDERFLOW),
-    "overflow.json": json.dumps(dict(CURVED, phi2="1/1e300^-1")),
-    "surrogate.json": json.dumps(dict(CURVED, name="gen-curved-\ud800")),
+    "parse-error.json": json.dumps(dict(_CURVED, b=_CURVED["b"] + "$")),
+    "overflow.json": json.dumps(dict(_CURVED, phi2="1/1e300^-1")),
+    "surrogate.json": json.dumps(dict(_CURVED, name="gen-curved-\ud800")),
 }
 
-#: a malformed file, a parse error, an unknown built-in, a weight underflow,
-#: a reaction that overflows on a root, a name that is not UTF-8 (a lone
-#: surrogate is valid JSON)
+#: a malformed file, a parse error, an unknown built-in, a reaction that
+#: overflows on a root, a name that is not UTF-8 (a lone surrogate is valid
+#: JSON)
 ERROR_RUNS = tuple(("locate", "--problem", name) for name in (
-    "malformed.json", "parse-error.json", "no-such", "steep-tail.json",
-    "overflow.json", "surrogate.json"))
+    "malformed.json", "parse-error.json", "no-such", "overflow.json",
+    "surrogate.json"))
 
 #: on the cubic, arguments out of range: each run ends in a usage error line
 USAGE_RUNS = tuple((cmd[0], "--problem", "cubic", *cmd[1:]) for cmd in (
@@ -144,6 +133,7 @@ USAGE_RUNS = tuple((cmd[0], "--problem", "cubic", *cmd[1:]) for cmd in (
 RUNS = (("all", "--problem", "all"),
         *((cmd[0], "--problem", name, *cmd[1:])
           for name in BUILTINS for cmd in PER_PROBLEM),
+        *REFERENCE_RUNS,
         *((cmd[0], "--problem", CURVED_FILE, *cmd[1:]) for cmd in PER_CURVED),
         *USAGE_RUNS,
         *ERROR_RUNS)
@@ -220,6 +210,12 @@ def judge(old: subprocess.CompletedProcess, new: subprocess.CompletedProcess,
     return more, away, not away
 
 
+def write_inputs(directory) -> None:
+    """Write the reference problems and the error files into directory."""
+    for name, text in {**REFERENCE_FILES, **ERROR_FILES}.items():
+        Path(directory, name).write_text(text, encoding="utf-8")
+
+
 def run(src: Path, args, cwd) -> subprocess.CompletedProcess:
     env = dict(os.environ, PYTHONPATH=str(src))
     return subprocess.run([sys.executable, "-m", "layerforge", *args],
@@ -251,15 +247,12 @@ def main(argv=None) -> int:
                         help="checkout whose numbers the moved ones are "
                              "judged against")
     args = parser.parse_args(argv)
-    here = Path(__file__).resolve().parent.parent / "src"
     there = args.parent.resolve() / "src"
     passed = True
     with tempfile.TemporaryDirectory() as tmp:
-        for name, text in {CURVED_FILE: json.dumps(CURVED),
-                           **ERROR_FILES}.items():
-            Path(tmp, name).write_text(text, encoding="utf-8")
+        write_inputs(tmp)
         for cmd in RUNS:
-            old, new = run(there, cmd, tmp), run(here, cmd, tmp)
+            old, new = run(there, cmd, tmp), run(SRC, cmd, tmp)
             verdict, away = compare(old, new), []
             if verdict != "identical" and args.reference is None:
                 passed = False
