@@ -8,7 +8,7 @@ harness (residual orders, derivative-jump sweeps, decay fits, and an
 independent finite-difference oracle).
 """
 
-from .errors import InputError, LayerforgeError
+from .errors import ArgumentError, InputError, LayerforgeError
 from .expr import DomainError, ParseError
 from .quadrature import QuadratureFailed
 from .problem import (AssumptionReport, ProblemError, ProblemSpec,
@@ -33,8 +33,8 @@ from .verify import (AllZeros, SweepReport, decay_fit, fbeta_check,
 __version__ = "0.1.0"
 
 __all__ = [
-    "LayerforgeError", "InputError", "DomainError", "ParseError",
-    "QuadratureFailed",
+    "LayerforgeError", "InputError", "ArgumentError", "DomainError",
+    "ParseError", "QuadratureFailed",
     "AssumptionReport", "ProblemError", "ProblemSpec", "builtin_problem",
     "check_assumptions", "load_problem", "resolve_problem",
     "DegenerateRoot", "LayerLocation", "NoSignChange", "WrongOrientation",

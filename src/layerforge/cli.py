@@ -24,9 +24,8 @@ from itertools import chain, repeat
 import numpy as np
 
 from . import acceptance, corrections, kink, locator, problem, solver, verify
-from .errors import InputError, LayerforgeError
-from .expansion import (HHAT_CAP, PPRIME_STAR, build_expansion,
-                        build_perturbed)
+from .errors import ArgumentError, InputError, LayerforgeError
+from .expansion import PPRIME_STAR, build_expansion, build_perturbed
 
 SCHEMA_VERSION = 1
 
@@ -204,16 +203,6 @@ def _check_eps(args):
         raise UsageError(f"--eps must lie in (0, 1), got {eps}")
 
 
-def _check_perturbation(pprime: float, hhat: float, eps: float):
-    """The ranges build_perturbed admits, as usage errors."""
-    if not abs(pprime) <= PPRIME_STAR:
-        raise UsageError(
-            f"--pprime magnitude must not exceed {PPRIME_STAR}, got {pprime}")
-    if not hhat ** 2 <= HHAT_CAP * eps:
-        raise UsageError(f"--hhat squared must not exceed {HHAT_CAP} * eps "
-                         f"= {HHAT_CAP * eps:.3g}, got --hhat {hhat}")
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 
@@ -281,12 +270,11 @@ def cmd_dump_corrections(args) -> int:
 
 def cmd_expand(args) -> int:
     spec, loc, kk = _pipeline(args)
-    _check_perturbation(args.pprime, args.hhat, spec.eps)
     e = build_expansion(spec, p=args.p, eps=spec.eps, loc=loc, kink=kk)
-    pe = build_perturbed(e, pprime=args.pprime, hhat=args.hhat)
     xs = np.linspace(0.0, 1.0, args.points)
-    rows = np.column_stack((xs, e.u_as(xs), pe.beta(xs),
-                            e.truncated(xs, args.n, args.c_tau))).tolist()
+    u_trunc = e.truncated(xs, args.n, args.c_tau)
+    pe = build_perturbed(e, pprime=args.pprime, hhat=args.hhat)
+    rows = np.column_stack((xs, e.u_as(xs), pe.beta(xs), u_trunc)).tolist()
     _write_table(args, spec, ("x", "u_as", "beta", "U_trunc"), rows)
     return 0
 
@@ -327,7 +315,6 @@ def cmd_monotone(args) -> int:
     pprime, hhat = verify.bracketing_weights(eps, args.p)
     pprime = pprime if args.pprime is None else args.pprime
     hhat = hhat if args.hhat is None else args.hhat
-    _check_perturbation(pprime, hhat, eps)
     rep = verify.monotonicity_check(spec, loc, kk, eps=eps, p=args.p,
                                     pprime=pprime, hhat=hhat,
                                     n_points=args.points)
@@ -344,9 +331,9 @@ def cmd_fbeta(args) -> int:
 
 def cmd_solve(args) -> int:
     spec, loc, kk = _pipeline(args)
-    e = build_expansion(spec, p=0.0, eps=spec.eps, loc=loc, kink=kk)
     mesh = solver.build_mesh(loc, spec.eps, args.n, args.c_tau,
                              kind=args.mesh)
+    e = build_expansion(spec, p=0.0, eps=spec.eps, loc=loc, kink=kk)
     sol = solver.newton_solve(spec, mesh, e.u_as)
     _write_table(args, spec, ("x", "u"),
                  np.column_stack((mesh.nodes, sol.values)).tolist(),
@@ -356,8 +343,8 @@ def cmd_solve(args) -> int:
 
 def cmd_compare(args) -> int:
     spec, loc, kk = _pipeline(args)
-    e = build_expansion(spec, p=0.0, eps=spec.eps, loc=loc, kink=kk)
     mesh = solver.build_mesh(loc, spec.eps, args.n, args.c_tau)
+    e = build_expansion(spec, p=0.0, eps=spec.eps, loc=loc, kink=kk)
     sol = solver.newton_solve(spec, mesh, e.u_as)
     d_max, d_layer, d_outer = solver.compare(sol, e.u_as)
     _print_json({"schema_version": SCHEMA_VERSION, "command": "compare",
@@ -479,27 +466,10 @@ def _validate(args):
         if value is not None and not math.isfinite(value):
             raise UsageError(f"--{name.replace('_', '-')} must be finite, "
                              f"got {value}")
-    meshed = args.command in ("solve", "compare")
-    if getattr(args, "n", None) is not None:
-        least = solver.MIN_CELLS if meshed else solver.MIN_REGION_N
-        if args.n < least:
-            raise UsageError(f"--n must be at least {least}, got {args.n}")
-        if meshed and args.n % 2:
-            raise UsageError(f"--n must be even, got {args.n}")
-    if (getattr(args, "n_grid", None) is not None
-            and args.n_grid < problem.MIN_GRID):
-        raise UsageError(f"--n-grid must be at least {problem.MIN_GRID}, "
-                         f"got {args.n_grid}")
-    if (getattr(args, "c_tau", None) is not None
-            and args.c_tau <= solver.C_TAU_FLOOR):
-        raise UsageError(f"--c-tau must exceed {solver.C_TAU_FLOOR:g}, "
-                         f"got {args.c_tau}")
-    if getattr(args, "p", None) is not None and abs(args.p) > kink.P_STAR:
-        raise UsageError(f"--p magnitude must not exceed {kink.P_STAR}")
     if getattr(args, "points", None) is not None and args.points < 2:
         raise UsageError(f"--points must be at least 2, got {args.points}")
     sized = ["n_grid", "points"]
-    if meshed:
+    if args.command in ("solve", "compare"):
         sized.append("n")  # expand's --n only enters log N
     for name in sized:
         value = getattr(args, name, None)
@@ -526,6 +496,11 @@ def main(argv=None) -> int:
     except FloatingPointError as err:
         print(f"FloatingPointError: {err}", file=sys.stderr)
         return 1
+    except ArgumentError as err:
+        # a range the library checks, reported under the value's flag
+        flag = "--" + err.name.lower().replace("_", "-")
+        print(f"usage error: {flag} {err.rule}", file=sys.stderr)
+        return err.exit_code
     except LayerforgeError as err:
         name = ("usage error" if isinstance(err, UsageError)
                 else type(err).__name__)

@@ -27,7 +27,7 @@ from functools import cache, cached_property, partial
 import numpy as np
 
 from . import expr as ex
-from .errors import InputError, LayerforgeError
+from .errors import ArgumentError, LayerforgeError
 from .grids import graded_half_grid, hermite_quintic, one_sided_derivative
 from .kink import KinkProfile, P_STAR, build_kink
 from .locator import DegenerateRoot, LayerLocation, locate_t0
@@ -179,7 +179,8 @@ def make_auxiliary(spec: ProblemSpec, kink: KinkProfile, loc: LayerLocation,
     supplies explicit intermediate values.
     """
     if not abs(p) <= P_STAR:
-        raise InputError(f"|p| must not exceed {P_STAR}, got {p}")
+        raise ArgumentError("p", f"magnitude must not exceed {P_STAR}, "
+                                 f"got {p}")
     if tbar1 is None:
         tbar1 = loc.tbar1
     xi_max = max(kink.xi_max, GRID_RANGE_FACTOR / kink.gamma_bar)

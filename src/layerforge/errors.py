@@ -19,3 +19,14 @@ class InputError(LayerforgeError, ValueError):
     parameter outside its documented range."""
 
     exit_code = 2
+
+
+class ArgumentError(InputError):
+    """A parameter outside the range its reader admits, raised by the
+    function that reads it: `name` is that function's parameter name and
+    `rule` the range it breaks, so the message is "{name} {rule}"."""
+
+    def __init__(self, name: str, rule: str):
+        super().__init__(f"{name} {rule}")
+        self.name = name
+        self.rule = rule

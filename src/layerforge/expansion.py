@@ -19,7 +19,7 @@ from . import expr as ex
 from .corrections import (CorrectionTerm, LayerAuxiliary, at_side, build_v1,
                           build_v2, build_vstar, build_z, make_auxiliary,
                           sides_of)
-from .errors import InputError
+from .errors import ArgumentError
 from .grids import graded_half_grid
 from .kink import KinkProfile
 from .locator import LayerLocation
@@ -221,11 +221,12 @@ def build_perturbed(base: Expansion, pprime: float,
     mesh width at most a fixed multiple of eps.
     """
     if not abs(pprime) <= PPRIME_STAR:
-        raise InputError(f"|p'| must not exceed {PPRIME_STAR}, got {pprime}")
+        raise ArgumentError("pprime", f"magnitude must not exceed "
+                                      f"{PPRIME_STAR}, got {pprime}")
     if not hhat ** 2 <= HHAT_CAP * base.eps:
-        raise InputError(
-            f"hhat^2 = {hhat ** 2:.3g} exceeds {HHAT_CAP} * eps = "
-            f"{HHAT_CAP * base.eps:.3g}")
+        raise ArgumentError("hhat", f"squared must not exceed {HHAT_CAP} * "
+                                    f"eps = {HHAT_CAP * base.eps:.3g}, "
+                                    f"got {hhat}")
     points = base.aux.branches()
     vstar = build_vstar(base.aux, points)
     z = build_z(base.aux, points)

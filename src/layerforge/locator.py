@@ -77,20 +77,12 @@ class LayerLocation:
         return replace(self, C_II=C_II, C_III=C_III, t1=t1, t2=t2)
 
 
-def integral_I(spec: ProblemSpec, x: float) -> float:
-    """Area of the reaction term between the outer roots at fixed x."""
-    lo = spec.phi(1, x)
-    hi = spec.phi(2, x)
-    if lo == hi:
-        return 0.0
-    return adaptive_gl(lambda v: spec.b_val(x, v), lo, hi, tol=QUAD_TOL)
-
-
-def _integral_I_xderiv(spec: ProblemSpec, x: float) -> float:
-    # endpoint terms vanish because b is zero on the roots
-    lo = spec.phi(1, x)
-    hi = spec.phi(2, x)
-    return adaptive_gl(lambda v: spec.b_val(x, v, dx=1), lo, hi, tol=QUAD_TOL)
+def integral_I(spec: ProblemSpec, x: float, dx: int = 0) -> float:
+    """Area of the reaction term between the outer roots at fixed x, or
+    with dx=1 its exact x-derivative: the endpoint terms vanish because b
+    is zero on the roots."""
+    return adaptive_gl(lambda v: spec.b_val(x, v, dx=dx), spec.phi(1, x),
+                       spec.phi(2, x), tol=QUAD_TOL)
 
 
 def locate_t0(spec: ProblemSpec) -> LayerLocation:
@@ -149,7 +141,7 @@ def locate_t0(spec: ProblemSpec) -> LayerLocation:
             best_t, best_f = t0, abs(f)
         if abs(f) <= 1e-16:
             break
-        df = _integral_I_xderiv(spec, t0)
+        df = integral_I(spec, t0, dx=1)
         if df == 0.0:
             break
         step = f / df
@@ -164,7 +156,7 @@ def locate_t0(spec: ProblemSpec) -> LayerLocation:
         raise DegenerateRoot(
             f"area residual {best_f:.3e} at t0={t0:.15g} exceeds {QUAD_TOL}")
 
-    d_area = _integral_I_xderiv(spec, t0)
+    d_area = integral_I(spec, t0, dx=1)
     C_I = -d_area
     if abs(C_I) < 1e-10:
         raise DegenerateRoot(

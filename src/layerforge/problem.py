@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from . import expr as ex
-from .errors import InputError
+from .errors import ArgumentError, InputError
 
 _REQUIRED_FIELDS = ("name", "b", "phi0", "phi1", "phi2", "g0", "g1", "epsilon")
 
@@ -279,7 +279,8 @@ def check_assumptions(spec: ProblemSpec,
     is deferred to the locator, which owns the quadrature it needs.
     """
     if n_grid < MIN_GRID:
-        raise InputError(f"n_grid must be at least {MIN_GRID}")
+        raise ArgumentError("n_grid",
+                            f"must be at least {MIN_GRID}, got {n_grid}")
     x = np.linspace(0.0, 1.0, n_grid + 1)
     roots = [spec.phi(k, x) for k in range(3)]
 

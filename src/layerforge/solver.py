@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError, LayerforgeError
+from .errors import ArgumentError, InputError, LayerforgeError
 from .kernels import thomas_solve
 from .locator import LayerLocation
 from .problem import ProblemSpec
@@ -68,9 +68,10 @@ def layer_half_width(loc: LayerLocation, eps: float, N: int,
     """Half-width (C_tau / gamma_bar) eps ln N of the layer region, capped
     at min(t0, 1 - t0) / 2; the mesh and the truncation both read it."""
     if N < MIN_REGION_N:
-        raise InputError(f"N must be at least {MIN_REGION_N}")
+        raise ArgumentError("N", f"must be at least {MIN_REGION_N}, got {N}")
     if not C_tau > C_TAU_FLOOR:
-        raise InputError(f"C_tau must exceed {C_TAU_FLOOR:g}")
+        raise ArgumentError("C_tau",
+                            f"must exceed {C_TAU_FLOOR:g}, got {C_tau}")
     return min(float((C_tau / loc.gamma_bar) * eps * np.log(N)),
                min(loc.t0, 1.0 - loc.t0) / 2.0)
 
@@ -85,8 +86,10 @@ def build_mesh(loc: LayerLocation, eps: float, N: int, C_tau: float = C_TAU,
     fine as the region, and t0 when N/2 is odd.  The uniform kind has no
     breaks and ignores the half-width (but records it for bookkeeping).
     """
-    if N % 2 or not N >= MIN_CELLS:
-        raise InputError(f"N must be even and at least {MIN_CELLS}, got {N}")
+    if not N >= MIN_CELLS:
+        raise ArgumentError("N", f"must be at least {MIN_CELLS}, got {N}")
+    if N % 2:
+        raise ArgumentError("N", f"must be even, got {N}")
     tau = layer_half_width(loc, eps, N, C_tau)
     if kind == "uniform":
         return Mesh(nodes=np.linspace(0.0, 1.0, N + 1), breaks=(),

@@ -217,20 +217,13 @@ def _sign_report(name: str, phis: np.ndarray, C1: float,
     deficits = C1 * eps_fit * abs_p - C3 * eps_fit * abs_p - signed[0]
     C2 = (FIT_INFLATION * max(float(np.max(deficits)) / eps_fit ** 3, 0.0)
           + 1e-9)
-
-    per_eps_ok = {}
-    for eps, row in zip(EPS_LADDER, signed):
-        bound = C1 * eps * abs_p - C2 * eps ** 3 - C3 * eps * abs_p
-        per_eps_ok[eps] = bool(np.all(row >= bound - 1e-14))
-    # the largest epsilon at and below which every row holds
-    eps_star = next((eps for eps in sorted(EPS_LADDER, reverse=True)
-                     if all(per_eps_ok[e2] for e2 in EPS_LADDER if e2 <= eps)),
-                    None)
+    passed = all(np.all(row >= C1 * eps * abs_p - C2 * eps ** 3
+                        - C3 * eps * abs_p - 1e-14)
+                 for eps, row in zip(EPS_LADDER, signed))
     return SweepReport(name=name, parameter="eps", values=EPS_LADDER,
                        measured=tuple(float(row.min()) for row in signed),
-                       passed=bool(all(per_eps_ok.values())),
-                       details={"C1": C1, "C2": float(C2), "C3": float(C3),
-                                "eps_star_empirical": eps_star})
+                       passed=passed,
+                       details={"C1": C1, "C2": float(C2), "C3": float(C3)})
 
 
 # ---------------------------------------------------------------------------

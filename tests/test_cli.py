@@ -13,6 +13,11 @@ from layerforge import cli, corrections, kink, problem
 
 CUBIC_B = problem.BUILTIN_PROBLEMS["cubic"]["b"]
 
+REFERENCE_DIR = Path(problem.__file__).with_name("problems") / "reference"
+
+#: a reference problem's path, which `all` does not take
+FLIPPED = str(REFERENCE_DIR / "cubic-flipped.json")
+
 
 def _cubic_with(**fields):
     """The cubic's problem file with some fields replaced, as JSON text."""
@@ -126,6 +131,23 @@ class TestUsageErrors:
         assert captured.err == (f"usage error: {argv[1]} must not exceed "
                                 f"{cli.SIZE_CAP}, got {argv[2]}\n")
 
+    @pytest.mark.parametrize("argv, line", [
+        (["expand", "--problem", "cubic", "--p", "0.5"],
+         "--p magnitude must not exceed 0.1, got 0.5"),
+        (["monotone", "--problem", "cubic", "--p", "0.5"],
+         "--p magnitude must not exceed 0.1, got 0.5"),
+        (["expand", "--problem", "cubic", "--points", "1"],
+         "--points must be at least 2, got 1"),
+        (["all", "--problem", FLIPPED],
+         f"--problem must name a built-in for 'all', got {FLIPPED!r}"),
+    ], ids=["expand-p", "monotone-p", "expand-points", "all-path"])
+    def test_usage_line(self, capsys, argv, line):
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"usage error: {line}\n"
+
     def test_expand_truncation_n_has_no_cap(self, capsys):
         code = cli.main(["expand", "--problem", "cubic", "--points", "3",
                          "--n", "100000000000"])
@@ -213,6 +235,15 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("ProblemError: ")
+        assert err.count("\n") == 1
+
+    def test_degenerate_root_is_one_line(self, capsys):
+        code = cli.main(["locate", "--problem",
+                         str(REFERENCE_DIR / "cubic-degenerate.json")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("DegenerateRoot: ")
+        assert err.endswith(": root not simple\n")
         assert err.count("\n") == 1
 
     def test_weight_underflow_is_one_line(self, capsys, tmp_path,
@@ -387,6 +418,14 @@ class TestReports:
         code, out = run(capsys, "monotone", "--problem", "cubic")
         assert code == 0
         assert json.loads(out)["passed"] is True
+
+    @pytest.mark.parametrize("command", ["phi", "fbeta"])
+    def test_sweep_report(self, capsys, command):
+        code, out = run(capsys, command, "--problem", "cubic")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["command"] == command
+        assert payload["passed"] is True
 
     def test_monotone_on_two_points(self, capsys):
         code, out = run(capsys, "monotone", "--problem", "cubic",

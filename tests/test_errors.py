@@ -6,6 +6,7 @@ A problem file with one field replaced by a drawn value ends in a result or
 in one typed line on stderr, never in a traceback.
 """
 
+import argparse
 import contextlib
 import importlib
 import inspect
@@ -13,11 +14,12 @@ import io
 import json
 import pkgutil
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import layerforge
-from layerforge import cli, problem
-from layerforge.errors import InputError, LayerforgeError
+from layerforge import cli, corrections, expansion, problem, solver
+from layerforge.errors import ArgumentError, InputError, LayerforgeError
 
 MODULES = [importlib.import_module(f"layerforge.{info.name}")
            for info in pkgutil.iter_modules(layerforge.__path__)]
@@ -45,6 +47,57 @@ class TestHierarchy:
     def test_names_identify_the_class(self):
         """The stderr line names the class alone, so no two share a name."""
         assert len(BY_NAME) == len(ERROR_CLASSES)
+
+
+# ---------------------------------------------------------------------------
+# Each argument range has one home: the function that reads the value
+
+
+def _perturbed(spec, loc, kk, pprime, hhat):
+    e = expansion.build_expansion(spec, p=0.0, eps=1e-2, loc=loc, kink=kk)
+    return expansion.build_perturbed(e, pprime=pprime, hhat=hhat)
+
+
+#: (parameter name, rule, a call on the cubic's (spec, loc, kink) that
+#: breaks it), for every range a library function checks on its arguments
+RANGE_RULES = [
+    ("p", "magnitude must not exceed 0.1, got 0.5",
+     lambda spec, loc, kk: corrections.make_auxiliary(spec, kk, loc, p=0.5)),
+    ("pprime", "magnitude must not exceed 0.05, got 0.1",
+     lambda *pipeline: _perturbed(*pipeline, pprime=0.1, hhat=0.0)),
+    ("hhat", "squared must not exceed 10.0 * eps = 0.1, got 1.0",
+     lambda *pipeline: _perturbed(*pipeline, pprime=0.0, hhat=1.0)),
+    ("N", "must be at least 2, got 1",
+     lambda spec, loc, kk: solver.layer_half_width(loc, 1e-2, 1, 2.5)),
+    ("C_tau", "must exceed 2, got 2.0",
+     lambda spec, loc, kk: solver.layer_half_width(loc, 1e-2, 64, 2.0)),
+    ("N", "must be at least 4, got 3",
+     lambda spec, loc, kk: solver.build_mesh(loc, 1e-2, 3)),
+    ("N", "must be even, got 33",
+     lambda spec, loc, kk: solver.build_mesh(loc, 1e-2, 33)),
+    ("n_grid", "must be at least 16, got 8",
+     lambda spec, loc, kk: problem.check_assumptions(spec, n_grid=8)),
+]
+
+_SUBPARSERS, = (action for action in cli.build_parser()._actions
+                if isinstance(action, argparse._SubParsersAction))
+
+#: every option's dest over the CLI's subcommands
+CLI_DESTS = {action.dest for sub in _SUBPARSERS.choices.values()
+             for action in sub._actions}
+
+
+@pytest.mark.parametrize("name, rule, call", RANGE_RULES,
+                         ids=["p", "pprime", "hhat", "region-n", "c-tau",
+                              "mesh-n", "mesh-n-even", "n-grid"])
+def test_range_error_names_the_parameter(cubic, name, rule, call):
+    """An ArgumentError exits 2, and the CLI names its flag from `name`."""
+    with pytest.raises(ArgumentError) as exc:
+        call(*cubic)
+    err = exc.value
+    assert isinstance(err, InputError) and err.exit_code == 2
+    assert (err.name, err.rule, str(err)) == (name, rule, f"{name} {rule}")
+    assert name.lower() in CLI_DESTS
 
 
 # ---------------------------------------------------------------------------

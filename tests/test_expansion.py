@@ -86,11 +86,11 @@ class TestBeta:
                       - np.atleast_1d(dn.beta(xs))) >= -1e-12
 
     def test_parameter_caps(self, cubic_e):
-        with pytest.raises(ValueError, match="p'"):
+        with pytest.raises(ValueError, match="pprime"):
             expansion.build_perturbed(cubic_e, pprime=0.2, hhat=0.0)
         with pytest.raises(ValueError, match="hhat"):
             expansion.build_perturbed(cubic_e, pprime=0.0, hhat=1.0)
-        with pytest.raises(ValueError, match="p'"):
+        with pytest.raises(ValueError, match="pprime"):
             expansion.build_perturbed(cubic_e, pprime=math.nan, hhat=0.0)
         with pytest.raises(ValueError, match="hhat"):
             expansion.build_perturbed(cubic_e, pprime=0.0, hhat=math.nan)

@@ -27,6 +27,7 @@ class TestIntegral:
     def test_empty_interval(self):
         spec = variant(phi1="0.3", phi2="0.3")
         assert locator.integral_I(spec, 0.25) == 0.0
+        assert locator.integral_I(spec, 0.25, dx=1) == 0.0
 
 
 class TestLocate:
@@ -40,6 +41,13 @@ class TestLocate:
         spec = problem.problem_from_dict(
             problem.REFERENCE_PROBLEMS["cubic-flipped"])
         with pytest.raises(locator.WrongOrientation):
+            locator.locate_t0(spec)
+
+    def test_degenerate_root_rejected(self):
+        """I(x) = (x - 0.5)^3 / 6 changes sign at 0.5 with zero slope."""
+        spec = problem.problem_from_dict(
+            problem.REFERENCE_PROBLEMS["cubic-degenerate"])
+        with pytest.raises(locator.DegenerateRoot, match="root not simple"):
             locator.locate_t0(spec)
 
     def test_no_sign_change(self):

@@ -84,7 +84,8 @@ REFERENCE_FILES = {path.name: path.read_text(encoding="utf-8")
                    for path in sorted(REFERENCE_DIR.glob("*.json"))}
 
 #: `locate` on each reference problem; some end in an error line (steep-tail
-#: in a weight underflow, cubic-flipped in the wrong orientation)
+#: in a weight underflow, cubic-flipped in the wrong orientation,
+#: cubic-degenerate in a root that is not simple)
 REFERENCE_RUNS = tuple(("locate", "--problem", name)
                        for name in REFERENCE_FILES)
 
@@ -128,6 +129,9 @@ USAGE_RUNS = tuple((cmd[0], "--problem", "cubic", *cmd[1:]) for cmd in (
     ("check", "--n-grid", "8"),
     ("solve", "--c-tau", "2"),
     ("solve", "--n", "2"),
+    ("expand", "--p", "0.5"),
+    ("expand", "--n", "1"),
+    ("solve", "--n", "33"),
 ))
 
 RUNS = (("all", "--problem", "all"),
