@@ -66,7 +66,8 @@ class AcceptanceContext:
         key = (name, "terms")
         if key not in self._cache:
             spec, loc, kk = self.pipeline(name)
-            aux = corrections.make_auxiliary(spec, kk, loc, p=0.0)
+            aux = corrections.make_auxiliary(spec, kk, loc, p=0.0,
+                                             tbar1=loc.shift(spec.eps))
             self._cache[key] = (aux, corrections.build_terms(aux))
         return self._cache[key]
 
@@ -252,9 +253,7 @@ def criterion_10_truncation(ctx: AcceptanceContext, name: str):
 def criterion_11_solver_oracle(ctx: AcceptanceContext):
     spec, loc, kk = ctx.pipeline("cubic")
     e = build_expansion(spec, p=0.0, eps=1e-2, loc=loc, kink=kk)
-    mesh = solver.build_mesh(loc, 1e-2, 512)
-    spec_eps = problem.builtin_problem("cubic", eps=1e-2)
-    sol = solver.newton_solve(spec_eps, mesh, e.u_as)
+    sol = solver.newton_solve(spec, solver.build_mesh(loc, 1e-2, 512), e.u_as)
     yield sol.iterations <= C11_MAX_ITER, (
         f"iterations at eps=1e-2, N=512: {sol.iterations} "
         f"(need <= {format_bound(C11_MAX_ITER)})")

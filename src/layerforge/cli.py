@@ -166,15 +166,13 @@ def _report_payload(rep: verify.SweepReport) -> dict:
         "schema_version": SCHEMA_VERSION,
         "name": rep.name,
         "parameter": rep.parameter,
-        "values": [list(v) if isinstance(v, (tuple, list)) else v
-                   for v in rep.values],
-        "measured": list(rep.measured),
+        "values": rep.values,
+        "measured": rep.measured,
         "slope": rep.slope,
         "intercept": rep.intercept,
         "threshold": rep.threshold,
         "passed": rep.passed,
-        "details": {k: (list(v) if isinstance(v, tuple) else v)
-                    for k, v in rep.details.items()},
+        "details": rep.details,
     }
 
 
@@ -237,7 +235,7 @@ def cmd_locate(args) -> int:
         "problem": spec.name,
         "epsilon": spec.eps,
         "t0": loc.t0, "C_I": loc.C_I, "C_II": loc.C_II, "C_III": loc.C_III,
-        "t1": loc.t1, "t2": loc.t2, "tbar1": loc.tbar1,
+        "t1": loc.t1, "t2": loc.t2, "tbar1": loc.shift(spec.eps),
         "gamma_bar": loc.gamma_bar, "gamma": loc.gamma,
         "chi0": kk.chi_at_zero,
     }
@@ -255,8 +253,8 @@ def cmd_dump_kink(args) -> int:
 
 def cmd_dump_corrections(args) -> int:
     spec, loc, kk = _pipeline(args)
-    terms = corrections.build_terms(
-        corrections.make_auxiliary(spec, kk, loc, p=args.p))
+    terms = corrections.build_terms(corrections.make_auxiliary(
+        spec, kk, loc, p=args.p, tbar1=loc.shift(spec.eps)))
     rows = []
     for label, term in terms.items():
         for branch, xi, val in (("minus", term.xi_neg, term.val_neg),
@@ -300,8 +298,8 @@ def cmd_phi(args) -> int:
 
 def cmd_decay(args) -> int:
     spec, loc, kk = _pipeline(args)
-    terms = corrections.build_terms(
-        corrections.make_auxiliary(spec, kk, loc, p=args.p))
+    terms = corrections.build_terms(corrections.make_auxiliary(
+        spec, kk, loc, p=args.p, tbar1=loc.shift(spec.eps)))
     rates, floor, passed = verify.decay_rates(kk, terms)
     _print_json({"schema_version": SCHEMA_VERSION, "command": "decay",
                  "problem": spec.name, "gamma_bar": kk.gamma_bar,
@@ -315,9 +313,17 @@ def cmd_monotone(args) -> int:
     pprime, hhat = verify.bracketing_weights(eps, args.p)
     pprime = pprime if args.pprime is None else args.pprime
     hhat = hhat if args.hhat is None else args.hhat
-    rep = verify.monotonicity_check(spec, loc, kk, eps=eps, p=args.p,
-                                    pprime=pprime, hhat=hhat,
-                                    n_points=args.points)
+    try:
+        rep = verify.monotonicity_check(spec, loc, kk, eps=eps, p=args.p,
+                                        pprime=pprime, hhat=hhat,
+                                        n_points=args.points)
+    except ArgumentError as err:
+        # a default the user never passed is reported by the flags it
+        # came from
+        if err.name != "pprime" or args.pprime is not None:
+            raise
+        raise UsageError(f"--pprime defaults to eps * p, whose {err.rule}; "
+                         "pass --pprime or a smaller --p") from err
     _print_json({"command": "monotone", **_report_payload(rep)})
     return 0 if rep.passed else 1
 

@@ -170,19 +170,17 @@ class LayerPoint:
 
 
 def make_auxiliary(spec: ProblemSpec, kink: KinkProfile, loc: LayerLocation,
-                   p: float, tbar1: float | None = None) -> LayerAuxiliary:
+                   p: float, tbar1: float) -> LayerAuxiliary:
     """One (p, shift) configuration: the correction grid, built here,
     beside the problem, the profile and the layer location, which already
     holds the outer roots at t0.
 
-    tbar1 defaults to the location's matched shift; the matching pass itself
-    supplies explicit intermediate values.
+    tbar1 is the profile shift: loc.shift(eps) at the expansion's epsilon,
+    or the matching pass's intermediate t1.
     """
     if not abs(p) <= P_STAR:
         raise ArgumentError("p", f"magnitude must not exceed {P_STAR}, "
                                  f"got {p}")
-    if tbar1 is None:
-        tbar1 = loc.tbar1
     xi_max = max(kink.xi_max, GRID_RANGE_FACTOR / kink.gamma_bar)
     grid = graded_half_grid(xi_max, GRID_N_PER_SIDE, GRID_SPACING0)
     return LayerAuxiliary(spec=spec, kink=kink, loc=loc, p=p,

@@ -45,7 +45,7 @@ class AnchorOutOfRange(LayerforgeError, RuntimeError):
 
 
 class ProfileIntegrationFailed(LayerforgeError, RuntimeError):
-    """The profile quadrature met a non-positive or non-finite potential."""
+    """The profile quadrature met a non-finite potential."""
 
 
 #: within this distance of a root the potential switches to its Taylor form
@@ -188,14 +188,20 @@ def _profile_side(pot: PotentialTable, anchor: float, root: float,
 
     sign is +1 toward the upper root and -1 toward the lower one, so that
     d = sign (root - v) is the distance to the approached root and
-    V = root - sign A exp(-mu s) in the tail.
+    V = root - sign A exp(-mu s) in the tail.  The quadrature is the one
+    positivity check of the potential: it reads W at every node and
+    quadrature point between the anchor and SWITCH_EPS from the root.
     """
     s_k, v_k, c_k, b_k, _, status = integrate_kink(pot, anchor, root,
                                                    SWITCH_EPS)
+    if status == 1:
+        raise PotentialNegative(
+            f"potential is <= 0 between the anchor {anchor:.15g} and the "
+            f"root {root:.15g}; no monotone connecting profile exists")
     if status != 0:
         raise ProfileIntegrationFailed(
-            f"profile quadrature toward {root:.15g} failed with "
-            f"status {status} (1: potential <= 0, 2: non-finite)")
+            f"profile quadrature toward {root:.15g} met a non-finite "
+            "potential")
 
     # Tail amplitude.  A node's own rounding (~1e-16 in V) is a poor
     # *relative* error on the root distance deep in the tail, so the
@@ -238,17 +244,6 @@ def build_kink(spec: ProblemSpec, loc: LayerLocation) -> KinkProfile:
             f"middle root {anchor:.15g} outside ({phi1_t0:.15g}, {phi2_t0:.15g})")
 
     pot = build_potential(spec, loc)
-
-    # the potential must be strictly positive between the roots
-    span = phi2_t0 - phi1_t0
-    probe = np.linspace(phi1_t0 + 1e-4 * span, phi2_t0 - 1e-4 * span, 401)
-    wvals = pot.w(probe)
-    if np.min(wvals) <= 0.0:
-        bad = probe[int(np.argmin(wvals))]
-        raise PotentialNegative(
-            f"potential is {np.min(wvals):.3e} at v={bad:.15g}; "
-            "no monotone connecting profile exists")
-
     mu_minus, mu_plus = (float(mu) for mu in np.sqrt(pot.taylor[:, 0]))
     gamma_bar = min(mu_minus, mu_plus)
 

@@ -43,14 +43,14 @@ class LayerLocation:
     value, slope and curvature of phi_k, b_u(t0, phi_k(t0)) (the squared
     tail rate), and the smooth correction u2 with its slope.  t1 and t2
     (and the constants they derive from) are filled by the corrections
-    machinery; tbar1 is the profile shift at the problem's own epsilon.
+    machinery.  Every field is epsilon-free: epsilon enters only through
+    shift(eps), which each configuration names.
     """
 
     t0: float
     C_I: float
     gamma_bar: float
     gamma: float
-    eps: float
     u0_side: tuple
     du0_side: tuple
     ddu0_side: tuple
@@ -67,10 +67,6 @@ class LayerLocation:
         if self.t1 is None or self.t2 is None:
             raise ValueError("matching constants not computed yet")
         return self.t1 + eps * self.t2
-
-    @property
-    def tbar1(self) -> float:
-        return self.shift(self.eps)
 
     def with_matching(self, C_II: float, C_III: float,
                       t1: float, t2: float) -> "LayerLocation":
@@ -182,7 +178,7 @@ def locate_t0(spec: ProblemSpec) -> LayerLocation:
     roots, u2 = zip(*(spec.outer(k, t0, order=1) for k in (1, 2)))
     return LayerLocation(t0=float(t0), C_I=float(C_I),
                          gamma_bar=float(np.sqrt(gamma_bar_sq)),
-                         gamma=gamma, eps=spec.eps, u0_side=u0,
+                         gamma=gamma, u0_side=u0,
                          du0_side=tuple(d[1] for d in roots),
                          ddu0_side=tuple(d[2] for d in roots), bs0_side=bs0,
                          u2_side=tuple(u[0] for u in u2),

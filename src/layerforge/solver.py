@@ -38,6 +38,7 @@ class Mesh:
     tau: float
     N: int
     center: float       # the layer point the transition region brackets
+    eps: float          # the epsilon the region is sized for; a solve reads it
 
     def __post_init__(self):
         if not np.all(np.diff(self.nodes) > 0.0):
@@ -93,7 +94,7 @@ def build_mesh(loc: LayerLocation, eps: float, N: int, C_tau: float = C_TAU,
     tau = layer_half_width(loc, eps, N, C_tau)
     if kind == "uniform":
         return Mesh(nodes=np.linspace(0.0, 1.0, N + 1), breaks=(),
-                    tau=tau, N=N, center=loc.t0)
+                    tau=tau, N=N, center=loc.t0, eps=eps)
     if kind != "layer-adapted":
         raise InputError(f"unknown mesh kind {kind!r}")
     t0 = loc.t0
@@ -108,7 +109,7 @@ def build_mesh(loc: LayerLocation, eps: float, N: int, C_tau: float = C_TAU,
          zip((edges[1], tau, tau, 1.0 - edges[3]), cells)]
     breaks = tuple(int(j) for j, hm, hp in zip(np.cumsum(cells), h, h[1:])
                    if abs(hp - hm) > 1e-12 * (hm + hp))
-    return Mesh(nodes=nodes, breaks=breaks, tau=tau, N=N, center=t0)
+    return Mesh(nodes=nodes, breaks=breaks, tau=tau, N=N, center=t0, eps=eps)
 
 
 def _scheme_weights(x: np.ndarray, breaks):
@@ -160,9 +161,10 @@ def _residual(eps_sq: float, weights, u: np.ndarray,
 
 
 def discrete_residual(spec: ProblemSpec, mesh: Mesh, u: np.ndarray) -> np.ndarray:
-    """Interior residual of the difference scheme at the given nodal values."""
+    """Interior residual of the difference scheme at the given nodal values,
+    at the mesh's epsilon."""
     x = mesh.nodes
-    return _residual(spec.eps ** 2, _scheme_weights(x, mesh.breaks), u,
+    return _residual(mesh.eps ** 2, _scheme_weights(x, mesh.breaks), u,
                      spec.b_val(x, u))
 
 
@@ -186,8 +188,10 @@ FLOOR_FACTOR = 2.0
 def newton_solve(spec: ProblemSpec, mesh: Mesh, initial) -> MeshSolution:
     """Damped Newton iteration with tridiagonal linear solves.
 
-    `initial` is an evaluator x -> u seeding the iteration; the boundary
-    values are imposed exactly and only the interior values are updated.
+    The scheme is -eps^2 u'' + b(x, u) = 0 at the mesh's epsilon; `spec`
+    gives b and the boundary values only.  `initial` is an evaluator
+    x -> u seeding the iteration; the boundary values are imposed exactly
+    and only the interior values are updated.
     The iteration stops once the residual norm is below 1e-10 (1 + max|b|)
     or below the roundoff floor of the residual, whichever is larger.  The
     step is halved until the residual norm decreases; running out of
@@ -200,7 +204,7 @@ def newton_solve(spec: ProblemSpec, mesh: Mesh, initial) -> MeshSolution:
     u[-1] = spec.g1
     weights = _scheme_weights(x, mesh.breaks)
     wl, wc, wr = weights[:3]
-    eps_sq = spec.eps ** 2
+    eps_sq = mesh.eps ** 2
     floor = (FLOOR_FACTOR * eps_sq * np.finfo(float).eps / 2.0
              * float(np.max(np.abs(wl) + np.abs(wc) + np.abs(wr))))
     damping: list = []

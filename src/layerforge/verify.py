@@ -9,7 +9,7 @@ ladder, the fitted constants, and the thresholds used.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -396,7 +396,7 @@ def solver_convergence(spec: ProblemSpec, loc: LayerLocation,
     def one(eps):
         e = build_expansion(spec, p=0.0, eps=eps, loc=loc, kink=kink)
         mesh = solver_mod.build_mesh(loc, eps, SOLVER_N)
-        sol = solver_mod.newton_solve(replace(spec, eps=eps), mesh, e.u_as)
+        sol = solver_mod.newton_solve(spec, mesh, e.u_as)
         d_max, _, _ = solver_mod.compare(sol, e.u_as)
         return d_max
 

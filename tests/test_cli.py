@@ -113,6 +113,19 @@ class TestUsageErrors:
         assert captured.err.startswith(f"usage error: {argv[1]}")
         assert captured.err.count("\n") == 1
 
+    def test_default_pprime_names_its_sources(self, capsys):
+        """A --pprime the user never passed is reported as the default
+        eps * p it came from, with the library's own rule."""
+        code = cli.main(["monotone", "--problem", "cubic", "--eps", "0.9",
+                         "--p", "0.1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (
+            "usage error: --pprime defaults to eps * p, whose magnitude "
+            "must not exceed 0.05, got 0.09000000000000001; pass --pprime "
+            "or a smaller --p\n")
+
     @pytest.mark.parametrize("argv", [
         ["solve", "--n", "100000000000"],
         ["compare", "--n", "100000000000"],

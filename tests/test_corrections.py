@@ -156,12 +156,14 @@ class TestBounds:
         """The shift derivative of the layer component is the weight."""
         spec, loc, kk = actx.pipeline("cubic")
         h = 1e-5
-        up = corrections.make_auxiliary(spec, kk, loc, p=h)
-        dn = corrections.make_auxiliary(spec, kk, loc, p=-h)
+        tbar1 = loc.shift(spec.eps)
+        up = corrections.make_auxiliary(spec, kk, loc, p=h, tbar1=tbar1)
+        dn = corrections.make_auxiliary(spec, kk, loc, p=-h, tbar1=tbar1)
         xi = np.linspace(-8.0, 8.0, 41)
         for side in (-1, 1):
             fd = (up.at(xi, side).v0 - dn.at(xi, side).v0) / (2 * h)
-            chi = corrections.make_auxiliary(spec, kk, loc, p=0.0).at(xi).chi
+            chi = corrections.make_auxiliary(spec, kk, loc, p=0.0,
+                                             tbar1=tbar1).at(xi).chi
             assert np.max(np.abs(fd - chi)) <= 1e-6
 
 
@@ -213,7 +215,8 @@ class TestPhi:
         spec, loc, kk = cubic
         rows = []
         for p in P_SWEEP:
-            aux = corrections.make_auxiliary(spec, kk, loc, p)
+            aux = corrections.make_auxiliary(spec, kk, loc, p,
+                                             loc.shift(spec.eps))
             points = aux.branches()
             s = p - aux.tbar1
             rows.append((s, 1.0 / (1.0 + math.exp(-s / SQ2)),
@@ -334,7 +337,8 @@ class TestBranchRule:
             return grid(*args)
 
         monkeypatch.setattr(corrections, "graded_half_grid", counted)
-        corrections.build_terms(corrections.make_auxiliary(spec, kk, loc, 0.0))
+        corrections.build_terms(corrections.make_auxiliary(
+            spec, kk, loc, 0.0, loc.shift(spec.eps)))
         assert len(calls) == 1
 
 
@@ -348,7 +352,8 @@ class TestLayerPoint:
         checks the chain rule's du0 terms."""
         spec, loc, kk = (request.getfixturevalue(name) if name == "curved"
                          else actx.pipeline(name))
-        aux = corrections.make_auxiliary(spec, kk, loc, p=0.003)
+        aux = corrections.make_auxiliary(spec, kk, loc, p=0.003,
+                                         tbar1=loc.shift(spec.eps))
         xi = np.linspace(-8.0, 8.0, 33)
         orders = ((0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (2, 0))
         for k, side in ((1, -1), (2, 1)):

@@ -62,7 +62,8 @@ def _perturbed(spec, loc, kk, pprime, hhat):
 #: breaks it), for every range a library function checks on its arguments
 RANGE_RULES = [
     ("p", "magnitude must not exceed 0.1, got 0.5",
-     lambda spec, loc, kk: corrections.make_auxiliary(spec, kk, loc, p=0.5)),
+     lambda spec, loc, kk: corrections.make_auxiliary(
+         spec, kk, loc, p=0.5, tbar1=loc.shift(spec.eps))),
     ("pprime", "magnitude must not exceed 0.05, got 0.1",
      lambda *pipeline: _perturbed(*pipeline, pprime=0.1, hhat=0.0)),
     ("hhat", "squared must not exceed 10.0 * eps = 0.1, got 1.0",

@@ -287,7 +287,8 @@ class TestSharedAssembly:
         calls = self._count_calls(
             monkeypatch, ((problem.ProblemSpec, "phi"),
                           (problem.ProblemSpec, "b_val")))
-        corrections.make_auxiliary(spec, kk, loc, p=0.003)
+        corrections.make_auxiliary(spec, kk, loc, p=0.003,
+                                   tbar1=loc.shift(eps))
         e.phi_u_as()
         pe.phi_beta()
         assert calls == []

@@ -22,9 +22,7 @@ FLAT = {"name": "flat", "b": "(1+1.0*x^2)*u*(u-(0.5-0.5*(x-0.6)))*(u-1)",
 
 #: a quintic whose extra reduced roots between the outer ones make the
 #: potential dip below 0
-DIPPING = dict(problem.BUILTIN_PROBLEMS["cubic"],
-               b="u*(u-0.05)*(u-0.45)*(u-(0.9-0.5*x))*(u-1)",
-               phi0="0.9-0.5*x")
+DIPPING = problem.REFERENCE_PROBLEMS["cubic-dipping"]
 
 
 class TestBuild:
@@ -314,9 +312,11 @@ class TestEvaluators:
     def test_shift_identity(self, cubic):
         spec, loc, kk = cubic
         for delta in (0.03, -0.02):
-            a = corrections.make_auxiliary(spec, kk, loc, 0.05).at(1.3).V0
-            b = corrections.make_auxiliary(spec, kk, loc,
-                                           0.05 - delta).at(1.3 + delta).V0
+            tbar1 = loc.shift(spec.eps)
+            a = corrections.make_auxiliary(spec, kk, loc, 0.05,
+                                           tbar1).at(1.3).V0
+            b = corrections.make_auxiliary(spec, kk, loc, 0.05 - delta,
+                                           tbar1).at(1.3 + delta).V0
             assert a == pytest.approx(b, abs=1e-12)
 
     def test_shift_cap(self, cubic):
@@ -353,5 +353,6 @@ class TestFailureModes:
     def test_negative_potential(self):
         spec = problem.problem_from_dict(DIPPING)
         loc = locator.locate_t0(spec)
-        with pytest.raises(kink.PotentialNegative):
+        with pytest.raises(kink.PotentialNegative,
+                           match="between the anchor .* and the root 0;"):
             kink.build_kink(spec, loc)

@@ -1,8 +1,9 @@
+import json
 import math
 
 import pytest
 
-from layerforge import locator, problem
+from layerforge import cli, locator, problem
 
 CUBIC = problem.BUILTIN_PROBLEMS["cubic"]
 
@@ -85,13 +86,20 @@ class TestLocate:
         spec = problem.builtin_problem("cubic")
         loc = locator.locate_t0(spec)
         with pytest.raises(ValueError, match="matching"):
-            _ = loc.tbar1
+            loc.shift(spec.eps)
 
-    def test_matching_fills_by_construction(self, cubic):
+    def test_matching_fills_by_construction(self, cubic, capsys):
+        """locate's tbar1 is the shift at its run's epsilon, here one
+        other than the problem file's."""
         _, loc, _ = cubic
         assert loc.t1 == loc.C_II / loc.C_I
         assert loc.t2 == loc.C_III / loc.C_I
-        assert loc.tbar1 == loc.t1 + loc.eps * loc.t2
+        eps = 0.03125
+        assert cli.main(["locate", "--problem", "cubic", "--eps",
+                         str(eps)]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert (out["t1"], out["t2"]) == (loc.t1, loc.t2)
+        assert out["tbar1"] == loc.t1 + eps * loc.t2
 
 
 def test_location_independent_of_scan_resolution(cubic, monkeypatch):

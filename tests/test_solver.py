@@ -215,9 +215,8 @@ class TestNewton:
     def test_fine_mesh_converges_with_exact_boundary_values(self, wavy):
         """On 2^16 cells the residual norm cannot reach the fixed tolerance;
         the roundoff floor of the residual ends the iteration instead."""
-        _, loc, kk = wavy
+        spec, loc, kk = wavy
         eps = 2.0 ** -7
-        spec = problem.builtin_problem("cubic-wavy", eps=eps)
         e = build_expansion(spec, p=0.0, eps=eps, loc=loc, kink=kk)
         mesh = solver.build_mesh(loc, eps, 2 ** 16, 2.5)
         sol = solver.newton_solve(spec, mesh, e.u_as)
@@ -233,16 +232,33 @@ class TestNewton:
         assert len(sol.damping) == sol.iterations
         assert all(0.0 < lam <= 1.0 for lam in sol.damping)
 
+    def test_mesh_epsilon_decides_the_solve(self, cubic):
+        """The solve reads its mesh's epsilon, not the problem's: the
+        0.01-epsilon cubic on a 2^-5 mesh solves bitwise as the cubic at
+        2^-5 does, and so does its residual."""
+        spec, loc, kk = cubic
+        eps = 2.0 ** -5
+        assert spec.eps != eps
+        e = build_expansion(spec, p=0.0, eps=eps, loc=loc, kink=kk)
+        mesh = solver.build_mesh(loc, eps, 1024)
+        assert mesh.eps == eps
+        specs = (spec, problem.builtin_problem("cubic", eps=eps))
+        sols = [solver.newton_solve(s, mesh, e.u_as) for s in specs]
+        assert np.array_equal(sols[0].values, sols[1].values)
+        assert sols[0].iterations == sols[1].iterations
+        residuals = [solver.discrete_residual(s, mesh, sols[0].values)
+                     for s in specs]
+        assert np.array_equal(*residuals)
+
 
 def _cubic_solves(cubic, eps, sizes):
     """cubic's Newton solutions at eps on each N of sizes, seeded from
     u_as, with their distance to it, by N."""
     spec, loc, kk = cubic
     e = build_expansion(spec, p=0.0, eps=eps, loc=loc, kink=kk)
-    spec_eps = problem.builtin_problem("cubic", eps=eps)
     solves = {}
     for N in sizes:
-        sol = solver.newton_solve(spec_eps, solver.build_mesh(loc, eps, N),
+        sol = solver.newton_solve(spec, solver.build_mesh(loc, eps, N),
                                   e.u_as)
         solves[N] = (sol, solver.compare(sol, e.u_as)[0])
     return solves
@@ -333,19 +349,18 @@ class TestInterpolatedResidual:
         solution, sampled on a twice-finer grid, drops with N."""
         spec, loc, kk = cubic
         eps = 2.0 ** -5
-        spec_eps = problem.builtin_problem("cubic", eps=eps)
         e = build_expansion(spec, p=0.0, eps=eps, loc=loc, kink=kk)
         worsts = []
         for N in (128, 256, 512, 1024):
             mesh = solver.build_mesh(loc, eps, N, 2.5)
-            sol = solver.newton_solve(spec_eps, mesh,
+            sol = solver.newton_solve(spec, mesh,
                                       lambda x: np.atleast_1d(e.u_as(x)))
             spline = CubicSpline(mesh.nodes, sol.values)
             fine = np.sort(np.concatenate(
                 [mesh.nodes, 0.5 * (mesh.nodes[:-1] + mesh.nodes[1:])]))
             fine = fine[1:-1]
             resid = (-eps ** 2 * spline(fine, 2)
-                     + spec_eps.b_val(fine, spline(fine)))
+                     + spec.b_val(fine, spline(fine)))
             worsts.append(float(np.max(np.abs(resid))))
         assert all(a > b for a, b in zip(worsts, worsts[1:]))
 

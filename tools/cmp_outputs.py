@@ -45,25 +45,29 @@ BUILTINS = ("cubic", "cubic-wavy")
 
 #: per built-in problem, the arguments after `--problem NAME`; at
 #: eps = 2^-5 the layer region of expand's U_trunc is capped at
-#: min(t0, 1 - t0) / 2.  Every table writer runs in both formats, solve on
-#: the oracle workload's largest mesh too, and compare runs at eps = 2^-16,
-#: where the rounding of the residual row shows.  The last three runs reach
-#: the mesh's breaks, where the scheme drops the compact average: t0 -+ tau
-#: on a fine mesh at eps = 2^-9, t0 with N/2 odd, and none on the uniform
-#: mesh
+#: min(t0, 1 - t0) / 2, and locate, dump-corrections and decay read the
+#: profile shift at an epsilon other than the file's.  Every table writer
+#: runs in both formats, solve on the oracle workload's largest mesh too,
+#: and compare runs at eps = 2^-16, where the rounding of the residual row
+#: shows.  The last three runs reach the mesh's breaks, where the scheme
+#: drops the compact average: t0 -+ tau on a fine mesh at eps = 2^-9, t0
+#: with N/2 odd, and none on the uniform mesh
 PER_PROBLEM = (
     ("check",),
     ("locate",),
+    ("locate", "--eps", "0.03125"),
     ("dump-kink",),
     ("dump-kink", "--format", "json"),
     ("dump-corrections", "--p", "0.003"),
     ("dump-corrections", "--p", "0.003", "--format", "json"),
+    ("dump-corrections", "--eps", "0.03125", "--p", "0.003"),
     ("expand",),
     ("expand", "--format", "json"),
     ("expand", "--p", "0.003", "--pprime", "0.0003", "--hhat", "0.1"),
     ("expand", "--eps", "0.03125", "--n", "2048"),
     ("phi",),
     ("decay",),
+    ("decay", "--eps", "0.03125"),
     ("residual",),
     ("fbeta",),
     ("monotone",),
@@ -85,7 +89,8 @@ REFERENCE_FILES = {path.name: path.read_text(encoding="utf-8")
 
 #: `locate` on each reference problem; some end in an error line (steep-tail
 #: in a weight underflow, cubic-flipped in the wrong orientation,
-#: cubic-degenerate in a root that is not simple)
+#: cubic-degenerate in a root that is not simple, cubic-dipping in a
+#: potential that is not positive)
 REFERENCE_RUNS = tuple(("locate", "--problem", name)
                        for name in REFERENCE_FILES)
 
@@ -132,6 +137,7 @@ USAGE_RUNS = tuple((cmd[0], "--problem", "cubic", *cmd[1:]) for cmd in (
     ("expand", "--p", "0.5"),
     ("expand", "--n", "1"),
     ("solve", "--n", "33"),
+    ("monotone", "--eps", "0.9", "--p", "0.1"),
 ))
 
 RUNS = (("all", "--problem", "all"),
